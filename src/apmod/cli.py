@@ -83,6 +83,13 @@ class Output:
             self.fh.close()
 
 
+def _at_least(args, name: str, lo) -> None:
+    """Reject --name below lo with a parameter error that names the flag."""
+    value = getattr(args, name)
+    if value < lo:
+        raise ValueError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
+
+
 def _threads(args) -> int:
     cap = os.environ.get("APMOD_THREADS")
     t = args.threads
@@ -177,6 +184,7 @@ def cmd_verify(args, out: Output) -> int:
     which = args.which
     failures = 0
     if which == "buchstab":
+        _at_least(args, "x", 50)  # configurations draw x from [50, --x]
         cfgs = random_buchstab_configs(args.trials, args.x, seed=args.seed)
         out.row("x", "d", "z1", "z2", "q1", "q2", "a", "ok")
         for c in cfgs:
@@ -197,6 +205,7 @@ def cmd_verify(args, out: Output) -> int:
     elif which == "fundlemma":
         import numpy as np
 
+        _at_least(args, "n_max", 1)
         out.row("z", "y", "n_max", "rough_equal_one", "sign_property", "ok")
         lpf = least_prime_factor_table(args.n_max)
         for z in (10, 20, 30):
@@ -217,6 +226,7 @@ def cmd_verify(args, out: Output) -> int:
     elif which == "reduction":
         import numpy as np
 
+        _at_least(args, "n_max", 1)
         out.row("z1", "z2", "y", "n_max", "ok")
         for (z1, z2, y) in ((30, 5, 100), (20, 3, 50), (50, 7, 1000), (15, 2, 30), (40, 11, 400)):
             rs = reduction_sequences(z1, z2, y)
@@ -276,6 +286,14 @@ def cmd_verify(args, out: Output) -> int:
 
 
 def cmd_decomp(args, out: Output) -> int:
+    _at_least(args, "x", 1)
+    if args.z1 is None:
+        args.z1 = args.x ** (1 / 7)
+    if args.z2 is None:
+        args.z2 = args.x ** (3 / 7)
+    if args.z3 is None:
+        args.z3 = args.x ** (4 / 7)
+    _at_least(args, "z1", 0)
     root, rep = harman_tree(
         args.x, args.z1, args.z2, args.z3, args.q1, args.q2, args.a, args.epsilon
     )
@@ -525,13 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = ap.parse_args(argv)
     apply_config_file(args, argv)
-    if args.command == "decomp":
-        if args.z1 is None:
-            args.z1 = args.x ** (1 / 7)
-        if args.z2 is None:
-            args.z2 = args.x ** (3 / 7)
-        if args.z3 is None:
-            args.z3 = args.x ** (4 / 7)
     desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
     out = Output(args.out, desc, getattr(args, "seed", 0))
     try:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .primes import least_prime_factor_table, sieve_upto
+from .arith import euler_phi
+from .primes import least_prime_factor_table, primes_in
 from .progressions import SValue, s_value
 
 
@@ -97,10 +98,6 @@ class HarmanReport:
         return out
 
 
-def _primes_in_open_closed(lo: float, hi: float) -> list[int]:
-    return [int(p) for p in sieve_upto(int(math.floor(hi))) if lo < p <= hi]
-
-
 def harman_tree(
     x: int,
     z1: float,
@@ -134,8 +131,8 @@ def harman_tree(
     def sval(d: int, z: float, inclusive: bool) -> SValue:
         return s_value(x, d, z, q1, q2, a, inclusive=inclusive)
 
-    p12 = _primes_in_open_closed(z1, z2)
-    p2r = _primes_in_open_closed(z2, root_z)
+    p12 = primes_in(math.floor(z1), math.floor(z2))
+    p2r = primes_in(math.floor(z2), math.floor(root_z))
 
     # tuple sets for the five-way split of G1 = {z1 < r < p <= z2}
     g1 = [(p, r) for p in p12 for r in p12 if r < p]
@@ -153,7 +150,7 @@ def harman_tree(
     g3c = triples(g1c)
 
     def sum_terms(terms) -> SValue:
-        acc = SValue.zero(_phi(q1 * q2))
+        acc = SValue.zero(euler_phi(q1 * q2))
         for d, z, inc in terms:
             acc = acc + sval(d, z, inc)
         return acc
@@ -382,12 +379,6 @@ def harman_tree(
         leaf_count=n_leaves,
     )
     return root, report
-
-
-def _phi(q: int) -> int:
-    from .arith import euler_phi
-
-    return euler_phi(q)
 
 
 def dump_tree(root: DecompNode) -> str:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import mobius
-from .primes import least_prime_factor_table, sieve_upto
+from .primes import least_prime_factor_table, primes_in, sieve_upto
 from .progressions import SValue, s_value
 from .rng import SplitMix64
 
@@ -250,40 +249,34 @@ class ReductionSequences:
     def identity_sides(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """(lhs, rhs) of the identity for all 1 <= n <= n_max, exactly."""
         lpf = least_prime_factor_table(n_max)
-        lhs = (lpf[: n_max + 1] > self.z1).astype(np.int64)
+        lhs = (lpf > self.z1).astype(np.int64)
         lhs[0] = 0
         rhs = np.zeros(n_max + 1, dtype=np.int64)
         window = [int(p) for p in sieve_upto(int(self.z1)) if p > self.z2]
-        # alpha part
+        # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
         for d, w in self.alpha.items():
             if d > min(self.y, n_max):
                 continue
-            m = np.arange(1, n_max // d + 1)
-            rhs[d * m] += w * (lpf[m] > self.z2)
+            rhs[d::d] += w * (lpf[1 : n_max // d + 1] > self.z2)
         # beta part
         for d, w in self.beta.items():
-            if d > self.y:
-                continue
+            if d > min(self.y, n_max):
+                continue  # d > n_max leaves no d*p <= n_max
             pd = min(self.alpha_pminus(d), self.z1 + 1)
             for p in window:
                 if p >= pd:
                     break
-                if d * p <= self.y or d * p > n_max:
+                dp = d * p
+                if dp <= self.y or dp > n_max:
                     continue
-                m = np.arange(1, n_max // (d * p) + 1)
-                rhs[d * p * m] += w * (lpf[m] >= p)
-        return lhs, rhs[: n_max + 1]
+                rhs[dp::dp] += w * (lpf[1 : n_max // dp + 1] >= p)
+        return lhs, rhs
 
     def alpha_pminus(self, d: int) -> float:
+        """P^-(d), read from the shared least-prime-factor table (grown to d)."""
         if d == 1:
             return math.inf
-        m = d
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                return p
-            p += 1
-        return m
+        return int(least_prime_factor_table(d)[d])
 
 
 def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
@@ -327,18 +320,9 @@ def buchstab_terms(
     right = s_value(x, d, z1, q1, q2, a)
     subtracted = [
         s_value(x, d * p, p, q1, q2, a, inclusive=True)
-        for p in _primes_between(z1, z2)
+        for p in primes_in(math.floor(z1), math.floor(z2))
     ]
     return left, right, subtracted
-
-
-@lru_cache(maxsize=64)
-def _primes_upto_cached(hi: int) -> tuple[int, ...]:
-    return tuple(int(p) for p in sieve_upto(hi))
-
-
-def _primes_between(z1: float, z2: float) -> list[int]:
-    return [p for p in _primes_upto_cached(int(math.floor(z2))) if z1 < p <= z2]
 
 
 def verify_buchstab(

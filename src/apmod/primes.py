@@ -3,6 +3,11 @@
 The sieve is the one performance-critical path in the package: odd-only
 numpy segments of 2**18 entries, so counting primes to 1e8 takes seconds.
 Constructed tables are immutable; all queries are pure.
+
+The least-prime-factor table is one process-wide, read-only int64 array that
+only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
+it.  It holds 8 bytes x (largest limit requested + 1) for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -147,18 +152,28 @@ def rough_count(t: int, z: int) -> int:
     return total
 
 
-@lru_cache(maxsize=4)
+_lpf = np.empty(0, dtype=np.int64)
+
+
 def least_prime_factor_table(limit: int) -> np.ndarray:
-    """lpf[n] for 0 <= n <= limit; lpf[0] = 0 and lpf[1] is the P^-(1) sentinel."""
-    lpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if lpf[p] == 0:
-            lpf[p::p] = np.where(lpf[p::p] == 0, p, lpf[p::p])
-        if p * p > limit:
-            break
-    unmarked = lpf == 0
-    unmarked[:2] = False
-    lpf[unmarked] = np.arange(limit + 1)[unmarked]  # primes above sqrt(limit)
-    if limit >= 1:
-        lpf[1] = P_MINUS_ONE_SENTINEL
-    return lpf
+    """lpf[n] for 0 <= n <= limit; lpf[0] = 0 and lpf[1] is the P^-(1) sentinel.
+
+    A read-only view of one process-wide table.  The table is rebuilt, to
+    exactly ``limit``, only when ``limit`` exceeds every limit requested so
+    far, so it holds 8 bytes x (largest limit requested + 1) for the life of
+    the process.
+    """
+    global _lpf
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    if limit >= len(_lpf):
+        lpf = np.arange(limit + 1, dtype=np.int64)  # primes are their own lpf
+        # descending, so the smallest prime dividing n writes lpf[n] last
+        for p in sieve_upto(math.isqrt(limit))[::-1]:
+            p = int(p)
+            lpf[p * p :: p] = p
+        if limit >= 1:
+            lpf[1] = P_MINUS_ONE_SENTINEL
+        lpf.flags.writeable = False
+        _lpf = lpf
+    return _lpf[: limit + 1]

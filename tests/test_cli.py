@@ -81,6 +81,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "parameter error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["decomp", "--x", "-5"], "--x"),
+            (["decomp", "--x", "2000", "--z1", "-3", "--z2", "5", "--z3", "10"], "--z1"),
+            (["verify", "buchstab", "--x", "49"], "--x"),
+            (["verify", "reduction", "--n-max", "-5"], "--n-max"),
+            (["verify", "fundlemma", "--n-max", "-5"], "--n-max"),
+        ],
+    )
+    def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
+        code, _ = run_cli(args, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
+        assert flag in err
+
     def test_tolerance_override_failure_is_1(self, tmp_path):
         # an impossible tolerance forces the assertion path
         code, text = run_cli(

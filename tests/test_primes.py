@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apmod.arith import P_MINUS_ONE_SENTINEL
 from apmod.buchstab import buchstab_omega, solve_buchstab
 from apmod.primes import (
     PrimeTable,
@@ -97,6 +98,49 @@ class TestPrimeTable:
         t = PrimeTable(10, 20)
         with pytest.raises(ValueError):
             t.is_prime(9)
+
+
+def _trial_lpf(n: int) -> int:
+    if n < 2:
+        return P_MINUS_ONE_SENTINEL if n == 1 else 0
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+LPF_LIMITS = [0, 1, 2, 3, 4, 25, 97, 1000, 4096, 20000]
+
+
+class TestLeastPrimeFactorTable:
+    ORACLE = np.array([_trial_lpf(k) for k in range(max(LPF_LIMITS) + 1)], dtype=np.int64)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_trial_division_in_any_request_order(self, order, fresh_lpf_table):
+        limits = sorted(LPF_LIMITS, reverse=order == "descending")
+        if order == "shuffled":
+            limits = [limits[i] for i in (5, 9, 0, 7, 2, 8, 1, 6, 4, 3)]
+        for n in limits:
+            assert np.array_equal(least_prime_factor_table(n), self.ORACLE[: n + 1])
+        for n in LPF_LIMITS:
+            assert np.array_equal(least_prime_factor_table(n), self.ORACLE[: n + 1])
+
+    def test_read_only(self):
+        lpf = least_prime_factor_table(100)
+        with pytest.raises(ValueError):
+            lpf[10] = 3
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError):
+            least_prime_factor_table(-1)
+
+    def test_smaller_request_is_a_view_of_the_larger(self, fresh_lpf_table):
+        large = least_prime_factor_table(5000)
+        small = least_prime_factor_table(300)
+        assert len(small) == 301
+        assert np.shares_memory(large, small)
 
 
 class TestVonMangoldt:
