@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -90,14 +89,6 @@ def _at_least(args, name: str, lo) -> None:
         raise ValueError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
 
 
-def _threads(args) -> int:
-    cap = os.environ.get("APMOD_THREADS")
-    t = args.threads
-    if cap is not None:
-        t = min(t, max(1, int(cap)))
-    return max(1, t)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns the exit code
 
@@ -114,10 +105,9 @@ def cmd_sieve(args, out: Output) -> int:
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    import math as _math
-
+    _at_least(args, "x", 2)  # norm_delta divides by pi(x)
     fam = dyadic_family(args.x, args.qlo, args.qhi, args.a)
-    total, records = bv_aggregate(args.x, fam, threads=_threads(args))
+    total, records = bv_aggregate(args.x, fam)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
     pix = pi(args.x)
     norm = []
@@ -127,7 +117,7 @@ def cmd_bv_scan(args, out: Output) -> int:
         out.row(r.x, r.q, r.a, r.pi_ap, r.expected, r.delta, nd)
     out.row("total", total, "", "", "", "", "")
     if norm:
-        out.row("mean_norm_delta", _math.fsum(norm) / len(norm), "", "", "", "", "")
+        out.row("mean_norm_delta", math.fsum(norm) / len(norm), "", "", "", "", "")
     return 0
 
 
@@ -238,8 +228,7 @@ def cmd_verify(args, out: Output) -> int:
         out.row("property", "tested", "failures", "max_dev_over_tol", "ok")
         for pid in range(1, 8):
             rep = f_property_check(
-                args.q_max, pid, args.trials, tol=args.tol, seed=args.seed,
-                threads=_threads(args),
+                args.q_max, pid, args.trials, tol=args.tol, seed=args.seed
             )
             failures += len(rep.failures)
             out.row(pid, rep.tested, len(rep.failures), rep.max_ratio,
@@ -247,12 +236,12 @@ def cmd_verify(args, out: Output) -> int:
             for w in rep.failures[:10]:
                 out.row("witness", str(w), "", "", "")
     elif which == "weil":
-        rep = weil_check(args.c_max, args.trials, seed=args.seed, threads=_threads(args))
+        rep = weil_check(args.c_max, args.trials, seed=args.seed)
         failures += len(rep.failures)
         out.row("tested", "max_ratio", "witness", "ok")
         out.row(rep.tested, rep.max_ratio, str(rep.witness), "pass" if rep.passed else "FAIL")
     elif which == "deligne":
-        rep = deligne_check(args.p_max, threads=_threads(args))
+        rep = deligne_check(args.p_max)
         failures += len(rep.failures)
         out.row("tested", "max_ratio", "witness", "ok")
         out.row(rep.tested, rep.max_ratio, str(rep.witness), "pass" if rep.passed else "FAIL")
@@ -362,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="CSV output path; stdout when omitted")
         p.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint, capped by APMOD_THREADS")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override where applicable")
         p.add_argument("--config", default=None,
@@ -544,7 +531,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     apply_config_file(args, argv)
     desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
-    out = Output(args.out, desc, getattr(args, "seed", 0))
+    try:
+        out = Output(args.out, desc, getattr(args, "seed", 0))
+    except OSError as exc:
+        # an --out path that cannot be opened is a usage error too
+        print(f"apmod: output error: {exc}", file=sys.stderr)
+        return 2
     try:
         code = args.fn(args, out)
     except ValueError as exc:

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import euler_phi, factorize, mod_inv, mobius, tau_k
-from .parallel import ordered_map
 from .primes import sieve_upto
 from .rng import SplitMix64
 
@@ -254,7 +253,6 @@ def f_property_check(
     samples_per_q: int = 200,
     tol: float | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> SweepReport:
     """Verify one statement of the F-sum structure lemma on all q <= q_max.
 
@@ -288,7 +286,6 @@ def f_property_check(
     if property_id == 6:
         report.note = "hypothesis: exists p with p^2 | q and p | h1*h2*h3"
 
-    moduli = []
     for q in range(1, q_max + 1):
         fq = factorize(q)
         squarefree = fq.is_squarefree()
@@ -300,16 +297,9 @@ def f_property_check(
             continue
         if property_id == 7 and not squarefree:
             continue
-        moduli.append(q)
-
-    per_q = ordered_map(
-        lambda q: _check_f_property_at_q(
+        tested, failures, max_ratio = _check_f_property_at_q(
             q, property_id, samples_per_q, tol_of, seed
-        ),
-        moduli,
-        threads,
-    )
-    for tested, failures, max_ratio in per_q:
+        )
         report.tested += tested
         report.failures.extend(failures)
         report.max_ratio = max(report.max_ratio, max_ratio)
@@ -317,8 +307,7 @@ def f_property_check(
 
 
 def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
-    """One modulus of the property sweep; rng seeded per (seed, property, q)
-    so the merged report is identical at any worker count."""
+    """One modulus of the property sweep; rng seeded per (seed, property, q)."""
     rng = SplitMix64((seed * 1_000_003 + property_id) * 1_000_003 + q)
     fq = factorize(q)
     tested = 0
@@ -397,9 +386,7 @@ def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
     return tested, failures, max_ratio
 
 
-def weil_check(
-    c_max: int, trials_per_c: int = 50, seed: int = 0, threads: int = 1
-) -> SweepReport:
+def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport:
     """Weil bound with explicit constant 1: |S(m,n;c)| <= tau(c) sqrt(c*(m,n,c)).
 
     Sweeps 2 <= c <= c_max (the modulus-1 sum is identically 1 and equals its
@@ -429,7 +416,7 @@ def weil_check(
                 fails.append({"c": c, "m": m, "n": n, "ratio": ratio})
         return len(pairs[:trials_per_c]), best, fails
 
-    for tested, best, fails in ordered_map(job, range(2, c_max + 1), threads):
+    for tested, best, fails in map(job, range(2, c_max + 1)):
         report.tested += tested
         report.failures.extend(fails)
         if best[0] > report.max_ratio:
@@ -438,9 +425,7 @@ def weil_check(
     return report
 
 
-def deligne_check(
-    p_max: int, squarefree_max: int | None = None, threads: int = 1
-) -> SweepReport:
+def deligne_check(p_max: int, squarefree_max: int | None = None) -> SweepReport:
     """Deligne bound: |Kl3(a; p)| <= 3 at primes, <= tau_3(q) for squarefree q.
 
     Prime moduli are checked for every unit a via the DFT table; squarefree
@@ -459,9 +444,7 @@ def deligne_check(
         vals = np.abs(kl3_prime_table(p)[_units(p)])
         return p, len(vals), float(vals.max())
 
-    for p, n, worst in ordered_map(
-        prime_job, [int(v) for v in sieve_upto(p_max)], threads
-    ):
+    for p, n, worst in map(prime_job, sieve_upto(p_max).tolist()):
         report.tested += n
         if worst / 3.0 > report.max_ratio:
             report.max_ratio = worst / 3.0
@@ -479,7 +462,7 @@ def deligne_check(
         worst = max(abs(kl3_squarefree(int(a), q)) for a in _units(q))
         return q, euler_phi(q), worst
 
-    for q, n, worst in ordered_map(comp_job, composites, threads):
+    for q, n, worst in map(comp_job, composites):
         report.tested += n
         bound = float(tau_k(q, 3))
         if worst > bound + slack:

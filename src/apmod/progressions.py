@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .arith import euler_phi, mobius
-from .parallel import ordered_map
 from .primes import least_prime_factor_table, sieve_upto
+
+# integers per window of the progression counter: its one boolean mask
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,16 +105,41 @@ class ModuliFamily:
     flagged: list[int] = field(default_factory=list)
 
 
+def _count_in_classes(x: int, classes: Sequence[tuple[int, int]]) -> list[int]:
+    """#{p <= x prime : p = a mod q} for each (q, a) with 0 <= a < q.
+
+    Walks [0, x] in windows of _CHUNK integers: each window's primes, taken
+    from the cached sieve_upto(x) array, are marked in one reused boolean
+    mask, and every class counts the strided slice of that mask it owns,
+    O(x/q) work per class.  Memory: the cached prime array plus the one
+    _CHUNK-byte mask and the offsets of one window's primes.
+    """
+    x = int(x)
+    counts = [0] * len(classes)
+    if x < 2:
+        return counts
+    primes = sieve_upto(x)
+    mask = np.zeros(min(_CHUNK, x + 1), dtype=bool)
+    for lo in range(0, x + 1, _CHUNK):
+        i, j = np.searchsorted(primes, (lo, lo + _CHUNK))
+        offsets = primes[i:j] - lo
+        mask[offsets] = True
+        for k, (q, a) in enumerate(classes):
+            counts[k] += int(np.count_nonzero(mask[(a - lo) % q :: q]))
+        mask[offsets] = False
+    return counts
+
+
 def pi_ap(x: int, q: int, a: int) -> int:
-    """#{p <= x prime : p = a mod q}.  gcd(a, q) > 1 is allowed (count 0 or 1)."""
+    """#{p <= x prime : p = a mod q}.  gcd(a, q) > 1 is allowed (count 0 or 1).
+
+    Memory: the cached sieve_upto(x) array plus one _CHUNK-byte mask.
+    """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if not 0 <= a < q:
         raise ValueError(f"residue {a} outside [0, {q})")
-    primes = sieve_upto(int(x))
-    if q == 1:
-        return int(len(primes))
-    return int(np.count_nonzero(primes % q == a))
+    return _count_in_classes(x, [(q, a)])[0]
 
 
 def _rough_mask(lo: int, hi: int, z: float, inclusive: bool) -> np.ndarray:
@@ -166,32 +193,24 @@ def s_value(
     return SValue(in_class, coprime, phi_q)
 
 
-def bv_aggregate(
-    x: int, family: ModuliFamily, threads: int = 1
-) -> tuple[float, list[DiscrepancyRecord]]:
+def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyRecord]]:
     """Total discrepancy sum(|pi(x;q,a) - pi(x)/phi(q)|) over family members.
 
     The expected value pi(x)/phi(q) is kept as an exact rational until the
-    final absolute value.  Records are sorted by modulus.  The per-modulus
-    jobs are pure; ``threads`` only batches them.
+    final absolute value.  Records are sorted by modulus.  All moduli are
+    counted in one pass over [0, x]; memory is the cached sieve_upto(x)
+    array plus one _CHUNK-byte mask.
     """
-    primes = sieve_upto(int(x))
-    pix = len(primes)
-    a = family.a
+    pix = len(sieve_upto(int(x)))
     items = family.pairs if family.kind == "box" else [(q, 1) for q in family.members]
-
-    def job(pair: tuple[int, int]) -> DiscrepancyRecord:
-        q1, q2 = pair
-        q = q1 * q2
-        aa = a % q
-        cnt = pix if q == 1 else int(np.count_nonzero(primes % q == aa))
+    classes = [(q1 * q2, family.a % (q1 * q2)) for q1, q2 in items]
+    records = []
+    for (q, a), cnt in zip(classes, _count_in_classes(x, classes)):
         expected = Fraction(pix, euler_phi(q))
         delta = abs(Fraction(cnt) - expected)
-        return DiscrepancyRecord(
-            x=x, q=q, a=aa, pi_ap=cnt, expected=expected, delta=float(delta)
+        records.append(
+            DiscrepancyRecord(x=x, q=q, a=a, pi_ap=cnt, expected=expected, delta=float(delta))
         )
-
-    records = ordered_map(job, items, threads)
     records.sort(key=lambda r: (r.q, r.a))
     total = float(sum((abs(Fraction(r.pi_ap) - r.expected) for r in records), Fraction(0)))
     return total, records
@@ -242,7 +261,9 @@ def bifactor_box_family(
 
 
 def dyadic_family(x: int, q_lo: int, q_hi: int, a: int) -> ModuliFamily:
-    """All q in [q_lo, q_hi] with (q, a) = 1."""
+    """All q in [q_lo, q_hi] with (q, a) = 1; q_lo must be >= 1."""
+    if q_lo < 1:
+        raise ValueError(f"q_lo must be >= 1, got {q_lo}")
     members = [q for q in range(q_lo, q_hi + 1) if math.gcd(q, a) == 1]
     return ModuliFamily(
         kind="dyadic", x=x, a=a, members=members, params={"qlo": q_lo, "qhi": q_hi}

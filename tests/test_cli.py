@@ -89,6 +89,9 @@ class TestExitCodes:
             (["verify", "buchstab", "--x", "49"], "--x"),
             (["verify", "reduction", "--n-max", "-5"], "--n-max"),
             (["verify", "fundlemma", "--n-max", "-5"], "--n-max"),
+            (["bv-scan", "--x", "-5", "--qlo", "3", "--qhi", "6"], "--x"),
+            (["bv-scan", "--x", "1000", "--qlo", "0", "--qhi", "6"], "q_lo"),
+            (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "0"], "q_lo"),
         ],
     )
     def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
@@ -97,6 +100,20 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
         assert flag in err
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        code = main(["sieve", "--hi", "100", "--out", str(tmp_path / "missing" / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("apmod: output error: ") and err.count("\n") == 1
+
+    def test_threads_flag_is_unknown(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "apmod.cli", "bv-scan", "--x", "100", "--qlo", "3",
+             "--qhi", "6", "--threads", "2"],
+            capture_output=True,
+        )
+        assert proc.returncode == 2
 
     def test_tolerance_override_failure_is_1(self, tmp_path):
         # an impossible tolerance forces the assertion path
@@ -161,7 +178,7 @@ class TestOutputs:
             text=True,
         )
         assert proc.returncode == 0
-        for flag in ("--x", "--qlo", "--qhi", "--a", "--out", "--seed", "--threads"):
+        for flag in ("--x", "--qlo", "--qhi", "--a", "--out", "--seed"):
             assert flag in proc.stdout
 
     def test_config_file_defaults(self, tmp_path):
@@ -191,17 +208,3 @@ class TestOutputs:
             ["dispersion-demo", "--count", "2", "--config", str(cfg)], tmp_path
         )
         assert code == 1  # config-supplied tol forces the failure path
-
-    def test_threads_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("APMOD_THREADS", "1")
-        code, t1 = run_cli(
-            ["bv-scan", "--x", "2000", "--qlo", "5", "--qhi", "25", "--threads", "8"],
-            tmp_path, "c.csv",
-        )
-        monkeypatch.delenv("APMOD_THREADS")
-        code2, t2 = run_cli(
-            ["bv-scan", "--x", "2000", "--qlo", "5", "--qhi", "25", "--threads", "2"],
-            tmp_path, "d.csv",
-        )
-        assert code == code2 == 0
-        assert strip_comments(t1) == strip_comments(t2)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apmod.arith import euler_phi
@@ -11,6 +12,7 @@ from apmod.constants import (
 )
 from apmod.primes import primes_in, sieve_upto
 from apmod.progressions import (
+    _CHUNK,
     SValue,
     bdh_statistic,
     bifactor_box_family,
@@ -132,13 +134,31 @@ class TestBvAggregate:
         total, _ = bv_aggregate(10**6, fam)
         assert total == pytest.approx(BV_DYADIC_100_200_TOTAL_1E6, abs=1e-9)
 
-    def test_threads_reduce_identically(self):
-        fam = dyadic_family(10**4, 10, 60, 1)
-        t1, r1 = bv_aggregate(10**4, fam, threads=1)
-        t4, r4 = bv_aggregate(10**4, fam, threads=4)
-        assert t1 == t4
-        assert [r.q for r in r1] == [r.q for r in r4]
-        assert [r.pi_ap for r in r1] == [r.pi_ap for r in r4]
+    def test_box_family_with_repeated_moduli(self):
+        x = _CHUNK + 1
+        for a in (1, 5):
+            fam = bifactor_box_family(x, 6, 6, a)
+            _, recs = bv_aggregate(x, fam)
+            assert len(recs) == len(fam.pairs)
+            assert len({r.q for r in recs}) < len(recs)  # e.g. 2*3 and 3*2
+            for r in recs:
+                assert r.pi_ap == pi_ap(x, r.q, r.a)
+
+
+class TestCountOracle:
+    """pi_ap's windowed strided count against the O(pi(x)) residue scan."""
+
+    @pytest.mark.parametrize(
+        "x", [k * _CHUNK + s for k in (1, 2) for s in (-1, 0, 1)]
+    )
+    def test_across_chunk_seams(self, x):
+        primes = sieve_upto(x)
+        for q in (1, 2, 3, 8, 30, 97):
+            for a in range(q):  # non-units included
+                assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
+        q = x + 5
+        for a in (0, 1, 2, int(primes[-1]), x, x + 4):
+            assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
 
 
 class TestDivisorWindow:
