@@ -15,6 +15,7 @@ from .arith import (  # noqa: F401,E402
     ResidueClass,
     bezout_split,
     coprime_partition,
+    divisors,
     euler_phi,
     factorize,
     mobius,

@@ -146,22 +146,33 @@ def factorize(n: int) -> FactoredInt:
     fac: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > m:
+            if m > 1:  # no prime up to sqrt(m) divides m, so m is prime
+                fac[m] = 1
             break
         while m % p == 0:
             fac[p] = fac.get(p, 0) + 1
             m //= p
-    stack = [m] if m > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if _is_prime_u64(v):
-            fac[v] = fac.get(v, 0) + 1
-            continue
-        d = _pollard_rho(v)
-        stack.append(d)
-        stack.append(v // d)
+    else:  # the cofactor may be composite, with every prime factor above _TRIAL_LIMIT
+        stack = [m] if m > 1 else []
+        while stack:
+            v = stack.pop()
+            if v == 1:
+                continue
+            if _is_prime_u64(v):
+                fac[v] = fac.get(v, 0) + 1
+                continue
+            d = _pollard_rho(v)
+            stack.append(d)
+            stack.append(v // d)
     return FactoredInt(n, tuple(sorted(fac.items())))
+
+
+def divisors(n: int | FactoredInt) -> list[int]:
+    """All positive divisors of n, ascending, built from its factorization."""
+    divs = [1]
+    for p, e in _as_factored(n).factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def _as_factored(n: int | FactoredInt) -> FactoredInt:

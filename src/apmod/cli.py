@@ -67,18 +67,27 @@ def _fmt(v) -> str:
 
 
 class Output:
+    """CSV rows to ``path`` or stdout, opened at the first row.
+
+    A run that fails before its first row therefore creates no file and
+    leaves an existing one untouched.
+    """
+
     def __init__(self, path: str | None, argv_desc: str, seed: int):
-        self.fh = open(path, "w", newline="") if path else sys.stdout
-        self.owns = path is not None
+        self.path = path
         stamp = datetime.now(timezone.utc).isoformat()
-        self.fh.write(f"# apmod {__version__} {argv_desc} seed={seed} generated={stamp}\n")
-        self.writer = csv.writer(self.fh, lineterminator="\n")
+        self.header = f"# apmod {__version__} {argv_desc} seed={seed} generated={stamp}\n"
+        self.fh = None
 
     def row(self, *vals):
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
+            self.fh.write(self.header)
+            self.writer = csv.writer(self.fh, lineterminator="\n")
         self.writer.writerow([_fmt(v) for v in vals])
 
     def close(self):
-        if self.owns:
+        if self.path and self.fh is not None:
             self.fh.close()
 
 
@@ -225,11 +234,12 @@ def cmd_verify(args, out: Output) -> int:
             failures += not ok
             out.row(z1, z2, y, args.n_max, "pass" if ok else "FAIL")
     elif which == "fsum":
+        reps = [
+            f_property_check(args.q_max, pid, args.trials, tol=args.tol, seed=args.seed)
+            for pid in range(1, 8)
+        ]
         out.row("property", "tested", "failures", "max_dev_over_tol", "ok")
-        for pid in range(1, 8):
-            rep = f_property_check(
-                args.q_max, pid, args.trials, tol=args.tol, seed=args.seed
-            )
+        for pid, rep in enumerate(reps, start=1):
             failures += len(rep.failures)
             out.row(pid, rep.tested, len(rep.failures), rep.max_ratio,
                     "pass" if rep.passed else "FAIL")
@@ -315,23 +325,24 @@ def cmd_dispersion_demo(args, out: Output) -> int:
 
 
 def cmd_completion_demo(args, out: Output) -> int:
-    out.row("kind", "params", "exact", "truncated", "error", "H")
     r1 = completed_ap_sum(PSI0, args.M, args.q, args.a, args.H)
-    out.row("ap", f"M={args.M} q={args.q} a={args.a}", r1.exact, r1.truncated, r1.error, r1.H_used)
     r2 = completed_inverse_sum(PSI0, args.M, args.q, args.d, args.n0, args.b, args.H)
+    r3 = coprime_smooth_sum(PSI0, args.M, args.q)
+    out.row("kind", "params", "exact", "truncated", "error", "H")
+    out.row("ap", f"M={args.M} q={args.q} a={args.a}", r1.exact, r1.truncated, r1.error, r1.H_used)
     out.row(
         "inverse",
         f"N={args.M} q={args.q} d={args.d} n0={args.n0} b={args.b}",
         r2.exact, r2.truncated, r2.error, r2.H_used,
     )
-    r3 = coprime_smooth_sum(PSI0, args.M, args.q)
     out.row("coprime", f"M={args.M} q={args.q}", r3.exact, r3.main_term, r3.error, 0)
     return 0
 
 
 def cmd_omega(args, out: Output) -> int:
+    omega = buchstab_omega(args.u)
     out.row("u", "omega")
-    out.row(args.u, buchstab_omega(args.u))
+    out.row(args.u, omega)
     return 0
 
 
@@ -529,19 +540,22 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(argv)
-    apply_config_file(args, argv)
-    desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
     try:
-        out = Output(args.out, desc, getattr(args, "seed", 0))
+        apply_config_file(args, argv)
+    except OSError as exc:
+        print(f"apmod: config error: {exc}", file=sys.stderr)
+        return 2
+    desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
+    out = Output(args.out, desc, getattr(args, "seed", 0))
+    try:
+        code = args.fn(args, out)
+    except (ValueError, OverflowError) as exc:
+        # precondition violations surface as usage errors, not tracebacks
+        print(f"apmod: parameter error: {exc}", file=sys.stderr)
+        code = 2
     except OSError as exc:
         # an --out path that cannot be opened is a usage error too
         print(f"apmod: output error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = args.fn(args, out)
-    except ValueError as exc:
-        # precondition violations surface as usage errors, not tracebacks
-        print(f"apmod: parameter error: {exc}", file=sys.stderr)
         code = 2
     finally:
         out.close()

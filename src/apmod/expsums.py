@@ -15,7 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, mod_inv, mobius, tau_k
+from .arith import (
+    FactoredInt,
+    _as_factored,
+    divisors,
+    euler_phi,
+    factorize,
+    mod_inv,
+    mobius,
+    tau_k,
+)
 from .primes import sieve_upto
 from .rng import SplitMix64
 
@@ -148,13 +157,14 @@ def kl3_prime_table(p: int) -> np.ndarray:
     return np.fft.ifft(t)
 
 
-def kl3_squarefree(a: int, q: int) -> complex:
+def kl3_squarefree(a: int, q: int | FactoredInt) -> complex:
     """Kl3(a; q) for squarefree q and (a, q) = 1 via the prime tables.
 
     Uses Kl3(a; q1*q2) = Kl3(a*inv(q1)^3; q2) * Kl3(a*inv(q2)^3; q1), so
     large squarefree moduli cost one table lookup per prime factor.
     """
-    f = factorize(q)
+    f = _as_factored(q)
+    q = f.n
     if not f.is_squarefree():
         raise ValueError(f"{q} is not squarefree")
     if math.gcd(a, q) != 1:
@@ -226,10 +236,6 @@ def _coprime_splittings(q: int) -> list[tuple[int, int]]:
                 q1 *= pe
         out.append((min(q1, q // q1), max(q1, q // q1)))
     return sorted(set(out))
-
-
-def _divisors(q: int) -> list[int]:
-    return [d for d in range(1, q + 1) if q % d == 0]
 
 
 def _sample_p7_triple(rng: SplitMix64, q: int, assignment=None):
@@ -346,7 +352,7 @@ def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
             a = bad[rng.below(len(bad))]
             lhs, rhs = f_sum(FSumKey(*h, a, q)), 0j
         elif property_id == 4:
-            divs = _divisors(q)
+            divs = divisors(fq)
             d = divs[t % len(divs)]
             qd = q // d
             while True:
@@ -452,21 +458,14 @@ def deligne_check(p_max: int, squarefree_max: int | None = None) -> SweepReport:
         if worst > 3.0 + slack:
             report.failures.append({"q": p, "abs": worst, "bound": 3.0})
 
-    composites = [
-        q
-        for q in range(2, squarefree_max + 1)
-        if factorize(q).is_squarefree() and len(factorize(q).factors) >= 2
-    ]
-
-    def comp_job(q: int):
-        worst = max(abs(kl3_squarefree(int(a), q)) for a in _units(q))
-        return q, euler_phi(q), worst
-
-    for q, n, worst in map(comp_job, composites):
-        report.tested += n
-        bound = float(tau_k(q, 3))
+    for f in map(factorize, range(2, squarefree_max + 1)):
+        if not f.is_squarefree() or len(f.factors) < 2:
+            continue
+        worst = max(abs(kl3_squarefree(int(a), f)) for a in _units(f.n))
+        report.tested += euler_phi(f)
+        bound = float(tau_k(f, 3))
         if worst > bound + slack:
-            report.failures.append({"q": q, "abs": worst, "bound": bound})
+            report.failures.append({"q": f.n, "abs": worst, "bound": bound})
     return report
 
 

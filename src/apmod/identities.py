@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import mobius
+from .arith import divisors, mobius
 from .primes import least_prime_factor_table, primes_in, sieve_upto
 from .progressions import SValue, s_value
 from .rng import SplitMix64
@@ -32,26 +32,6 @@ from .rng import SplitMix64
 # the von Mangoldt oracle on n <= 100 (see tests): (-1)^(j-1) reproduces
 # Lambda(n); the opposite choice reproduces -Lambda(n).
 HEATH_BROWN_SIGN = +1  # multiplies (-1)**(j-1)
-
-
-def _divisor_lattice(n: int) -> list[int]:
-    divs = [1]
-    m = n
-    f = []
-    d = 2
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            e += 1
-            m //= d
-        if e:
-            f.append((d, e))
-        d += 1
-    if m > 1:
-        f.append((m, 1))
-    for p, e in f:
-        divs = [v * p**k for v in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def heath_brown_decompose(n: int, k: int, x: int) -> float:
@@ -68,7 +48,7 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
     if n < 1 or n > 2 * x:
         raise ValueError("requires 1 <= n <= 2x")
     cutoff = 2.0 * x ** (1.0 / k)
-    divs = _divisor_lattice(n)
+    divs = divisors(n)
     pos = {d: i for i, d in enumerate(divs)}
     nd = len(divs)
 

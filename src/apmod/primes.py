@@ -41,6 +41,22 @@ def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _prime_chunks(lo: int, hi: int, base: np.ndarray) -> list[np.ndarray]:
+    """Ascending int64 arrays that concatenate to the primes in [lo, hi].
+
+    ``base`` holds every prime <= isqrt(hi).  Odd numbers are sieved in
+    segments of SEGMENT entries, one SEGMENT-byte mask at a time.  Callers
+    concatenate the chunks in one step, so at peak the primes are held twice.
+    """
+    chunks = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]
+    lo = max(lo, 3) | 1
+    while lo <= hi:
+        top = min(lo + 2 * SEGMENT, hi + 1)
+        chunks.append(lo + 2 * np.flatnonzero(_odd_sieve_block(lo, top, base)))
+        lo = top | 1
+    return chunks
+
+
 @lru_cache(maxsize=8)
 def sieve_upto(n: int) -> np.ndarray:
     """Ascending array of all primes <= n."""
@@ -54,19 +70,10 @@ def sieve_upto(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(base_limit) + 1):
         if small[p]:
             small[p * p :: p] = False
-    base = np.nonzero(small)[0]
+    base = np.nonzero(small)[0].astype(np.int64)
     if n <= base_limit:
-        return base[base <= n].astype(np.int64)
-
-    chunks = [base.astype(np.int64)]
-    lo = base_limit + 1 if (base_limit + 1) % 2 == 1 else base_limit + 2
-    while lo <= n:
-        hi = min(lo + 2 * SEGMENT, n + 1)
-        mask = _odd_sieve_block(lo, hi, base)
-        vals = lo + 2 * np.nonzero(mask)[0]
-        chunks.append(vals.astype(np.int64))
-        lo = hi if hi % 2 == 1 else hi + 1
-    return np.concatenate(chunks)
+        return base[base <= n]
+    return np.concatenate([base, *_prime_chunks(base_limit + 1, n, base)])
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -75,41 +82,30 @@ def primes_in(lo: int, hi: int) -> list[int]:
         raise ValueError(f"reversed range ({lo}, {hi}]")
     if hi < 2 or lo >= hi:
         return []
-    table = PrimeTable(lo + 1, hi)
-    return table.primes()
+    return PrimeTable(lo + 1, hi).primes()
 
 
 class PrimeTable:
-    """Bit-indexed primality over the closed interval [lo, hi]."""
+    """Primality over the closed interval [lo, hi], held as its ascending primes."""
 
     def __init__(self, lo: int, hi: int):
         if lo < 0 or lo > hi:
             raise ValueError(f"bad PrimeTable range [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        base = sieve_upto(math.isqrt(hi) + 1)
-        size = hi - lo + 1
-        mask = np.ones(size, dtype=bool)
-        for k in range(max(lo, 0), min(hi, 1) + 1):
-            mask[k - lo] = False  # 0, 1 are not prime
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            mask[start - lo :: p] = False
-        self._mask = mask
+        self._primes = np.concatenate(_prime_chunks(lo, hi, sieve_upto(math.isqrt(hi) + 1)))
 
     def is_prime(self, n: int) -> bool:
         if not (self.lo <= n <= self.hi):
             raise ValueError(f"{n} outside table range [{self.lo}, {self.hi}]")
-        return bool(self._mask[n - self.lo])
+        i = int(np.searchsorted(self._primes, n))
+        return i < len(self._primes) and int(self._primes[i]) == n
 
     def primes(self) -> list[int]:
-        return [int(v) for v in self.lo + np.nonzero(self._mask)[0]]
+        return self._primes.tolist()
 
     def count(self) -> int:
-        return int(self._mask.sum())
+        return len(self._primes)
 
 
 def pi(x: int) -> int:
@@ -130,26 +126,15 @@ def von_mangoldt(n: int | FactoredInt) -> float:
 def rough_count(t: int, z: int) -> int:
     """#{n <= t : P^-(n) >= z}; n = 1 always counts (P^-(1) = +infinity).
 
-    Marks multiples of each prime below z in numpy segments; no Meissel-style
-    acceleration, so intended for t up to ~1e7.
+    Reads the shared least-prime-factor table, so a t above every earlier
+    request grows that table to 8 * (t + 1) bytes, held for the life of the
+    process.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if z < 2:
         raise ValueError("z must be >= 2")
-    small = [int(p) for p in sieve_upto(z - 1)]
-    total = 0
-    lo = 1
-    while lo <= t:
-        hi = min(lo + 8 * SEGMENT - 1, t)
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        for p in small:
-            start = ((lo + p - 1) // p) * p
-            if start <= hi:
-                mask[start - lo :: p] = False
-        total += int(mask.sum())
-        lo = hi + 1
-    return total
+    return int(np.count_nonzero(least_prime_factor_table(t)[1:] >= z))
 
 
 _lpf = np.empty(0, dtype=np.int64)

@@ -284,15 +284,16 @@ def _check_window_params(delta: float, eta: float) -> None:
         raise ValueError(f"eta = {eta} outside (0, (1-42*delta)/4)")
 
 
-def _has_window_divisor(q: int, lo: float, hi: float) -> bool:
-    d = 1
-    while d * d <= q:
-        if q % d == 0:
-            for t in (d, q // d):
-                if lo < t < hi:
-                    return True
-        d += 1
-    return False
+def _window_divisor_mask(n: int, lo: float, hi: float) -> np.ndarray:
+    """mask[q] for 0 <= q <= n: whether q has a divisor d with lo < d < hi.
+
+    One multiples sieve, mask[d::d] = True per integer d in the open window,
+    so it costs O(n log(hi/lo)) and n + 1 bytes.
+    """
+    mask = np.zeros(n + 1, dtype=bool)
+    for d in range(max(math.floor(lo) + 1, 1), min(math.ceil(hi) - 1, n) + 1):
+        mask[d::d] = True
+    return mask
 
 
 def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFamily:
@@ -310,24 +311,19 @@ def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFam
     lo_narrow = math.nextafter(lo, math.inf)
     hi_narrow = math.nextafter(hi, -math.inf)
     q_max = int(x ** (0.5 + delta))
-    members, flagged = [], []
-    for q in range(1, q_max + 1):
-        if math.gcd(q, a) != 1:
-            continue
-        nominal = _has_window_divisor(q, lo, hi)
-        if _has_window_divisor(q, lo_wide, hi_wide) != _has_window_divisor(
-            q, lo_narrow, hi_narrow
-        ):
-            flagged.append(q)
-        if nominal:
-            members.append(q)
+    qs = np.arange(1, q_max + 1)
+    units = qs[np.gcd(qs, a) == 1]
+    nominal = _window_divisor_mask(q_max, lo, hi)
+    borderline = _window_divisor_mask(q_max, lo_wide, hi_wide) != _window_divisor_mask(
+        q_max, lo_narrow, hi_narrow
+    )
     return ModuliFamily(
         kind="divisor-window",
         x=x,
         a=a,
-        members=members,
+        members=units[nominal[units]].tolist(),
         params={"delta": delta, "eta": eta, "window": (lo, hi), "q_max": q_max},
-        flagged=flagged,
+        flagged=units[borderline[units]].tolist(),
     )
 
 
@@ -341,14 +337,10 @@ def exceptional_fraction(
     """
     _check_window_params(delta, eta)
     lo, hi = divisor_window(x, delta, eta)
-    total = 0
-    exceptional = 0
-    for q in range(Q, 2 * Q + 1):
-        if math.gcd(q, a) != 1:
-            continue
-        total += 1
-        if not _has_window_divisor(q, lo, hi):
-            exceptional += 1
+    qs = np.arange(Q, 2 * Q + 1)
+    units = qs[np.gcd(qs, a) == 1]
+    total = len(units)
+    exceptional = int(np.count_nonzero(~_window_divisor_mask(max(2 * Q, 0), lo, hi)[units]))
     frac = exceptional / total if total else 0.0
     bound = 18 * delta * euler_phi(a) / a
     return {

@@ -13,6 +13,7 @@ from apmod.arith import (
     bezout_split,
     check_coprime_partition,
     coprime_partition,
+    divisors,
     euler_phi,
     factorize,
     mobius,
@@ -62,6 +63,68 @@ class TestFactorize:
         for p, e in f.factors:
             prod *= p**e
         assert prod == n
+
+
+def _trial_factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Reference: trial division by every d up to sqrt of the cofactor."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+class TestFactorizeReference:
+    def test_matches_trial_division(self):
+        for n in range(1, 20_001):
+            assert factorize(n).factors == _trial_factorization(n)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((999_983, 1), (1_000_003, 1)),  # cofactor certified prime by p * p > m
+            ((1_000_003, 2),),  # square of a prime above the trial primes
+            ((1_000_003, 1), (1_000_033, 1), (1_000_037, 1)),
+            ((2, 1), (2_147_483_647, 2)),
+            ((3, 1), (1_000_000_007, 1), (2_000_000_011, 1)),
+            ((9_223_372_036_854_775_783, 1),),  # largest prime below 2**63
+        ],
+    )
+    def test_large_cofactors(self, factors):
+        n = math.prod(p**e for p, e in factors)
+        assert factorize(n).factors == factors
+
+
+class TestDivisors:
+    def test_bruteforce_small(self):
+        for n in range(1, 2001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    @pytest.mark.parametrize(
+        "primes",
+        [
+            (2,) * 62,
+            (1_000_003, 1_000_033),
+            (2_147_483_647, 2_147_483_647),
+            (1_000_003, 1_000_033, 1_000_037),
+            (2, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43),
+        ],
+    )
+    def test_64_bit(self, primes):
+        want = {1}  # every product of a sub-multiset of the prime factors
+        for p in primes:
+            want |= {d * p for d in want}
+        n = math.prod(primes)
+        assert n < 2**63
+        assert divisors(n) == sorted(want)
 
 
 class TestModInv:

@@ -95,11 +95,43 @@ class TestExitCodes:
         ],
     )
     def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
-        code, _ = run_cli(args, tmp_path)
+        path = tmp_path / "out.csv"
+        code = main(args + ["--out", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
         assert flag in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["omega", "--u", "0.5"],
+            ["completion-demo", "--q", "0"],
+            ["verify", "fsum", "--q-max", "201"],
+            ["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
+        ],
+    )
+    def test_parameter_error_leaves_out_untouched(self, args, tmp_path, capsys):
+        fresh = tmp_path / "fresh.csv"
+        assert main(args + ["--out", str(fresh)]) == 2
+        assert not fresh.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier run\n")
+        assert main(args + ["--out", str(kept)]) == 2
+        assert kept.read_text() == "earlier run\n"
+        err = capsys.readouterr().err
+        assert err.count("apmod: parameter error: ") == 2 and err.count("\n") == 2
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_bad_config_is_2(self, make, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        if make == "directory":
+            cfg.mkdir()
+        code = main(["sieve", "--hi", "10", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("apmod: config error: ") and err.count("\n") == 1
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         code = main(["sieve", "--hi", "100", "--out", str(tmp_path / "missing" / "x.csv")])

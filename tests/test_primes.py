@@ -6,11 +6,13 @@ import pytest
 from apmod.arith import P_MINUS_ONE_SENTINEL
 from apmod.buchstab import buchstab_omega, solve_buchstab
 from apmod.primes import (
+    SEGMENT,
     PrimeTable,
     least_prime_factor_table,
     pi,
     primes_in,
     rough_count,
+    sieve_upto,
     von_mangoldt,
 )
 from apmod.rng import SplitMix64
@@ -43,6 +45,26 @@ class TestPrimesIn:
         with pytest.raises(ValueError):
             primes_in(10, 5)
 
+    def test_lo_below_minus_one_rejected(self):
+        with pytest.raises(ValueError):
+            primes_in(-2, 10)
+
+    @pytest.mark.parametrize("lo", [-1, 0, 1, 2])
+    def test_low_starts(self, lo):
+        for hi in range(lo, 100):
+            assert primes_in(lo, hi) == [n for n in range(lo + 1, hi + 1) if _trial_is_prime(n)]
+
+    def test_across_segment_seams(self):
+        span = 2 * SEGMENT  # integers per odd-only segment
+        ref = _eratosthenes(3 * span + 1100)
+        for lo in (-1, 0, 1, 2, 3, 4, 1000, 1001):
+            for width in (span - 1, span, span + 1, 2 * span, 2 * span + 1):
+                hi = lo + width
+                assert primes_in(lo, hi) == ref[(ref > lo) & (ref <= hi)].tolist()
+        # sieve_upto's segments start just above its base primes (~sqrt(n))
+        for n in (span, span + 725, span + 726, span + 727, span + 728, 3 * span + 1025):
+            assert np.array_equal(sieve_upto(n), ref[ref <= n])
+
     def test_exhaustive_vs_trial_division(self):
         got = set(primes_in(0, 10**5))
         for n in range(10**5 + 1):
@@ -56,6 +78,16 @@ class TestPrimesIn:
             got = primes_in(lo, hi)
             want = [n for n in range(lo + 1, hi + 1) if _is_prime_fast(n)]
             assert got == want
+
+
+def _eratosthenes(n: int) -> np.ndarray:
+    """Reference: primes <= n from one full-width sieve."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
 
 
 def _is_prime_fast(n: int) -> bool:
@@ -99,6 +131,13 @@ class TestPrimeTable:
         with pytest.raises(ValueError):
             t.is_prime(9)
 
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (0, 300), (24, 28), (90, 97)])
+    def test_small_tables_exhaustive(self, lo, hi):
+        t = PrimeTable(lo, hi)
+        want = [n for n in range(lo, hi + 1) if _trial_is_prime(n)]
+        assert t.primes() == want and t.count() == len(want)
+        assert [n for n in range(lo, hi + 1) if t.is_prime(n)] == want
+
 
 def _trial_lpf(n: int) -> int:
     if n < 2:
@@ -112,20 +151,19 @@ def _trial_lpf(n: int) -> int:
 
 
 LPF_LIMITS = [0, 1, 2, 3, 4, 25, 97, 1000, 4096, 20000]
+TRIAL_LPF = np.array([_trial_lpf(k) for k in range(max(LPF_LIMITS) + 1)], dtype=np.int64)
 
 
 class TestLeastPrimeFactorTable:
-    ORACLE = np.array([_trial_lpf(k) for k in range(max(LPF_LIMITS) + 1)], dtype=np.int64)
-
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_matches_trial_division_in_any_request_order(self, order, fresh_lpf_table):
         limits = sorted(LPF_LIMITS, reverse=order == "descending")
         if order == "shuffled":
             limits = [limits[i] for i in (5, 9, 0, 7, 2, 8, 1, 6, 4, 3)]
         for n in limits:
-            assert np.array_equal(least_prime_factor_table(n), self.ORACLE[: n + 1])
+            assert np.array_equal(least_prime_factor_table(n), TRIAL_LPF[: n + 1])
         for n in LPF_LIMITS:
-            assert np.array_equal(least_prime_factor_table(n), self.ORACLE[: n + 1])
+            assert np.array_equal(least_prime_factor_table(n), TRIAL_LPF[: n + 1])
 
     def test_read_only(self):
         lpf = least_prime_factor_table(100)
@@ -160,17 +198,15 @@ class TestRoughCount:
         assert rough_count(100, 11) == 22
 
     def test_exhaustive_in_t(self):
-        lpf = least_prime_factor_table(10**4)
         z = 11
         run = 0
         for t in range(1, 10**4 + 1):
-            run += 1 if lpf[t] >= z else 0
+            run += 1 if TRIAL_LPF[t] >= z else 0
             assert rough_count(t, z) == run
 
     @pytest.mark.parametrize("z", [2, 3, 7, 37, 97])
     def test_sampled_against_bruteforce(self, z):
-        lpf = least_prime_factor_table(10**4)
-        counts = np.cumsum(lpf[: 10**4 + 1] >= z)
+        counts = np.cumsum(TRIAL_LPF[: 10**4 + 1] >= z)
         rng = SplitMix64(z)
         for _ in range(40):
             t = rng.in_range(1, 10**4)

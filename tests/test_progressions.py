@@ -17,6 +17,7 @@ from apmod.progressions import (
     bdh_statistic,
     bifactor_box_family,
     bv_aggregate,
+    divisor_window,
     divisor_window_family,
     dyadic_family,
     exceptional_fraction,
@@ -159,6 +160,60 @@ class TestCountOracle:
         q = x + 5
         for a in (0, 1, 2, int(primes[-1]), x, x + 4):
             assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
+
+
+def _trial_window_divisor(q: int, lo: float, hi: float) -> bool:
+    """Reference: trial division up to sqrt(q) for a divisor d with lo < d < hi."""
+    d = 1
+    while d * d <= q:
+        if q % d == 0 and (lo < d < hi or lo < q // d < hi):
+            return True
+        d += 1
+    return False
+
+
+# (x, delta, eta): 2**20 and 2**25 put lo at exactly 2.0, so their families
+# have flagged moduli; 10**4 with eta near its cap has an empty window
+WINDOW_GRID = [
+    (x, delta, eta)
+    for x in (10**4, 10**5, 10**6)
+    for delta, eta in ((0.005, 0.01), (0.01, 0.01), (0.02, 0.01), (0.005, 0.04))
+] + [(2**20, 0.01, 0.03), (2**20, 0.02, 0.01), (2**25, 0.01, 0.02), (10**4, 0.0001, 0.24)]
+
+
+class TestDivisorWindowSieve:
+    """The multiples sieve against per-q trial division."""
+
+    @pytest.mark.parametrize("x, delta, eta", WINDOW_GRID)
+    def test_family_matches_trial_division(self, x, delta, eta):
+        for a in (1, 2, 3, 6):
+            fam = divisor_window_family(x, delta, eta, a)
+            lo, hi = fam.params["window"]
+            wide = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+            narrow = (math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf))
+            units = [q for q in range(1, fam.params["q_max"] + 1) if math.gcd(q, a) == 1]
+            assert fam.members == [q for q in units if _trial_window_divisor(q, lo, hi)]
+            assert fam.flagged == [
+                q
+                for q in units
+                if _trial_window_divisor(q, *wide) != _trial_window_divisor(q, *narrow)
+            ]
+
+    def test_grid_has_flagged_and_empty_cases(self):
+        fams = [divisor_window_family(x, d, e, 1) for x, d, e in WINDOW_GRID]
+        assert any(f.flagged for f in fams) and not all(f.members for f in fams)
+
+    @pytest.mark.parametrize("x, delta, eta", WINDOW_GRID[::3])
+    def test_exceptional_fraction_matches_trial_division(self, x, delta, eta):
+        lo, hi = divisor_window(x, delta, eta)
+        for a in (1, 2, 3, 6):
+            for Q in (0, 1, 64, 511):
+                units = [q for q in range(Q, 2 * Q + 1) if math.gcd(q, a) == 1]
+                r = exceptional_fraction(Q, x, delta, eta, a)
+                assert r["total"] == len(units)
+                assert r["exceptional"] == sum(
+                    not _trial_window_divisor(q, lo, hi) for q in units
+                )
 
 
 class TestDivisorWindow:
