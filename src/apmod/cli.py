@@ -6,6 +6,12 @@ nondeterministic output, so re-running with identical flags and seed yields
 byte-identical CSV after dropping comment lines.  Exit codes: 0 success with
 all assertions passing, 1 assertion failure (witness rows are still emitted),
 2 usage error.
+
+Every subcommand takes --out.  --seed (default 0) exists only where a value
+is drawn: verify buchstab|fsum|weil|partition and dispersion-demo.  --tol
+exists only where a verdict compares against one: verify fsum (default
+1e-6*q^2 per modulus q) and dispersion-demo (default 1e-9).  Values reach a
+subcommand through argparse alone.
 """
 
 from __future__ import annotations
@@ -103,6 +109,7 @@ def _at_least(args, name: str, lo) -> None:
 
 
 def cmd_sieve(args, out: Output) -> int:
+    _at_least(args, "lo", -1)
     ps = primes_in(args.lo, args.hi)
     out.row("lo", "hi", "count", "first", "last")
     out.row(args.lo, args.hi, len(ps), ps[0] if ps else "", ps[-1] if ps else "")
@@ -321,7 +328,7 @@ def cmd_dispersion_demo(args, out: Output) -> int:
             r.lhs, r.s1, r.s2.real, r.s2.imag, r.s3, r.relative_error,
         )
     out.row("worst", worst, *[""] * 12)
-    return 0 if worst <= (args.tol if args.tol else 1e-9) else 1
+    return 0 if worst <= args.tol else 1
 
 
 def cmd_completion_demo(args, out: Output) -> int:
@@ -361,11 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="CSV output path; stdout when omitted")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override where applicable")
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying defaults; explicit flags win")
 
     p = sub.add_parser(formatter_class=fmt, name="sieve", help="primes in a range (lo, hi]")
     p.add_argument("--lo", type=int, default=0, help="lower bound, exclusive")
@@ -430,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = vs.add_parser(formatter_class=fmt, name="buchstab")
     q.add_argument("--x", type=int, default=10**5, help="max x for configurations")
     q.add_argument("--trials", type=int, default=200, help="number of seeded configurations")
+    seed(q)
     common(q)
     q.set_defaults(fn=cmd_verify)
     q = vs.add_parser(formatter_class=fmt, name="heathbrown")
@@ -448,11 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = vs.add_parser(formatter_class=fmt, name="fsum")
     q.add_argument("--q-max", type=int, default=48, help="largest modulus swept")
     q.add_argument("--trials", type=int, default=200, help="h-triples per modulus")
+    q.add_argument("--tol", type=float, default=None,
+                   help="largest allowed deviation; 1e-6*q^2 for modulus q when omitted")
+    seed(q)
     common(q)
     q.set_defaults(fn=cmd_verify)
     q = vs.add_parser(formatter_class=fmt, name="weil")
     q.add_argument("--c-max", type=int, default=500, help="largest modulus swept")
     q.add_argument("--trials", type=int, default=50, help="(m, n) pairs per modulus")
+    seed(q)
     common(q)
     q.set_defaults(fn=cmd_verify)
     q = vs.add_parser(formatter_class=fmt, name="deligne")
@@ -463,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(q)
     q.set_defaults(fn=cmd_verify)
     q = vs.add_parser(formatter_class=fmt, name="partition")
+    seed(q)
     common(q)
     q.set_defaults(fn=cmd_verify)
 
@@ -480,6 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(formatter_class=fmt, name="dispersion-demo", help="dispersion expansion identity on tiny instances")
     p.add_argument("--count", type=int, default=10, help="number of fixed-seed instances")
+    p.add_argument("--tol", type=float, default=1e-9, help="largest allowed relative error")
+    seed(p)
     common(p)
     p.set_defaults(fn=cmd_dispersion_demo)
 
@@ -502,49 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _convert_config_value(value: str, current):
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes")
-    casters = (
-        [type(current)]
-        if current is not None and not isinstance(current, str)
-        else [int, float]
-    )
-    for caster in casters:
-        try:
-            return caster(value)
-        except (TypeError, ValueError):
-            continue
-    return value
-
-
-def apply_config_file(args, argv: list[str]) -> None:
-    """Overlay key=value defaults from --config; explicit flags take priority."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr) or f"--{key}" in argv:
-                continue
-            setattr(args, attr, _convert_config_value(value.strip(), getattr(args, attr)))
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(argv)
-    try:
-        apply_config_file(args, argv)
-    except OSError as exc:
-        print(f"apmod: config error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
     out = Output(args.out, desc, getattr(args, "seed", 0))
     try:

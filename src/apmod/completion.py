@@ -2,7 +2,7 @@
 
 The bump is the exp(-1/u) smoothstep: supported on [1/2, 5/2], identically 1
 on [1, 2], C-infinity, strictly monotone on each ramp.  Its Fourier transform
-is computed by adaptive Gauss-Kronrod quadrature on the ramps plus a closed
+is computed by composite Gauss-Kronrod quadrature on the ramps plus a closed
 form on the plateau, and memoized.  The three completion evaluators compare
 an exactly enumerated sum against its truncated dual form and report the
 measured error; the asymptotic tail bounds are replaced by these explicit
@@ -26,13 +26,6 @@ from .expsums import kloosterman, ramanujan
 # float or an ndarray.
 
 _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(16)]
-
-
-def _jet_mul(a, b):
-    k = len(a)
-    return [
-        sum(_BINOM[n][i] * a[i] * b[n - i] for i in range(n + 1)) for n in range(k)
-    ]
 
 
 def _jet_div(f, g):
@@ -123,7 +116,7 @@ def psi0_deriv(t: float, order: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod (G7, K15) quadrature
+# composite Gauss-Kronrod (G7, K15) quadrature
 
 _XGK = np.array(
     [
@@ -157,31 +150,6 @@ _NODES = np.concatenate([-_XGK[:7], _XGK[7:], _XGK[6::-1]])
 _WK = np.concatenate([_WGK[:7], _WGK[7:], _WGK[6::-1]])
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])
-
-
-def _gk15(f, a: float, b: float) -> tuple[complex, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = np.asarray(f(mid + half * _NODES), dtype=complex)
-    k = half * complex(np.dot(_WK, vals))
-    g = half * complex(np.dot(_WG_FULL, vals))
-    return k, abs(k - g)
-
-
-def quad_adaptive(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 40) -> complex:
-    """Bisecting Gauss-Kronrod integration of a (vectorized) complex integrand."""
-    total = 0j
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        val, err = _gk15(f, lo, hi)
-        if err <= tol * max(1.0, (hi - lo) / (b - a)) or depth >= max_depth:
-            total += val
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    return total
 
 
 def _composite_gk(f, a: float, b: float, panels: int) -> tuple[complex, float]:

@@ -78,11 +78,6 @@ class FSumKey:
             raise ValueError("modulus must be >= 1")
 
 
-def e_frac(k: int, q: int) -> complex:
-    """e(k/q) from the cached root table."""
-    return complex(_roots(q)[k % q])
-
-
 def ramanujan(q: int, n: int) -> complex:
     """Ramanujan sum c_q(n) = sum over units b of e(b*n/q).  Real-valued."""
     if q < 1:

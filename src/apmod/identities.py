@@ -81,16 +81,7 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
         for _ in range(j - 1):
             tau_prev = conv(tau_prev, one)
         # L_j = log * tau_{j-1}
-        lconv = np.zeros(nd, dtype=float)
-        for i, d1 in enumerate(divs):
-            if logv[i] == 0.0:
-                continue
-            lim = n // d1
-            for jj, d2 in enumerate(divs):
-                if d2 > lim:
-                    break
-                if lim % d2 == 0 and tau_prev[jj]:
-                    lconv[pos[d1 * d2]] += logv[i] * tau_prev[jj]
+        lconv = conv(logv, tau_prev)
         term = 0.0
         for i, d in enumerate(divs):
             if mu_pow[i]:

@@ -77,7 +77,9 @@ def sieve_upto(n: int) -> np.ndarray:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in the half-open-above range (lo, hi], ascending."""
+    """Primes in the half-open-above range (lo, hi], ascending; lo >= -1."""
+    if lo < -1:
+        raise ValueError(f"lo must be >= -1, got {lo}")
     if lo > hi:
         raise ValueError(f"reversed range ({lo}, {hi}]")
     if hi < 2 or lo >= hi:

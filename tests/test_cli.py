@@ -1,9 +1,10 @@
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from apmod.cli import main
+from apmod.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -92,6 +93,8 @@ class TestExitCodes:
             (["bv-scan", "--x", "-5", "--qlo", "3", "--qhi", "6"], "--x"),
             (["bv-scan", "--x", "1000", "--qlo", "0", "--qhi", "6"], "q_lo"),
             (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "0"], "q_lo"),
+            (["sieve", "--lo", "-5", "--hi", "1"], "--lo"),
+            (["sieve", "--lo", "-5", "--hi", "10"], "--lo"),
         ],
     )
     def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
@@ -123,16 +126,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("apmod: parameter error: ") == 2 and err.count("\n") == 2
 
-    @pytest.mark.parametrize("make", ["missing", "directory"])
-    def test_bad_config_is_2(self, make, tmp_path, capsys):
-        cfg = tmp_path / "run.conf"
-        if make == "directory":
-            cfg.mkdir()
-        code = main(["sieve", "--hi", "10", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("apmod: config error: ") and err.count("\n") == 1
-
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         code = main(["sieve", "--hi", "100", "--out", str(tmp_path / "missing" / "x.csv")])
         err = capsys.readouterr().err
@@ -146,6 +139,28 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["sieve", "--hi", "10", "--config", "x"], "--config"),
+            (["verify", "weil", "--c-max", "10", "--tol", "1"], "--tol"),
+            (["bv-scan", "--x", "100", "--qlo", "3", "--qhi", "6", "--seed", "3"], "--seed"),
+        ],
+    )
+    def test_unread_flag_is_unknown(self, args, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
+    def test_zero_tolerance_is_not_the_default(self, tmp_path):
+        # worst rel_error is about 1e-16, so --tol 0 must fail, not fall back
+        code, text = run_cli(["dispersion-demo", "--count", "2", "--tol", "0"], tmp_path)
+        assert code == 1
+        assert "worst" in text
 
     def test_tolerance_override_failure_is_1(self, tmp_path):
         # an impossible tolerance forces the assertion path
@@ -210,33 +225,32 @@ class TestOutputs:
             text=True,
         )
         assert proc.returncode == 0
-        for flag in ("--x", "--qlo", "--qhi", "--a", "--out", "--seed"):
+        for flag in ("--x", "--qlo", "--qhi", "--a", "--out"):
             assert flag in proc.stdout
 
-    def test_config_file_defaults(self, tmp_path):
-        cfg = tmp_path / "run.conf"
-        cfg.write_text("# comment line\nhi=400\nseed=3\n")
-        code, with_cfg = run_cli(
-            ["sieve", "--hi", "100", "--config", str(cfg)], tmp_path, "e.csv"
-        )
-        assert code == 0
-        # explicit --hi wins over the config value
-        assert strip_comments(with_cfg).splitlines()[1].split(",")[1] == "100"
-        code, cfg_only = run_cli(
-            ["sieve", "--hi", "999999", "--config", str(cfg)], tmp_path, "f.csv"
-        )
-        assert code == 0
 
-    def test_config_file_supplies_value(self, tmp_path):
-        cfg = tmp_path / "run.conf"
-        cfg.write_text("u=7\n")
-        # --u is required by argparse, so give a placeholder and let the
-        # config override the non-explicit flags only
-        code, text = run_cli(["omega", "--u", "3", "--config", str(cfg)], tmp_path)
-        assert code == 0
-        assert strip_comments(text).splitlines()[1].split(",")[0] == "3"
-        cfg.write_text("seed=11\ntol=1e-20\n")
-        code, text = run_cli(
-            ["dispersion-demo", "--count", "2", "--config", str(cfg)], tmp_path
-        )
-        assert code == 1  # config-supplied tol forces the failure path
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every leaf subcommand of ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+class TestFlagSurface:
+    SEED = {"verify buchstab", "verify fsum", "verify weil", "verify partition",
+            "dispersion-demo"}
+    TOL = {"verify fsum", "dispersion-demo"}
+
+    def test_flags_only_where_read(self):
+        leaves = dict(_leaf_parsers(build_parser()))
+        assert len(leaves) == 21
+        flags = {
+            name: {opt for a in p._actions for opt in a.option_strings}
+            for name, p in leaves.items()
+        }
+        assert {n for n, f in flags.items() if "--seed" in f} == self.SEED
+        assert {n for n, f in flags.items() if "--tol" in f} == self.TOL
+        assert all("--out" in f and "--config" not in f for f in flags.values())

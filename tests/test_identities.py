@@ -110,6 +110,15 @@ class TestFundamentalLemma:
         assert np.all(sp[1:][rough[1:]] == 1) and np.all(sm[1:][rough[1:]] == 1)
         assert np.all(sp[1:][~rough[1:]] >= 0) and np.all(sm[1:][~rough[1:]] <= 0)
 
+    @pytest.mark.parametrize("z,y", [(10, 100), (20, 1000), (30, 1000)])
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_sums_over_range_matches_divisor_sum(self, z, y, side):
+        # divisor_sum is the per-n reference for the whole-range fast path
+        n_max = 2000
+        w = fundamental_lemma_weights(z, y)
+        fast = w.sums_over_range(n_max, side)
+        assert fast.tolist()[1:] == [w.divisor_sum(n, side) for n in range(1, n_max + 1)]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fundamental_lemma_weights(1, 100)

@@ -49,6 +49,11 @@ class TestPrimesIn:
         with pytest.raises(ValueError):
             primes_in(-2, 10)
 
+    def test_lo_below_minus_one_rejected_on_empty_range(self):
+        # checked before the hi < 2 early return, with a message naming lo
+        with pytest.raises(ValueError, match="lo must be >= -1"):
+            primes_in(-2, 1)
+
     @pytest.mark.parametrize("lo", [-1, 0, 1, 2])
     def test_low_starts(self, lo):
         for hi in range(lo, 100):
