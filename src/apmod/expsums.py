@@ -5,6 +5,14 @@ precomputed table of q-th roots of unity (one sin/cos per residue class), so
 no phase drift accumulates across the O(q^2) loops.  Verification sweeps use
 the deterministic splitmix generator; every failure report carries a concrete
 witness.
+
+Kl3, the F-sum and the prime Kl3 table run over the phi(q)^2 unit pairs
+(b1, b2) mod q.  They take time proportional to phi(q)^2 phases, but never
+hold the pair grid: phases are generated and summed _LEAF values at a time,
+so one evaluation allocates O(_LEAF + q) memory whatever q is and nothing of
+size phi(q)^2 is retained.  The leaves are cut where numpy's pairwise
+summation cuts the whole array (_tree_sum), so every sum is bit-identical to
+summing the whole grid at once.
 """
 
 from __future__ import annotations
@@ -53,14 +61,66 @@ def _inv_table(q: int) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=512)
-def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened unit pairs (b1, b2) and inv(b1*b2) mod q."""
+# Unit-pair phases are generated and summed in leaves of this many values, so
+# the buffers of one Kl3 or F-sum evaluation stay O(_LEAF) whatever q is.
+# Leaves of 2^12 pay about 1.4x in per-leaf overhead at q = 2027; 2^18 gains
+# about 10% for 16x the memory.
+_LEAF = 1 << 14
+
+
+def _pair_phases(q: int, c1: int, c2: int, c3: int):
+    """phases(lo, hi): (c1*b1 + c2*b2 + c3*inv(b1*b2)) mod q at flat positions
+    lo..hi-1 of the b1-major grid of unit pairs (b1, b2) mod q.
+
+    The per-unit vectors c1*b, c2*b, c3*inv(b) mod q are built once, here.
+    A span is cut into at most three row blocks (the tail of a row, whole
+    rows, the head of a row), each filled in place by one broadcast of those
+    vectors; writing inv(b1*b2) = inv(b1)*inv(b2) keeps every product below
+    q^2.
+    """
     u = _units(q)
-    b1 = np.repeat(u, len(u))
-    b2 = np.tile(u, len(u))
-    ip = _inv_table(q)[(b1 * b2) % q]
-    return b1, b2, ip
+    iu = _inv_table(q)[u]
+    n = len(u)
+    row1, col2, row3 = c1 % q * u % q, c2 % q * u % q, c3 % q * iu % q
+
+    def phases(lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo, dtype=np.int64)
+        pos = lo
+        while pos < hi:
+            r, j = divmod(pos, n)
+            if j == 0 and hi - pos >= n:
+                nr, end = (hi - pos) // n, n
+            else:
+                nr, end = 1, min(n, j + hi - pos)
+            rows, cols = slice(r, r + nr), slice(j, end)
+            blk = out[pos - lo : pos - lo + nr * (end - j)].reshape(nr, end - j)
+            np.multiply.outer(row3[rows], iu[cols], out=blk)
+            blk += row1[rows, None]
+            blk += col2[cols]
+            pos += blk.size
+        out %= q
+        return out
+
+    return phases
+
+
+def _tree_sum(n: int, leaf) -> complex:
+    """The sum of n complex values, added in exactly numpy's order.
+
+    ``leaf(lo, hi)`` returns the numpy sum of values lo..hi-1.  numpy's
+    pairwise ``add.reduce`` splits a node of m scalars (two per complex
+    value) after m//2 - (m//2) % 8 of them; splitting the same way until a
+    node holds at most _LEAF values, and summing that node with numpy,
+    reproduces the sum of the whole array bit for bit.
+    """
+
+    def node(lo: int, m: int):
+        if m <= _LEAF:
+            return leaf(lo, lo + m)
+        h = (m - m % 8) // 2
+        return node(lo, h) + node(lo + h, m - h)
+
+    return complex(node(0, n))
 
 
 @dataclass(frozen=True)
@@ -114,15 +174,15 @@ def kl3(a: int, q: int) -> complex:
     non-invertible cancel in complete residue systems, so the enumeration
     runs over unit pairs with b3 solved.  Valid for every a, unit or not
     (kl3_full_loop is the definition-level oracle for that reduction).
+
+    Time: phi(q)^2 phases.  Memory: O(_LEAF + q); no pair table is kept.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q == 1:
         return 1 + 0j
-    b1, b2, ip = _pair_tables(q)
-    b3 = ((a % q) * ip) % q
-    idx = (b1 + b2 + b3) % q
-    return complex(_roots(q)[idx].sum()) / q
+    roots, phases = _roots(q), _pair_phases(q, 1, 1, a)
+    return _tree_sum(len(_units(q)) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum()) / q
 
 
 def kl3_full_loop(a: int, q: int) -> complex:
@@ -141,13 +201,20 @@ def kl3_full_loop(a: int, q: int) -> complex:
 
 @lru_cache(maxsize=2048)
 def kl3_prime_table(p: int) -> np.ndarray:
-    """Kl3(a; p) for all residues a mod p at once (inverse DFT of pair sums)."""
+    """Kl3(a; p) for all residues a mod p at once (inverse DFT of pair sums).
+
+    The pair sums are accumulated _LEAF pairs at a time in grid order: time
+    phi(p)^2 phases, memory O(_LEAF + p); the O(p) result is cached.
+    """
     if p == 1:
         return np.ones(1, dtype=complex)
-    b1, b2, ip = _pair_tables(p)
-    roots = _roots(p)
+    roots, inv_pair, pair_sum = _roots(p), _pair_phases(p, 0, 0, 1), _pair_phases(p, 1, 1, 0)
     t = np.zeros(p, dtype=complex)
-    np.add.at(t, ip, roots[(b1 + b2) % p])
+    n = len(_units(p)) ** 2
+    for lo in range(0, n, _LEAF):
+        hi = min(n, lo + _LEAF)
+        # t[inv(b1*b2)] += e((b1 + b2)/p), in the order of the pair grid
+        np.add.at(t, inv_pair(lo, hi), roots[pair_sum(lo, hi)])
     # Kl3(a; p) = (1/p) * sum_c t[c] e(a c / p) = ifft(t)[a]
     return np.fft.ifft(t)
 
@@ -172,17 +239,38 @@ def kl3_squarefree(a: int, q: int | FactoredInt) -> complex:
     return out
 
 
+def _kl3_squarefree_units(f: FactoredInt) -> np.ndarray:
+    """kl3_squarefree(a, q) for every unit a of squarefree q, ascending in a.
+
+    One table gather per prime factor, multiplied in kl3_squarefree's factor
+    order with the complex product written out in real parts, so each value
+    is rounded exactly as the scalar route rounds it.
+    """
+    q = f.n
+    a = _units(q)
+    re, im = 1.0, 0.0
+    for p, _ in f.factors:
+        m = q // p
+        ap = a % p if m == 1 else a * pow(mod_inv(m, p), 3, p) % p
+        t = kl3_prime_table(p)[ap]
+        re, im = re * t.real - im * t.imag, re * t.imag + im * t.real
+    out = np.empty(len(a), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def f_sum(key: FSumKey) -> complex:
-    """F(h1,h2,h3; a; q): sum over unit triples with product a of the 3-phase."""
+    """F(h1,h2,h3; a; q): sum over unit triples with product a of the 3-phase.
+
+    Time: phi(q)^2 phases.  Memory: O(_LEAF + q); no pair table is kept.
+    """
     h1, h2, h3, a, q = key.h1, key.h2, key.h3, key.a, key.q
     if q == 1:
         return 1 + 0j
     if math.gcd(a, q) != 1:
         return 0j
-    b1, b2, ip = _pair_tables(q)
-    b3 = ((a % q) * ip) % q
-    idx = (b1 * (h1 % q) + b2 * (h2 % q) + b3 * (h3 % q)) % q
-    return complex(_roots(q)[idx].sum())
+    roots, phases = _roots(q), _pair_phases(q, h1, h2, a * h3)
+    return _tree_sum(len(_units(q)) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +544,7 @@ def deligne_check(p_max: int, squarefree_max: int | None = None) -> SweepReport:
     for f in map(factorize, range(2, squarefree_max + 1)):
         if not f.is_squarefree() or len(f.factors) < 2:
             continue
-        worst = max(abs(kl3_squarefree(int(a), f)) for a in _units(f.n))
+        worst = float(np.abs(_kl3_squarefree_units(f)).max())
         report.tested += euler_phi(f)
         bound = float(tau_k(f, 3))
         if worst > bound + slack:

@@ -1,15 +1,26 @@
 import cmath
 import math
+import os
+import resource
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from apmod.arith import euler_phi, mobius, tau_k
+from apmod.arith import euler_phi, factorize, mobius, tau_k
 from apmod.constants import (
     KL3_CORRELATION_INSTANCE,
     KL3_CORRELATION_LHS,
 )
 from apmod.expsums import (
+    _LEAF,
     FSumKey,
+    _inv_table,
+    _kl3_squarefree_units,
+    _roots,
+    _tree_sum,
+    _units,
     deligne_check,
     f_property_check,
     f_sum,
@@ -110,6 +121,102 @@ class TestKl3:
             assert abs(kl3_squarefree(a, q) - kl3(a, q)) <= 1e-9 * q
 
 
+def _pair_grid(q):
+    """The whole unit-pair grid at once, the reference for the streamed evaluators.
+
+    b1-major (b1, b2) pairs of units mod q and ip = inv(b1*b2) mod q, three
+    arrays of phi(q)^2 entries each.
+    """
+    u = _units(q)
+    b1 = np.repeat(u, len(u))
+    b2 = np.tile(u, len(u))
+    return b1, b2, _inv_table(q)[(b1 * b2) % q]
+
+
+def _kl3_grid(a, q):
+    b1, b2, ip = _pair_grid(q)
+    b3 = ((a % q) * ip) % q
+    return complex(_roots(q)[(b1 + b2 + b3) % q].sum()) / q
+
+
+def _f_sum_grid(h1, h2, h3, a, q):
+    b1, b2, ip = _pair_grid(q)
+    b3 = ((a % q) * ip) % q
+    idx = (b1 * (h1 % q) + b2 * (h2 % q) + b3 * (h3 % q)) % q
+    return complex(_roots(q)[idx].sum())
+
+
+def _kl3_prime_table_grid(p):
+    b1, b2, ip = _pair_grid(p)
+    roots = _roots(p)
+    t = np.zeros(p, dtype=complex)
+    np.add.at(t, ip, roots[(b1 + b2) % p])
+    return np.fft.ifft(t)
+
+
+# phi(q)^2 below, at and across several multiples of _LEAF: primes, prime
+# powers (243, 343, 256), squarefree and non-squarefree composites
+STREAM_MODULI = (2, 12, 100, 127, 131, 243, 255, 256, 257, 343, 1000, 1540, 2310)
+STREAM_PRIMES = (2, 3, 127, 131, 257, 499, 1999)
+
+
+class TestStreamedPairSums:
+    """The streamed evaluators add the same terms in the same order as the grid."""
+
+    def test_moduli_cover_leaf_boundaries(self):
+        sizes = [euler_phi(q) ** 2 for q in STREAM_MODULI]
+        assert any(n < _LEAF for n in sizes)
+        assert _LEAF in sizes
+        assert any(n > 4 * _LEAF and n % _LEAF for n in sizes)
+        assert any(factorize(q).factors[0][1] > 1 for q in STREAM_MODULI)
+
+    @pytest.mark.parametrize("q", STREAM_MODULI)
+    def test_kl3_bit_identical(self, q):
+        for a in (0, 1, 2, q - 1, 7 * q + 5):
+            assert kl3(a, q) == _kl3_grid(a, q)
+
+    @pytest.mark.parametrize("q", STREAM_MODULI)
+    def test_f_sum_bit_identical(self, q):
+        a = int(_units(q)[-1])
+        for h in ((1, 1, 1), (2, 3, 5), (q, 1, 7), (4, 6, 9), (-3, 11, 2 * q + 1)):
+            assert f_sum(FSumKey(*h, a, q)) == _f_sum_grid(*h, a, q)
+            assert f_sum(FSumKey(*h, 1, q)) == _f_sum_grid(*h, 1, q)
+
+    @pytest.mark.parametrize("p", STREAM_PRIMES)
+    def test_prime_table_bit_identical(self, p):
+        assert np.array_equal(kl3_prime_table(p), _kl3_prime_table_grid(p))
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 8, 3 * _LEAF + 5]
+    )
+    def test_tree_sum_is_numpy_sum(self, n):
+        # a numpy release that changes its summation order fails here
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert _tree_sum(n, lambda lo, hi: v[lo:hi].sum()) == complex(v.sum())
+
+    def test_kl3_memory_bound(self, tmp_path):
+        # the whole grid at q = 4999 takes about 1.4 GB of pair arrays; the
+        # streamed evaluation runs under a 512 MB address-space limit
+        limit = 512 << 20
+        path = tmp_path / "kl3.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "apmod.cli", "expsum", "kl3", "--a", "1", "--q", "4999",
+             "--out", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        row = path.read_text().splitlines()[-1].split(",")
+        assert row[:3] == ["kl3", "1", "4999"]
+        v = complex(float(row[3]), float(row[4]))
+        assert abs(v - kl3_prime_table(4999)[1]) <= 1e-12
+
+
 class TestFSum:
     def test_q_one(self):
         assert f_sum(FSumKey(5, -2, 9, 4, 1)) == 1 + 0j
@@ -192,6 +299,15 @@ class TestDeligne:
 
     def test_q1_bound(self):
         assert abs(kl3(1, 1)) <= tau_k(1, 3)
+
+    def test_unit_vector_matches_scalar_route(self):
+        for q in range(2, 401):
+            f = factorize(q)
+            if not f.is_squarefree():
+                continue
+            got = _kl3_squarefree_units(f)
+            want = [kl3_squarefree(int(a), f) for a in _units(q)]
+            assert [complex(v) for v in got] == want, q
 
 
 class TestCorrelation:
