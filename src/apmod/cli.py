@@ -104,12 +104,36 @@ def _at_least(args, name: str, lo) -> None:
         raise ValueError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
 
 
+def _at_most(args, name: str, hi) -> None:
+    """Reject --name above hi with a parameter error that names the flag."""
+    value = getattr(args, name)
+    if value > hi:
+        raise ValueError(f"--{name.replace('_', '-')} must be <= {hi}, got {value}")
+
+
+# Size caps, each keeping one run within a stated memory (or time) bound:
+# sieve: hi <= 1e12 keeps the base primes (<= sqrt(hi)) under 1 MB, and
+# hi - lo <= 1e8 keeps the primes and their rows near 300 MB (295 MB at
+# [0, 1e8]); bv-scan: x <= 2e9 keeps the cached prime bitmap at x/16 <= 125 MB
+# (94 MB peak at x = 1e9); expsum: ramanujan and kloosterman build O(q)
+# arrays, 85 MB at q = 1e6, and kl3 and fsum sum phi(q)^2 phases, 16 s at
+# q = 1e5.
+SIEVE_HI_MAX = 10**12
+SIEVE_WIDTH_MAX = 10**8
+BV_X_MAX = 2 * 10**9
+EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 10**5}
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns the exit code
 
 
 def cmd_sieve(args, out: Output) -> int:
     _at_least(args, "lo", -1)
+    _at_most(args, "hi", SIEVE_HI_MAX)
+    width = args.hi - args.lo
+    if width > SIEVE_WIDTH_MAX:
+        raise ValueError(f"--hi minus --lo must be <= {SIEVE_WIDTH_MAX}, got {width}")
     ps = primes_in(args.lo, args.hi)
     out.row("lo", "hi", "count", "first", "last")
     out.row(args.lo, args.hi, len(ps), ps[0] if ps else "", ps[-1] if ps else "")
@@ -122,6 +146,7 @@ def cmd_sieve(args, out: Output) -> int:
 
 def cmd_bv_scan(args, out: Output) -> int:
     _at_least(args, "x", 2)  # norm_delta divides by pi(x)
+    _at_most(args, "x", BV_X_MAX)
     fam = dyadic_family(args.x, args.qlo, args.qhi, args.a)
     total, records = bv_aggregate(args.x, fam)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
@@ -160,6 +185,8 @@ def cmd_moduli_set(args, out: Output) -> int:
 
 
 def cmd_expsum(args, out: Output) -> int:
+    if args.which in EXPSUM_Q_MAX:
+        _at_most(args, "q", EXPSUM_Q_MAX[args.which])
     if args.which == "ramanujan":
         v = ramanujan(args.q, args.n)
         out.row("kind", "q", "n", "value_re", "value_im")

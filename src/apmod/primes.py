@@ -1,8 +1,11 @@
 """Segmented prime sieve, prime counting, von Mangoldt, rough-number counts.
 
 The sieve is the one performance-critical path in the package: odd-only
-numpy segments of 2**18 entries, so counting primes to 1e8 takes seconds.
-Constructed tables are immutable; all queries are pure.
+numpy segments of SEGMENT = 2**20 entries, so counting primes to 1e8 takes
+well under a second.  Constructed tables are immutable; all queries are pure.
+
+Prime counts up to x read ``prime_bitmap(x)``, a packed odd-only bitmap of
+about x/16 bytes, not an array of the primes themselves.
 
 The least-prime-factor table is one process-wide, read-only int64 array that
 only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
@@ -19,11 +22,15 @@ import numpy as np
 
 from .arith import FactoredInt, P_MINUS_ONE_SENTINEL, _as_factored
 
-SEGMENT = 1 << 18
+SEGMENT = 1 << 20
 
 
 def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Boolean primality of odd numbers lo, lo+2, ..., < hi (lo odd, lo >= 3)."""
+    """Boolean primality of odd numbers lo, lo+2, ..., < hi (lo odd, lo >= 1).
+
+    ``base`` holds every prime <= isqrt(hi - 1).  With lo = 1 the entry for 1
+    comes out True; the caller clears it.
+    """
     size = (hi - lo + 1) // 2
     mask = np.ones(size, dtype=bool)
     for p in base:
@@ -110,11 +117,46 @@ class PrimeTable:
         return len(self._primes)
 
 
+@lru_cache(maxsize=8)
+def prime_bitmap(x: int) -> np.ndarray:
+    """Packed odd-only primality to x: bit k is set iff 2k + 1 is a prime <= x.
+
+    Bits are little-endian within each uint8 byte (``np.unpackbits(...,
+    bitorder="little")`` restores one bool per odd number), so the read-only
+    result holds (x + 1) // 2 bits in about x/16 bytes.  It is sieved one
+    SEGMENT of odd numbers at a time from the primes <= isqrt(x), so no array
+    of the primes <= x is ever made.  The cache keeps the bitmaps of the 8
+    most recent x: at most 8 * x/16 bytes, plus one SEGMENT-byte block while
+    a bitmap is built.
+    """
+    x = max(x, 0)
+    nbits = (x + 1) // 2
+    bits = np.zeros(-(-nbits // 8), dtype=np.uint8)
+    base = sieve_upto(math.isqrt(x))
+    for k in range(0, nbits, SEGMENT):
+        top = min(k + SEGMENT, nbits)
+        block = _odd_sieve_block(2 * k + 1, 2 * top + 1, base)
+        if k == 0:
+            block[0] = False  # 1 is not prime
+        packed = np.packbits(block, bitorder="little")
+        bits[k // 8 : k // 8 + len(packed)] = packed
+    bits.flags.writeable = False
+    return bits
+
+
 def pi(x: int) -> int:
-    """Number of primes <= x."""
+    """Number of primes <= x.
+
+    Memory: the cached prime_bitmap(x), x/16 bytes per cached x (8 cached),
+    plus one SEGMENT/8-byte popcount buffer; no array of the primes is made.
+    """
     if x < 2:
         return 0
-    return int(len(sieve_upto(int(x))))
+    bits = prime_bitmap(int(x))
+    step = SEGMENT // 8
+    return 1 + sum(  # 1 counts the prime 2
+        int(np.bitwise_count(bits[i : i + step]).sum()) for i in range(0, len(bits), step)
+    )
 
 
 def von_mangoldt(n: int | FactoredInt) -> float:

@@ -16,10 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arith import euler_phi, mobius
-from .primes import least_prime_factor_table, sieve_upto
-
-# integers per window of the progression counter: its one boolean mask
-_CHUNK = 1 << 20
+from .primes import SEGMENT, least_prime_factor_table, pi, prime_bitmap
 
 
 @dataclass(frozen=True)
@@ -108,32 +105,38 @@ class ModuliFamily:
 def _count_in_classes(x: int, classes: Sequence[tuple[int, int]]) -> list[int]:
     """#{p <= x prime : p = a mod q} for each (q, a) with 0 <= a < q.
 
-    Walks [0, x] in windows of _CHUNK integers: each window's primes, taken
-    from the cached sieve_upto(x) array, are marked in one reused boolean
-    mask, and every class counts the strided slice of that mask it owns,
-    O(x/q) work per class.  Memory: the cached prime array plus the one
-    _CHUNK-byte mask and the offsets of one window's primes.
+    The odd primes are read from the cached prime_bitmap(x), where bit k
+    stands for 2k + 1, unpacked one SEGMENT of bits at a time.  The odd
+    numbers = a mod q form one strided slice of odd-index space: stride q and
+    offset (a - 1) * inv(2) mod q for odd q; stride q/2 and offset (a - 1)/2
+    for even q and odd a; none for even q and even a.  The prime 2 is counted
+    apart.  O(x/q) work per class.  Memory: the cached bitmap (x/16 bytes per
+    cached x) plus one SEGMENT-byte buffer.
     """
     x = int(x)
     counts = [0] * len(classes)
     if x < 2:
         return counts
-    primes = sieve_upto(x)
-    mask = np.zeros(min(_CHUNK, x + 1), dtype=bool)
-    for lo in range(0, x + 1, _CHUNK):
-        i, j = np.searchsorted(primes, (lo, lo + _CHUNK))
-        offsets = primes[i:j] - lo
-        mask[offsets] = True
-        for k, (q, a) in enumerate(classes):
-            counts[k] += int(np.count_nonzero(mask[(a - lo) % q :: q]))
-        mask[offsets] = False
+    strided = []  # (class index, stride, offset) in odd-index space
+    for i, (q, a) in enumerate(classes):
+        counts[i] = int(a == 2 % q)
+        if q % 2:
+            strided.append((i, q, (a - 1) * ((q + 1) // 2) % q))
+        elif a % 2:
+            strided.append((i, q // 2, (a - 1) // 2 % (q // 2)))
+    bits = prime_bitmap(x)
+    for k in range(0, (x + 1) // 2, SEGMENT):
+        seg = np.unpackbits(bits[k // 8 : (k + SEGMENT) // 8], bitorder="little")
+        for i, s, r in strided:
+            counts[i] += int(np.count_nonzero(seg[(r - k) % s :: s]))
     return counts
 
 
 def pi_ap(x: int, q: int, a: int) -> int:
     """#{p <= x prime : p = a mod q}.  gcd(a, q) > 1 is allowed (count 0 or 1).
 
-    Memory: the cached sieve_upto(x) array plus one _CHUNK-byte mask.
+    Memory: the cached prime_bitmap(x), x/16 bytes per cached x (8 cached),
+    plus one SEGMENT-byte buffer.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -198,10 +201,11 @@ def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyR
 
     The expected value pi(x)/phi(q) is kept as an exact rational until the
     final absolute value.  Records are sorted by modulus.  All moduli are
-    counted in one pass over [0, x]; memory is the cached sieve_upto(x)
-    array plus one _CHUNK-byte mask.
+    counted in one pass over the cached prime_bitmap(x), and pi(x) is its
+    popcount.  Memory: the bitmap, x/16 bytes per cached x (8 cached), plus one
+    SEGMENT-byte buffer.
     """
-    pix = len(sieve_upto(int(x)))
+    pix = pi(x)
     items = family.pairs if family.kind == "box" else [(q, 1) for q in family.members]
     classes = [(q1 * q2, family.a % (q1 * q2)) for q1, q2 in items]
     records = []

@@ -1,9 +1,12 @@
 import argparse
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+from apmod import cli
 from apmod.cli import build_parser, main
 
 
@@ -173,6 +176,68 @@ class TestExitCodes:
     def test_pass_is_0(self, tmp_path):
         code, _ = run_cli(["verify", "weil", "--c-max", "60"], tmp_path)
         assert code == 0
+
+
+class TestSizeCaps:
+    """Inputs past a stated memory or time cap exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "args, msg",
+        [
+            (["sieve", "--hi", "100000000000"], "--hi minus --lo must be <= 100000000"),
+            (["sieve", "--lo", "10", "--hi", "100000011"], "--hi minus --lo must be <= 100000000"),
+            (["sieve", "--lo", str(10**12), "--hi", str(10**12 + 1)], "--hi must be <= 10"),
+            (["bv-scan", "--x", "2000000001", "--qlo", "8", "--qhi", "15"], "--x must be <= 2000000000"),
+            (["expsum", "kl3", "--a", "1", "--q", "10000000000"], "--q must be <= 100000,"),
+            (["expsum", "fsum", "--h1", "1", "--h2", "1", "--h3", "1", "--a", "1",
+              "--q", "10000000000"], "--q must be <= 100000,"),
+            (["expsum", "ramanujan", "--q", "10000000000", "--n", "1"], "--q must be <= 1000000,"),
+            (["expsum", "kloosterman", "--m", "1", "--n", "1", "--q", "10000000000"],
+             "--q must be <= 1000000,"),
+        ],
+    )
+    def test_over_cap_is_2(self, args, msg, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main(args + ["--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
+        assert msg in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sieve", "--lo", "1000000000", "--hi", "1001000000"],
+            ["sieve", "--lo", str(10**12 - 1000), "--hi", str(10**12)],
+            ["expsum", "ramanujan", "--q", "1000000", "--n", "3"],
+        ],
+    )
+    def test_at_cap_is_accepted(self, args, tmp_path):
+        assert run_cli(args, tmp_path)[0] == 0
+
+    def test_kl3_cap_admits_1e5(self, tmp_path, monkeypatch):
+        # the cap is checked before the phi(q)^2 evaluation, which is stubbed
+        monkeypatch.setattr(cli, "kl3", lambda a, q: 0j)
+        code, text = run_cli(["expsum", "kl3", "--a", "1", "--q", "100000"], tmp_path)
+        assert code == 0 and "kl3,1,100000," in text
+
+    def test_bv_scan_memory_bound(self, tmp_path):
+        # x = 1e9 reads a 62.5 MB prime bitmap; an array of the primes <= 1e9
+        # (about 400 MB, built twice over) does not fit under this limit
+        limit = 512 << 20
+        path = tmp_path / "bv.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "apmod.cli", "bv-scan", "--x", "1000000000", "--qlo", "8",
+             "--qhi", "15", "--out", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = strip_comments(path.read_text()).splitlines()
+        assert rows[1].split(",")[:4] == ["1000000000", "8", "1", "12711220"]
 
 
 class TestOutputs:

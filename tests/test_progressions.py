@@ -4,15 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apmod.arith import euler_phi
+from apmod.arith import _trial_primes, euler_phi
 from apmod.constants import (
     BDH_UNIT_N1000_Q10,
     BV_DYADIC_100_200_TOTAL_1E6,
     EXCEPTIONAL_FRACTION_Q512,
 )
-from apmod.primes import primes_in, sieve_upto
+import apmod.primes
+import apmod.progressions
+from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in, sieve_upto
 from apmod.progressions import (
-    _CHUNK,
     SValue,
     bdh_statistic,
     bifactor_box_family,
@@ -136,7 +137,7 @@ class TestBvAggregate:
         assert total == pytest.approx(BV_DYADIC_100_200_TOTAL_1E6, abs=1e-9)
 
     def test_box_family_with_repeated_moduli(self):
-        x = _CHUNK + 1
+        x = 2 * SEGMENT + 1
         for a in (1, 5):
             fam = bifactor_box_family(x, 6, 6, a)
             _, recs = bv_aggregate(x, fam)
@@ -146,20 +147,45 @@ class TestBvAggregate:
                 assert r.pi_ap == pi_ap(x, r.q, r.a)
 
 
+# bit k of prime_bitmap(x) stands for 2k + 1, so the SEGMENT-bit chunks the
+# counter unpacks meet at multiples of 2 * SEGMENT
+SEAMS = [2 * k * SEGMENT + s for k in (1, 2) for s in (-1, 0, 1, 2)]
+
+
 class TestCountOracle:
     """pi_ap's windowed strided count against the O(pi(x)) residue scan."""
 
-    @pytest.mark.parametrize(
-        "x", [k * _CHUNK + s for k in (1, 2) for s in (-1, 0, 1)]
-    )
+    @pytest.mark.parametrize("x", SEAMS)
     def test_across_chunk_seams(self, x):
         primes = sieve_upto(x)
-        for q in (1, 2, 3, 8, 30, 97):
-            for a in range(q):  # non-units included
+        for q in (1, 2, 3, 4, 8, 30, 97):
+            for a in range(q):  # non-units, a = 0 and a = 2 included
                 assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
         q = x + 5
         for a in (0, 1, 2, int(primes[-1]), x, x + 4):
             assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
+
+    @pytest.mark.parametrize("x", SEAMS)
+    def test_pi_across_chunk_seams(self, x):
+        assert pi(x) == len(sieve_upto(x))
+
+    def test_counts_never_sieve_above_root(self, monkeypatch):
+        # bv_aggregate and pi read the bitmap, which is sieved from the primes
+        # <= isqrt(x) alone; no array of the primes <= x is built.  euler_phi's
+        # fixed trial-division table (primes <= 1e6, whatever x) is built first.
+        _trial_primes()
+        x = 2 * SEGMENT + 3
+        calls = []
+        for mod in (apmod.primes, apmod.progressions):
+            if hasattr(mod, "sieve_upto"):
+                real = getattr(mod, "sieve_upto")
+                monkeypatch.setattr(
+                    mod, "sieve_upto", lambda n, real=real: calls.append(n) or real(n)
+                )
+        prime_bitmap.cache_clear()
+        bv_aggregate(x, dyadic_family(x, 8, 15, 1))
+        pi(x)
+        assert calls and max(calls) <= math.isqrt(x) + 1
 
 
 def _trial_window_divisor(q: int, lo: float, hi: float) -> bool:
