@@ -53,7 +53,7 @@ from .identities import (
     reduction_sequences,
     verify_buchstab,
 )
-from .primes import least_prime_factor_table, pi, primes_in, von_mangoldt
+from .primes import least_prime_factor_table, pi, prime_segments, von_mangoldt
 from .progressions import (
     bifactor_box_family,
     bv_aggregate,
@@ -104,23 +104,28 @@ def _at_least(args, name: str, lo) -> None:
         raise ValueError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
 
 
-def _at_most(args, name: str, hi) -> None:
-    """Reject --name above hi with a parameter error that names the flag."""
-    value = getattr(args, name)
+def _at_most(label: str, value, hi) -> None:
+    """Reject a flag, or a size worked out from flags, above hi; the error names it."""
     if value > hi:
-        raise ValueError(f"--{name.replace('_', '-')} must be <= {hi}, got {value}")
+        raise ValueError(f"{label} must be <= {hi}, got {value}")
 
 
 # Size caps, each keeping one run within a stated memory (or time) bound:
 # sieve: hi <= 1e12 keeps the base primes (<= sqrt(hi)) under 1 MB, and
-# hi - lo <= 1e8 keeps the primes and their rows near 300 MB (295 MB at
-# [0, 1e8]); bv-scan: x <= 2e9 keeps the cached prime bitmap at x/16 <= 125 MB
-# (94 MB peak at x = 1e9); expsum: ramanujan and kloosterman build O(q)
-# arrays, 85 MB at q = 1e6, and kl3 and fsum sum phi(q)^2 phases, 16 s at
-# q = 1e5.
+# hi - lo <= 1e8 bounds --list, which holds the primes (83 MB peak at
+# [0, 1e8]; the summary alone reads one segment at a time, 36 MB);
+# bv-scan: x <= 2e9 keeps the cached prime bitmap at x/16 <= 125 MB (94 MB
+# peak at x = 1e9), and qhi - qlo <= 1e5 moduli keeps one record per modulus
+# at 85 MB and 5 s (1e6 moduli take 562 MB and 142 s); moduli-set: each
+# family (dyadic qhi - qlo, divisor-window x^(1/2+delta), box q1 * q2) is
+# capped at 1e6 moduli, 68, 80 and 159 MB peak at the cap; expsum:
+# ramanujan and kloosterman build O(q) arrays, 85 MB at q = 1e6, and kl3
+# and fsum sum phi(q)^2 phases, 16 s at q = 1e5.
 SIEVE_HI_MAX = 10**12
 SIEVE_WIDTH_MAX = 10**8
 BV_X_MAX = 2 * 10**9
+BV_Q_WIDTH_MAX = 10**5
+FAMILY_MAX = 10**6
 EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 10**5}
 
 
@@ -130,23 +135,34 @@ EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 
 
 def cmd_sieve(args, out: Output) -> int:
     _at_least(args, "lo", -1)
-    _at_most(args, "hi", SIEVE_HI_MAX)
-    width = args.hi - args.lo
-    if width > SIEVE_WIDTH_MAX:
-        raise ValueError(f"--hi minus --lo must be <= {SIEVE_WIDTH_MAX}, got {width}")
-    ps = primes_in(args.lo, args.hi)
+    _at_most("--hi", args.hi, SIEVE_HI_MAX)
+    _at_most("--hi minus --lo", args.hi - args.lo, SIEVE_WIDTH_MAX)
+    if args.lo > args.hi:
+        raise ValueError(f"reversed range ({args.lo}, {args.hi}]")
+    segments = prime_segments(args.lo + 1, args.hi)
+    if args.list:
+        segments = list(segments)  # the summary row comes first
+    count, first, last = 0, "", ""
+    for seg in segments:
+        if len(seg):
+            if not count:
+                first = int(seg[0])
+            count += len(seg)
+            last = int(seg[-1])
     out.row("lo", "hi", "count", "first", "last")
-    out.row(args.lo, args.hi, len(ps), ps[0] if ps else "", ps[-1] if ps else "")
+    out.row(args.lo, args.hi, count, first, last)
     if args.list:
         out.row("p")
-        for p in ps:
-            out.row(p)
+        for seg in segments:
+            for p in seg.tolist():
+                out.row(p)
     return 0
 
 
 def cmd_bv_scan(args, out: Output) -> int:
     _at_least(args, "x", 2)  # norm_delta divides by pi(x)
-    _at_most(args, "x", BV_X_MAX)
+    _at_most("--x", args.x, BV_X_MAX)
+    _at_most("--qhi minus --qlo", args.qhi - args.qlo, BV_Q_WIDTH_MAX)
     fam = dyadic_family(args.x, args.qlo, args.qhi, args.a)
     total, records = bv_aggregate(args.x, fam)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
@@ -164,6 +180,7 @@ def cmd_bv_scan(args, out: Output) -> int:
 
 def cmd_moduli_set(args, out: Output) -> int:
     if args.kind == "box":
+        _at_most("--q1 times --q2", max(args.q1, 0) * max(args.q2, 0), FAMILY_MAX)
         fam = bifactor_box_family(args.x, args.q1, args.q2, args.a)
         out.row("q1", "q2", "q")
         for name, ok in fam.params["constraints"].items():
@@ -171,12 +188,15 @@ def cmd_moduli_set(args, out: Output) -> int:
         for q1, q2 in fam.pairs:
             out.row(q1, q2, q1 * q2)
     elif args.kind == "divisor-window":
+        _at_least(args, "x", 0)
+        _at_most("x^(1/2+delta)", int(args.x ** (0.5 + args.delta)), FAMILY_MAX)
         fam = divisor_window_family(args.x, args.delta, args.eta, args.a)
         lo, hi = fam.params["window"]
         out.row("q", "window_lo", "window_hi", "flagged")
         for q in fam.members:
             out.row(q, lo, hi, "yes" if q in fam.flagged else "")
     else:
+        _at_most("--qhi minus --qlo", args.qhi - args.qlo, FAMILY_MAX)
         fam = dyadic_family(args.x, args.qlo, args.qhi, args.a)
         out.row("q")
         for q in fam.members:
@@ -186,7 +206,7 @@ def cmd_moduli_set(args, out: Output) -> int:
 
 def cmd_expsum(args, out: Output) -> int:
     if args.which in EXPSUM_Q_MAX:
-        _at_most(args, "q", EXPSUM_Q_MAX[args.which])
+        _at_most("--q", args.q, EXPSUM_Q_MAX[args.which])
     if args.which == "ramanujan":
         v = ramanujan(args.q, args.n)
         out.row("kind", "q", "n", "value_re", "value_im")

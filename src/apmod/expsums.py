@@ -486,62 +486,47 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
     if c_max > 2000:
         raise ValueError("c_max above 2000 is out of contract")
     report = SweepReport(name="weil", tested=0, seed=seed)
-
-    def job(c: int):
+    for c in range(2, c_max + 1):
         rng = SplitMix64(seed * 7919 + c)
         tau_c = tau_k(c, 2)
         pairs = [(0, 0), (0, 1), (1, 1)]
         while len(pairs) < trials_per_c:
             pairs.append((rng.in_range(0, 3 * c), rng.in_range(0, 3 * c)))
-        best = (0.0, {})
-        fails = []
         for m, n in pairs[:trials_per_c]:
             s = kloosterman(m, n, c)
             g = math.gcd(math.gcd(m, n), c)
             ratio = abs(s) / (tau_c * math.sqrt(c * g))
-            if ratio > best[0]:
-                best = (ratio, {"c": c, "m": m, "n": n, "abs": abs(s)})
+            report.tested += 1
+            if ratio > report.max_ratio:
+                report.max_ratio = ratio
+                report.witness = {"c": c, "m": m, "n": n, "abs": abs(s)}
             if ratio >= 1.0:
-                fails.append({"c": c, "m": m, "n": n, "ratio": ratio})
-        return len(pairs[:trials_per_c]), best, fails
-
-    for tested, best, fails in map(job, range(2, c_max + 1)):
-        report.tested += tested
-        report.failures.extend(fails)
-        if best[0] > report.max_ratio:
-            report.max_ratio = best[0]
-            report.witness = best[1]
+                report.failures.append({"c": c, "m": m, "n": n, "ratio": ratio})
     return report
 
 
-def deligne_check(p_max: int, squarefree_max: int | None = None) -> SweepReport:
+def deligne_check(p_max: int) -> SweepReport:
     """Deligne bound: |Kl3(a; p)| <= 3 at primes, <= tau_3(q) for squarefree q.
 
-    Prime moduli are checked for every unit a via the DFT table; squarefree
-    composites up to ``squarefree_max`` (default 2 * p_max) for every unit a
-    through the multiplicativity identity.  A slack of 1e-9 absorbs float
-    rounding only.
+    Prime moduli up to p_max are checked for every unit a via the DFT table;
+    squarefree composites up to 2 * p_max for every unit a through the
+    multiplicativity identity.  A slack of 1e-9 absorbs float rounding only.
     """
     if p_max > 500:
         raise ValueError("p_max above 500 is out of contract")
-    if squarefree_max is None:
-        squarefree_max = 2 * p_max
     report = SweepReport(name="deligne", tested=0)
     slack = 1e-9
-
-    def prime_job(p: int):
+    for p in sieve_upto(p_max).tolist():
         vals = np.abs(kl3_prime_table(p)[_units(p)])
-        return p, len(vals), float(vals.max())
-
-    for p, n, worst in map(prime_job, sieve_upto(p_max).tolist()):
-        report.tested += n
+        worst = float(vals.max())
+        report.tested += len(vals)
         if worst / 3.0 > report.max_ratio:
             report.max_ratio = worst / 3.0
             report.witness = {"q": p, "abs": worst, "bound": 3.0}
         if worst > 3.0 + slack:
             report.failures.append({"q": p, "abs": worst, "bound": 3.0})
 
-    for f in map(factorize, range(2, squarefree_max + 1)):
+    for f in map(factorize, range(2, 2 * p_max + 1)):
         if not f.is_squarefree() or len(f.factors) < 2:
             continue
         worst = float(np.abs(_kl3_squarefree_units(f)).max())

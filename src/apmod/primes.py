@@ -4,8 +4,12 @@ The sieve is the one performance-critical path in the package: odd-only
 numpy segments of SEGMENT = 2**20 entries, so counting primes to 1e8 takes
 well under a second.  Constructed tables are immutable; all queries are pure.
 
-Prime counts up to x read ``prime_bitmap(x)``, a packed odd-only bitmap of
-about x/16 bytes, not an array of the primes themselves.
+One segment loop lists every prime.  ``prime_segments(lo, hi)`` yields the
+primes in [lo, hi] one segment at a time, so a consumer that drops each
+segment holds O(SEGMENT) bytes whatever the width; ``sieve_upto`` and
+``primes_in`` concatenate it.  Prime counts up to x read ``prime_bitmap(x)``,
+a packed odd-only bitmap of about x/16 bytes packed by the same loop, not an
+array of the primes themselves.
 
 The least-prime-factor table is one process-wide, read-only int64 array that
 only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
@@ -48,39 +52,43 @@ def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _prime_chunks(lo: int, hi: int, base: np.ndarray) -> list[np.ndarray]:
-    """Ascending int64 arrays that concatenate to the primes in [lo, hi].
+def _odd_blocks(lo: int, hi: int):
+    """(start, mask) per SEGMENT of odd numbers in [lo, hi], lo odd and >= 1.
 
-    ``base`` holds every prime <= isqrt(hi).  Odd numbers are sieved in
-    segments of SEGMENT entries, one SEGMENT-byte mask at a time.  Callers
-    concatenate the chunks in one step, so at peak the primes are held twice.
+    mask[i] is the primality of start + 2i, sieved by ``_odd_sieve_block``
+    from the primes <= isqrt(hi); with lo = 1 the caller clears the entry for
+    1.  One SEGMENT-byte mask is alive at a time.
     """
-    chunks = [np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)]
-    lo = max(lo, 3) | 1
+    base = sieve_upto(math.isqrt(max(hi, 0)))
     while lo <= hi:
         top = min(lo + 2 * SEGMENT, hi + 1)
-        chunks.append(lo + 2 * np.flatnonzero(_odd_sieve_block(lo, top, base)))
-        lo = top | 1
-    return chunks
+        yield lo, _odd_sieve_block(lo, top, base)
+        lo = top
+
+
+def prime_segments(lo: int, hi: int):
+    """Ascending int64 arrays that concatenate to the primes in [lo, hi].
+
+    The first array is [2] or empty, so even an empty range concatenates;
+    then one array per SEGMENT of odd numbers from max(lo, 3).  A consumer
+    that drops each array holds one SEGMENT-byte mask and one segment of
+    primes at a time.
+    """
+    yield np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)
+    for start, mask in _odd_blocks(max(lo, 3) | 1, hi):
+        yield start + 2 * np.flatnonzero(mask)
 
 
 @lru_cache(maxsize=8)
 def sieve_upto(n: int) -> np.ndarray:
-    """Ascending array of all primes <= n."""
+    """Ascending array of all primes <= n.
+
+    Its base primes are sieve_upto(isqrt(n)), so the cache recurses down to
+    n < 2.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    # small direct sieve for the base primes
-    root = math.isqrt(n)
-    base_limit = max(root + 1, 32)
-    small = np.ones(base_limit + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(base_limit) + 1):
-        if small[p]:
-            small[p * p :: p] = False
-    base = np.nonzero(small)[0].astype(np.int64)
-    if n <= base_limit:
-        return base[base <= n]
-    return np.concatenate([base, *_prime_chunks(base_limit + 1, n, base)])
+    return np.concatenate(list(prime_segments(2, n)))
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -89,32 +97,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
         raise ValueError(f"lo must be >= -1, got {lo}")
     if lo > hi:
         raise ValueError(f"reversed range ({lo}, {hi}]")
-    if hi < 2 or lo >= hi:
-        return []
-    return PrimeTable(lo + 1, hi).primes()
-
-
-class PrimeTable:
-    """Primality over the closed interval [lo, hi], held as its ascending primes."""
-
-    def __init__(self, lo: int, hi: int):
-        if lo < 0 or lo > hi:
-            raise ValueError(f"bad PrimeTable range [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-        self._primes = np.concatenate(_prime_chunks(lo, hi, sieve_upto(math.isqrt(hi) + 1)))
-
-    def is_prime(self, n: int) -> bool:
-        if not (self.lo <= n <= self.hi):
-            raise ValueError(f"{n} outside table range [{self.lo}, {self.hi}]")
-        i = int(np.searchsorted(self._primes, n))
-        return i < len(self._primes) and int(self._primes[i]) == n
-
-    def primes(self) -> list[int]:
-        return self._primes.tolist()
-
-    def count(self) -> int:
-        return len(self._primes)
+    return np.concatenate(list(prime_segments(lo + 1, hi))).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -123,21 +106,17 @@ def prime_bitmap(x: int) -> np.ndarray:
 
     Bits are little-endian within each uint8 byte (``np.unpackbits(...,
     bitorder="little")`` restores one bool per odd number), so the read-only
-    result holds (x + 1) // 2 bits in about x/16 bytes.  It is sieved one
-    SEGMENT of odd numbers at a time from the primes <= isqrt(x), so no array
-    of the primes <= x is ever made.  The cache keeps the bitmaps of the 8
-    most recent x: at most 8 * x/16 bytes, plus one SEGMENT-byte block while
-    a bitmap is built.
+    result holds (x + 1) // 2 bits in about x/16 bytes.  It is packed one
+    SEGMENT of odd numbers at a time, so no array of the primes <= x is ever
+    made.  The cache keeps the bitmaps of the 8 most recent x: at most
+    8 * x/16 bytes, plus one SEGMENT-byte block while a bitmap is built.
     """
     x = max(x, 0)
-    nbits = (x + 1) // 2
-    bits = np.zeros(-(-nbits // 8), dtype=np.uint8)
-    base = sieve_upto(math.isqrt(x))
-    for k in range(0, nbits, SEGMENT):
-        top = min(k + SEGMENT, nbits)
-        block = _odd_sieve_block(2 * k + 1, 2 * top + 1, base)
-        if k == 0:
+    bits = np.zeros(-(-((x + 1) // 2) // 8), dtype=np.uint8)
+    for start, block in _odd_blocks(1, x):
+        if start == 1:
             block[0] = False  # 1 is not prime
+        k = (start - 1) // 2  # a multiple of SEGMENT, so of 8
         packed = np.packbits(block, bitorder="little")
         bits[k // 8 : k // 8 + len(packed)] = packed
     bits.flags.writeable = False

@@ -147,7 +147,7 @@ def test_c06_weil_bound_constant_one():
 
 
 def test_c07_deligne_bound():
-    rep = deligne_check(200, squarefree_max=400)
+    rep = deligne_check(200)
     report(
         7,
         rep.passed,

@@ -5,9 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from apmod import cli
 from apmod.cli import build_parser, main
+from apmod.primes import pi, primes_in
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -98,6 +101,7 @@ class TestExitCodes:
             (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "0"], "q_lo"),
             (["sieve", "--lo", "-5", "--hi", "1"], "--lo"),
             (["sieve", "--lo", "-5", "--hi", "10"], "--lo"),
+            (["moduli-set", "--kind", "divisor-window", "--x", "-100"], "--x"),
         ],
     )
     def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
@@ -194,6 +198,16 @@ class TestSizeCaps:
             (["expsum", "ramanujan", "--q", "10000000000", "--n", "1"], "--q must be <= 1000000,"),
             (["expsum", "kloosterman", "--m", "1", "--n", "1", "--q", "10000000000"],
              "--q must be <= 1000000,"),
+            (["bv-scan", "--x", "1000", "--qlo", "1", "--qhi", "10000000000"],
+             "--qhi minus --qlo must be <= 100000,"),
+            (["bv-scan", "--x", "1000", "--qlo", "1", "--qhi", "100002"],
+             "--qhi minus --qlo must be <= 100000,"),
+            (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "1",
+              "--qhi", "10000000000"], "--qhi minus --qlo must be <= 1000000,"),
+            (["moduli-set", "--kind", "divisor-window", "--x", str(10**18)],
+             "x^(1/2+delta) must be <= 1000000,"),
+            (["moduli-set", "--kind", "box", "--x", "1000", "--q1", "100000", "--q2", "100000"],
+             "--q1 times --q2 must be <= 1000000,"),
         ],
     )
     def test_over_cap_is_2(self, args, msg, tmp_path, capsys):
@@ -210,6 +224,7 @@ class TestSizeCaps:
             ["sieve", "--lo", "1000000000", "--hi", "1001000000"],
             ["sieve", "--lo", str(10**12 - 1000), "--hi", str(10**12)],
             ["expsum", "ramanujan", "--q", "1000000", "--n", "3"],
+            ["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "1", "--qhi", "1000001"],
         ],
     )
     def test_at_cap_is_accepted(self, args, tmp_path):
@@ -238,6 +253,35 @@ class TestSizeCaps:
         assert proc.returncode == 0, proc.stderr
         rows = strip_comments(path.read_text()).splitlines()
         assert rows[1].split(",")[:4] == ["1000000000", "8", "1", "12711220"]
+
+    def test_sieve_memory_bound(self, tmp_path):
+        # the summary is read off one segment of primes at a time; a list of
+        # the 5.8 million primes <= 1e8 does not fit under this limit
+        limit = 256 << 20
+        path = tmp_path / "sieve.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "apmod.cli", "sieve", "--lo", "0", "--hi", "100000000",
+             "--out", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = strip_comments(path.read_text()).splitlines()
+        assert rows[1] == "0,100000000,5761455,2,99999989"
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lo=st.integers(-1, 10**7), width=st.integers(0, 10**5))
+    def test_sieve_summary_matches_pi(self, lo, width, tmp_path):
+        hi = min(lo + width, 10**7)
+        code, text = run_cli(["sieve", "--lo", str(lo), "--hi", str(hi)], tmp_path)
+        ps = primes_in(lo, hi)
+        want = [lo, hi, pi(hi) - pi(lo), ps[0] if ps else "", ps[-1] if ps else ""]
+        assert code == 0
+        assert strip_comments(text).splitlines()[1] == ",".join(map(str, want))
 
 
 class TestOutputs:

@@ -289,7 +289,7 @@ class TestWeil:
 
 class TestDeligne:
     def test_small(self):
-        rep = deligne_check(50, squarefree_max=100)
+        rep = deligne_check(50)
         assert rep.passed
         assert rep.max_ratio < 1.0
 

@@ -7,7 +7,6 @@ from apmod.arith import P_MINUS_ONE_SENTINEL
 from apmod.buchstab import buchstab_omega, solve_buchstab
 from apmod.primes import (
     SEGMENT,
-    PrimeTable,
     least_prime_factor_table,
     pi,
     primes_in,
@@ -54,7 +53,7 @@ class TestPrimesIn:
         with pytest.raises(ValueError, match="lo must be >= -1"):
             primes_in(-2, 1)
 
-    @pytest.mark.parametrize("lo", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("lo", [-1, 0, 1, 2, 3, 4])
     def test_low_starts(self, lo):
         for hi in range(lo, 100):
             assert primes_in(lo, hi) == [n for n in range(lo + 1, hi + 1) if _trial_is_prime(n)]
@@ -66,14 +65,27 @@ class TestPrimesIn:
             for width in (span - 1, span, span + 1, 2 * span, 2 * span + 1):
                 hi = lo + width
                 assert primes_in(lo, hi) == ref[(ref > lo) & (ref <= hi)].tolist()
-        # sieve_upto's segments start just above its base primes (~sqrt(n))
-        for n in (span, span + 725, span + 726, span + 727, span + 728, 3 * span + 1025):
+        # sieve_upto's segments start at 3, so one ends at k * span + 1 and
+        # the next starts at k * span + 3
+        seams = [k * span + s for k in (1, 2) for s in (1, 2, 3, 4)]
+        for n in seams + [span + 725, span + 726, span + 727, span + 728, 3 * span + 1025]:
             assert np.array_equal(sieve_upto(n), ref[ref <= n])
 
     def test_exhaustive_vs_trial_division(self):
         got = set(primes_in(0, 10**5))
         for n in range(10**5 + 1):
             assert (n in got) == _trial_is_prime(n)
+
+    def test_membership_sampled(self):
+        got = set(primes_in(10**6 - 1, 10**6 + 10**4))
+        rng = SplitMix64(3)
+        for _ in range(300):
+            n = rng.in_range(10**6, 10**6 + 10**4)
+            assert (n in got) == _is_prime_fast(n)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (0, 300), (24, 28), (90, 97)])
+    def test_small_ranges_exhaustive(self, lo, hi):
+        assert primes_in(lo - 1, hi) == [n for n in range(lo, hi + 1) if _trial_is_prime(n)]
 
     def test_random_windows_below_1e9(self):
         rng = SplitMix64(13)
@@ -121,27 +133,6 @@ class TestPi:
             hi = lo + rng.in_range(0, 5000)
             assert pi(hi) - pi(lo) == len(primes_in(lo, hi))
             assert pi(hi) >= pi(lo)
-
-
-class TestPrimeTable:
-    def test_membership_sampled(self):
-        t = PrimeTable(10**6, 10**6 + 10**4)
-        rng = SplitMix64(3)
-        for _ in range(300):
-            n = rng.in_range(10**6, 10**6 + 10**4)
-            assert t.is_prime(n) == _is_prime_fast(n)
-
-    def test_out_of_range(self):
-        t = PrimeTable(10, 20)
-        with pytest.raises(ValueError):
-            t.is_prime(9)
-
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (0, 300), (24, 28), (90, 97)])
-    def test_small_tables_exhaustive(self, lo, hi):
-        t = PrimeTable(lo, hi)
-        want = [n for n in range(lo, hi + 1) if _trial_is_prime(n)]
-        assert t.primes() == want and t.count() == len(want)
-        assert [n for n in range(lo, hi + 1) if t.is_prime(n)] == want
 
 
 def _trial_lpf(n: int) -> int:
