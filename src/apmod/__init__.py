@@ -49,6 +49,7 @@ from .harman import harman_tree  # noqa: F401,E402
 from .identities import (  # noqa: F401,E402
     fundamental_lemma_weights,
     heath_brown_decompose,
+    heath_brown_range,
     reduction_sequences,
     verify_buchstab,
 )
@@ -60,4 +61,5 @@ from .progressions import (  # noqa: F401,E402
     exceptional_fraction,
     pi_ap,
     s_value,
+    s_values,
 )

@@ -48,7 +48,7 @@ from .expsums import (
 from .harman import dump_tree, harman_tree
 from .identities import (
     fundamental_lemma_weights,
-    heath_brown_decompose,
+    heath_brown_range,
     random_buchstab_configs,
     reduction_sequences,
     verify_buchstab,
@@ -120,12 +120,21 @@ def _at_most(label: str, value, hi) -> None:
 # family (dyadic qhi - qlo, divisor-window x^(1/2+delta), box q1 * q2) is
 # capped at 1e6 moduli, 68, 80 and 159 MB peak at the cap; expsum:
 # ramanujan and kloosterman build O(q) arrays, 85 MB at q = 1e6, and kl3
-# and fsum sum phi(q)^2 phases, 16 s at q = 1e5.
+# and fsum sum phi(q)^2 phases, 16 s at q = 1e5; the sieve identities read
+# the shared LPF table, 8 * (limit + 1) bytes: verify fundlemma|reduction
+# take limit = --n-max <= 1e7 (80 MB), verify buchstab and decomp take
+# limit = 2x with --x <= 1e7 (160 MB), and decomp --q1 times --q2 <= 1e6
+# keeps the O(q) residue tables of its S-value passes near 20 MB; verify
+# heathbrown holds a few arrays of --n-max + 1 entries, and --n-max <= 1e5
+# keeps it at 3.6 s and 48 MB.
 SIEVE_HI_MAX = 10**12
 SIEVE_WIDTH_MAX = 10**8
 BV_X_MAX = 2 * 10**9
 BV_Q_WIDTH_MAX = 10**5
 FAMILY_MAX = 10**6
+LPF_LIMIT_MAX = 10**7
+DECOMP_Q_MAX = 10**6
+HEATHBROWN_N_MAX = 10**5
 EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 10**5}
 
 
@@ -238,6 +247,7 @@ def cmd_verify(args, out: Output) -> int:
     failures = 0
     if which == "buchstab":
         _at_least(args, "x", 50)  # configurations draw x from [50, --x]
+        _at_most("--x", args.x, LPF_LIMIT_MAX)
         cfgs = random_buchstab_configs(args.trials, args.x, seed=args.seed)
         out.row("x", "d", "z1", "z2", "q1", "q2", "a", "ok")
         for c in cfgs:
@@ -245,11 +255,14 @@ def cmd_verify(args, out: Output) -> int:
             failures += not ok
             out.row(*c, "pass" if ok else "FAIL")
     elif which == "heathbrown":
+        _at_least(args, "n_max", 1)
+        _at_most("--n-max", args.n_max, HEATHBROWN_N_MAX)
+        lams = [von_mangoldt(n) for n in range(1, args.n_max + 1)]
         out.row("n", "k", "value", "lambda", "dev", "ok")
         for k in (2, 3):
-            for n in range(1, args.n_max + 1):
-                v = heath_brown_decompose(n, k, args.n_max)
-                lam = von_mangoldt(n)
+            values = heath_brown_range(args.n_max, k, args.n_max).tolist()
+            for n, lam in enumerate(lams, start=1):
+                v = values[n]
                 ok = abs(v - lam) <= 1e-6 * (1 + lam)
                 failures += not ok
                 if not ok or args.verbose:
@@ -259,27 +272,24 @@ def cmd_verify(args, out: Output) -> int:
         import numpy as np
 
         _at_least(args, "n_max", 1)
+        _at_most("--n-max", args.n_max, LPF_LIMIT_MAX)
         out.row("z", "y", "n_max", "rough_equal_one", "sign_property", "ok")
         lpf = least_prime_factor_table(args.n_max)
         for z in (10, 20, 30):
+            rough = lpf[1:] > z  # n = 1 .. n_max
             for y in (100, 1000):
                 w = fundamental_lemma_weights(z, y)
-                sp = w.sums_over_range(args.n_max, "+")
-                sm = w.sums_over_range(args.n_max, "-")
-                rough = lpf[: args.n_max + 1] > z
-                rough[0] = False
-                v1 = bool(
-                    np.all(sp[1:][rough[1:]] == 1) and np.all(sm[1:][rough[1:]] == 1)
-                )
-                v2 = bool(
-                    np.all(sp[1:][~rough[1:]] >= 0) and np.all(sm[1:][~rough[1:]] <= 0)
-                )
+                sp = w.sums_over_range(args.n_max, "+")[1:]
+                sm = w.sums_over_range(args.n_max, "-")[1:]
+                v1 = not np.any(rough & ((sp != 1) | (sm != 1)))
+                v2 = not np.any(~rough & ((sp < 0) | (sm > 0)))
                 failures += not (v1 and v2)
                 out.row(z, y, args.n_max, v1, v2, "pass" if v1 and v2 else "FAIL")
     elif which == "reduction":
         import numpy as np
 
         _at_least(args, "n_max", 1)
+        _at_most("--n-max", args.n_max, LPF_LIMIT_MAX)
         out.row("z1", "z2", "y", "n_max", "ok")
         for (z1, z2, y) in ((30, 5, 100), (20, 3, 50), (50, 7, 1000), (15, 2, 30), (40, 11, 400)):
             rs = reduction_sequences(z1, z2, y)
@@ -340,6 +350,8 @@ def cmd_verify(args, out: Output) -> int:
 
 def cmd_decomp(args, out: Output) -> int:
     _at_least(args, "x", 1)
+    _at_most("--x", args.x, LPF_LIMIT_MAX)
+    _at_most("--q1 times --q2", args.q1 * args.q2, DECOMP_Q_MAX)
     if args.z1 is None:
         args.z1 = args.x ** (1 / 7)
     if args.z2 is None:

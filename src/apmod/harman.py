@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import euler_phi
+import numpy as np
+
 from .primes import least_prime_factor_table, primes_in
-from .progressions import SValue, s_value
+from .progressions import SValue, s_values
 
 
 @dataclass
@@ -37,7 +38,7 @@ class DecompNode:
 
     sign is relative to the parent; the effective sign of a leaf is the
     product along its path.  Terms of a leaf are (d, z, inclusive) triples:
-    the leaf value is the sum of s_value(x, d, z, ..., inclusive) over them.
+    the leaf value is their sum, one s_values call over the list.
     """
 
     name: str
@@ -128,9 +129,6 @@ def harman_tree(
     x14 = float(x) ** 0.25
     half_eps = float(x) ** (0.5 + epsilon)
 
-    def sval(d: int, z: float, inclusive: bool) -> SValue:
-        return s_value(x, d, z, q1, q2, a, inclusive=inclusive)
-
     p12 = primes_in(math.floor(z1), math.floor(z2))
     p2r = primes_in(math.floor(z2), math.floor(root_z))
 
@@ -150,14 +148,11 @@ def harman_tree(
     g3c = triples(g1c)
 
     def sum_terms(terms) -> SValue:
-        acc = SValue.zero(euler_phi(q1 * q2))
-        for d, z, inc in terms:
-            acc = acc + sval(d, z, inc)
-        return acc
+        return s_values(x, terms, q1, q2, a)[2]
 
     # ---- leaves ----------------------------------------------------------
     a0 = DecompNode("A0", +1, "d=1", f"P->{z1:g}", "sieve-asymptotic")
-    a0.svalue = sval(1, z1, False)
+    a0.svalue = sum_terms([(1, z1, False)])
 
     b1 = DecompNode("B1", +1, "z1<p<=z2", f"P->{z1:g}", "sieve-asymptotic")
     b1.svalue = sum_terms([(p, z1, False) for p in p12])
@@ -234,7 +229,7 @@ def harman_tree(
 
     root = DecompNode("root", +1, "d=1", f"P->{root_z:g}", "internal")
     root.children = [a0, m_node, c0]
-    root.svalue = sval(1, root_z, False)
+    root.svalue = sum_terms([(1, root_z, False)])
 
     # ---- exact split checks (must all hold by construction) --------------
     split_checks: list[tuple[str, bool]] = []
@@ -260,12 +255,14 @@ def harman_tree(
     lpf = least_prime_factor_table(2 * x)
 
     # 1. the min-threshold rewrite of the middle first-split term
-    bad_p = []
-    for p in p12:
-        thr = min(float(p), half_eps / math.sqrt(p))
-        lit = sval(p, thr, False)
-        if lit.triple() != sval(p, p, True).triple():
-            bad_p.append(p)
+    lit_terms = [(p, min(float(p), half_eps / math.sqrt(p)), False) for p in p12]
+    lit = s_values(x, lit_terms, q1, q2, a)
+    inc = s_values(x, [(p, p, True) for p in p12], q1, q2, a)
+    bad_p = [
+        p
+        for p, lit_ic, lit_cp, ic, cp in zip(p12, *lit[:2], *inc[:2])
+        if (lit_ic, lit_cp) != (ic, cp)
+    ]
     flags.append(
         SubstitutionFlag(
             "min-threshold",
@@ -295,17 +292,13 @@ def harman_tree(
     def cofactor_classes(d: int, z: int):
         """(non_prime, at_threshold) among m ~ x/d with P^-(m) >= z."""
         lo, hi = x // d + 1, (2 * x) // d
-        nonprime = atz = 0
-        for m in range(lo, hi + 1):
-            pm = lpf[m]
-            if pm < z:
-                continue
-            if m != 1 and pm == m:
-                if m == z:
-                    atz += 1
-            else:
-                nonprime += 1
-        return nonprime, atz
+        m = np.arange(lo, hi + 1)
+        rough = lpf[lo : hi + 1] >= z
+        prime = (lpf[lo : hi + 1] == m) & (m != 1)
+        return (
+            int(np.count_nonzero(rough & ~prime)),
+            int(np.count_nonzero(rough & prime & (m == z))),
+        )
 
     # 3. "counts exactly three primes" for the unbalanced wide leaf
     np3 = sum(cofactor_classes(p * r, r)[0] for (p, r) in g1d)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import divisors, mobius
 from .primes import least_prime_factor_table, primes_in, sieve_upto
-from .progressions import SValue, s_value
+from .progressions import SValue, s_values
 from .rng import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,8 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
     m_i <= 2 x^(1/k)} mu(m_1)..mu(m_j) log n_1,
 
     computed by Dirichlet convolutions on the divisor lattice of n.  Exact up
-    to float log arithmetic; equals Lambda(n) for n <= 2x.
+    to float log arithmetic; equals Lambda(n) for n <= 2x.  heath_brown_range
+    evaluates every n up to a bound at once; this per-n route is its oracle.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4 at desk scale")
@@ -86,6 +87,55 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
         for i, d in enumerate(divs):
             if mu_pow[i]:
                 term += mu_pow[i] * lconv[pos[n // d]]
+        total += HEATH_BROWN_SIGN * (-1) ** (j - 1) * math.comb(k, j) * term
+    return total
+
+
+def _dirichlet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)(n) = sum over d e = n of a(d) b(e), for 1 <= n < len(a); index 0 unused.
+
+    The terms of each n are added over ascending d, the order of the per-n
+    divisor lattice in heath_brown_decompose, so float results agree with it
+    bit for bit.
+    """
+    n_max = len(a) - 1
+    out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
+    for d in np.flatnonzero(a[1:]) + 1:
+        out[d::d] += a[d] * b[1 : n_max // d + 1]
+    return out
+
+
+def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
+    """heath_brown_decompose(n, k, x) for every 1 <= n <= n_max at once.
+
+    Index n of the result holds the value at n (index 0 is unused).  The same
+    expansion over whole-range arrays: mu cut at 2 x^(1/k), tau_{j-1} and log,
+    combined by Dirichlet convolutions over ascending d, so every value equals
+    the per-n one exactly.  Memory: a few arrays of n_max + 1 entries; time
+    O(k n_max log n_max).
+    """
+    if not 1 <= k <= 4:
+        raise ValueError("k must be in 1..4 at desk scale")
+    if n_max < 1 or n_max > 2 * x:
+        raise ValueError("requires 1 <= n_max <= 2x")
+    cut = min(n_max, math.floor(2.0 * x ** (1.0 / k)))
+    mu = np.zeros(n_max + 1, dtype=np.int64)
+    mu[1 : cut + 1] = 1
+    for p in sieve_upto(cut).tolist():
+        mu[p : cut + 1 : p] *= -1
+        mu[p * p : cut + 1 : p * p] = 0
+    one = np.ones(n_max + 1, dtype=np.int64)
+    logv = np.zeros(n_max + 1)
+    logv[1:] = np.log(np.arange(1, n_max + 1, dtype=float))
+    tau_prev = np.zeros(n_max + 1, dtype=np.int64)
+    tau_prev[1] = 1  # tau_0, the identity of Dirichlet convolution
+    total = np.zeros(n_max + 1)
+    mu_pow = mu
+    for j in range(1, k + 1):
+        if j > 1:
+            mu_pow = _dirichlet(mu_pow, mu)
+            tau_prev = _dirichlet(tau_prev, one)
+        term = _dirichlet(mu_pow, _dirichlet(logv, tau_prev))
         total += HEATH_BROWN_SIGN * (-1) ** (j - 1) * math.comb(k, j) * term
     return total
 
@@ -287,13 +337,11 @@ def buchstab_terms(
     the dp-term sums over m ~ x/(dp) with the inclusive condition
     P^-(m) >= p.
     """
-    left = s_value(x, d, z2, q1, q2, a)
-    right = s_value(x, d, z1, q1, q2, a)
-    subtracted = [
-        s_value(x, d * p, p, q1, q2, a, inclusive=True)
-        for p in primes_in(math.floor(z1), math.floor(z2))
-    ]
-    return left, right, subtracted
+    terms = [(d, z2, False), (d, z1, False)]
+    terms += [(d * p, p, True) for p in primes_in(math.floor(z1), math.floor(z2))]
+    in_class, coprime, total = s_values(x, terms, q1, q2, a)
+    vals = [SValue(ic, cp, total.phi_q) for ic, cp in zip(in_class.tolist(), coprime.tolist())]
+    return vals[0], vals[1], vals[2:]
 
 
 def verify_buchstab(

@@ -1,7 +1,7 @@
 """Exact prime counting in progressions, S-values, moduli families, scans.
 
 Two range conventions coexist deliberately: pi_ap counts primes p <= x, while
-s_value counts n ~ x/d, i.e. n in (x/d, 2x/d].  Every function documents which
+s_values counts n ~ x/d, i.e. n in (x/d, 2x/d].  Every function documents which
 one it uses.  S-values are exact integer triples (no floating point) so the
 sieve identities downstream can be checked exactly.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,55 +145,92 @@ def pi_ap(x: int, q: int, a: int) -> int:
     return _count_in_classes(x, [(q, a)])[0]
 
 
-def _rough_mask(lo: int, hi: int, z: float, inclusive: bool) -> np.ndarray:
-    """Boolean mask over n in [lo, hi]: P^-(n) > z (or >= z when inclusive)."""
-    lpf = least_prime_factor_table(hi)
-    vals = lpf[lo : hi + 1]
-    return vals >= z if inclusive else vals > z
+# A window is counted by strided slices of the LPF table when it holds at
+# least _WIDE integers and at least _PER_CLASS per residue class mod q (the
+# slices cost one numpy call per class); narrower windows are gathered
+# together and counted per term by bincount.
+_WIDE = 1 << 11
+_PER_CLASS = 64
 
 
-def s_value(
-    x: int,
-    d: int,
-    z: float,
-    q1: int,
-    q2: int,
-    a: int,
-    extra: Callable[[int], bool] | None = None,
-    inclusive: bool = False,
-) -> SValue:
-    """Exact S_d(z) over n ~ x/d, i.e. n in (x/d, 2x/d].
+def s_values(
+    x: int, terms: Sequence[tuple[int, float, bool]], q1: int, q2: int, a: int
+) -> tuple[np.ndarray, np.ndarray, SValue]:
+    """Exact S_d(z) over n ~ x/d for every (d, z, inclusive) term, in one pass.
 
-    Sums, over integers n in the dyadic window with P^-(n) > z (P^-(n) >= z
-    when ``inclusive`` is set, which is how the subtracted terms of an exact
-    Buchstab split arise for prime thresholds z), the signed weight
+    Each term sums, over the integers n in (x/d, 2x/d] with P^-(n) > z
+    (P^-(n) >= z when ``inclusive`` is set, which is how the subtracted terms
+    of an exact Buchstab split arise for prime thresholds z), the signed weight
 
-        1[d*n = a mod q1*q2] - 1[(d*n, q1*q2) = 1] / phi(q1*q2),
+        1[d*n = a mod q1*q2] - 1[(d*n, q1*q2) = 1] / phi(q1*q2).
 
-    returned as an exact integer triple.  ``extra`` further restricts n.
+    Returns (in_class, coprime, total): int64 arrays with one entry per term
+    and their sum as an exact SValue.  The threshold becomes an integer bound
+    on the least prime factor, P^-(n) >= ceil(z) (inclusive) or
+    >= floor(z) + 1 (strict).  A wide window is read as a slice of the shared
+    LPF table, one SEGMENT at a time, and its survivors are histogrammed by
+    n mod q with strided count_nonzero.  The narrow windows are concatenated
+    and gathered in batches of at most SEGMENT integers; in each batch the
+    survivors with d*n = a mod q, and those with d*n a unit mod q, are counted
+    per term by bincount.  Memory: the LPF table, grown to the largest window
+    end (8 bytes per entry), plus O(SEGMENT) per batch and O(q + len(terms)).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     q = q1 * q2
     if q < 1:
         raise ValueError("moduli must be >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
-    phi_q = euler_phi(q)
-    lo = x // d + 1
-    hi = (2 * x) // d
-    if hi < lo:
-        return SValue.zero(phi_q)
-    mask = _rough_mask(lo, hi, z, inclusive)
-    ns = np.arange(lo, hi + 1)[mask]
-    if extra is not None:
-        ns = np.array([n for n in ns if extra(int(n))], dtype=np.int64)
-    if len(ns) == 0:
-        return SValue.zero(phi_q)
-    dn = d * ns
-    in_class = int(np.count_nonzero(dn % q == a % q))
-    coprime = int(np.count_nonzero(np.gcd(dn, q) == 1))
-    return SValue(in_class, coprime, phi_q)
+    a %= q
+    residues = np.arange(q)
+    unit = np.gcd(residues, q) == 1
+    in_class = np.zeros(len(terms), dtype=np.int64)
+    coprime = np.zeros(len(terms), dtype=np.int64)
+    wide, narrow = [], []  # (term index, d, lo, hi, least allowed P^-(n))
+    top = 0
+    for i, (d, z, inclusive) in enumerate(terms):
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        lo, hi = x // d + 1, (2 * x) // d
+        if hi >= lo:
+            bound = math.ceil(z) if inclusive else math.floor(z) + 1
+            is_wide = hi - lo + 1 >= max(_WIDE, _PER_CLASS * q)
+            (wide if is_wide else narrow).append((i, d, lo, hi, bound))
+            top = max(top, hi)
+    lpf = least_prime_factor_table(top)
+    for i, d, lo, hi, bound in wide:
+        by_n = np.zeros(q, dtype=np.int64)  # survivors by n mod q
+        for k in range(lo, hi + 1, SEGMENT):
+            rough = lpf[k : min(k + SEGMENT, hi + 1)] >= bound
+            for j in range(q):
+                by_n[(k + j) % q] += np.count_nonzero(rough[j::q])
+        dn = d * residues % q
+        in_class[i] = by_n[dn == a].sum()
+        coprime[i] = by_n[unit[dn]].sum()
+    if narrow:
+        idx, ds, los, his, bounds = (np.array(col, dtype=np.int64) for col in zip(*narrow))
+        widths = his - los + 1
+        ends = np.cumsum(widths)  # window t holds positions [ends[t] - widths[t], ends[t])
+        shift = los - (ends - widths)  # n = shift[t] + position
+        for s in range(0, int(ends[-1]), SEGMENT):
+            e = min(s + SEGMENT, int(ends[-1]))
+            first, last = np.searchsorted(ends, [s, e - 1], side="right")
+            ts = np.arange(first, last + 1)
+            t = np.repeat(ts, np.minimum(ends[ts], e) - np.maximum(ends[ts] - widths[ts], s))
+            n = shift[t] + np.arange(s, e)
+            keep = lpf[n] >= bounds[t]
+            t = t[keep]
+            dn = ds[t] * n[keep] % q
+            in_class[idx] += np.bincount(t[dn == a], minlength=len(idx))
+            coprime[idx] += np.bincount(t[unit[dn]], minlength=len(idx))
+    total = SValue(int(in_class.sum()), int(coprime.sum()), euler_phi(q))
+    return in_class, coprime, total
+
+
+def s_value(
+    x: int, d: int, z: float, q1: int, q2: int, a: int, inclusive: bool = False
+) -> SValue:
+    """Exact S_d(z) over n ~ x/d, i.e. n in (x/d, 2x/d]: s_values with one term."""
+    return s_values(x, [(d, z, inclusive)], q1, q2, a)[2]
 
 
 def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyRecord]]:

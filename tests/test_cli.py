@@ -102,6 +102,8 @@ class TestExitCodes:
             (["sieve", "--lo", "-5", "--hi", "1"], "--lo"),
             (["sieve", "--lo", "-5", "--hi", "10"], "--lo"),
             (["moduli-set", "--kind", "divisor-window", "--x", "-100"], "--x"),
+            (["verify", "heathbrown", "--n-max", "-5"], "--n-max"),
+            (["verify", "heathbrown", "--n-max", "0"], "--n-max"),
         ],
     )
     def test_bad_sieve_identity_input_is_2(self, args, flag, tmp_path, capsys):
@@ -208,6 +210,15 @@ class TestSizeCaps:
              "x^(1/2+delta) must be <= 1000000,"),
             (["moduli-set", "--kind", "box", "--x", "1000", "--q1", "100000", "--q2", "100000"],
              "--q1 times --q2 must be <= 1000000,"),
+            (["verify", "fundlemma", "--n-max", "10000000000"], "--n-max must be <= 10000000,"),
+            (["verify", "reduction", "--n-max", "10000000000"], "--n-max must be <= 10000000,"),
+            (["verify", "reduction", "--n-max", "10000001"], "--n-max must be <= 10000000,"),
+            (["verify", "buchstab", "--x", "100000000000"], "--x must be <= 10000000,"),
+            (["decomp", "--x", "10000001", "--z1", "2", "--z2", "3", "--z3", "4"],
+             "--x must be <= 10000000,"),
+            (["verify", "heathbrown", "--n-max", "100001"], "--n-max must be <= 100000,"),
+            (["decomp", "--x", "1000", "--q1", "1000", "--q2", "1001"],
+             "--q1 times --q2 must be <= 1000000,"),
         ],
     )
     def test_over_cap_is_2(self, args, msg, tmp_path, capsys):
@@ -225,6 +236,8 @@ class TestSizeCaps:
             ["sieve", "--lo", str(10**12 - 1000), "--hi", str(10**12)],
             ["expsum", "ramanujan", "--q", "1000000", "--n", "3"],
             ["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "1", "--qhi", "1000001"],
+            ["verify", "buchstab", "--x", "10000000", "--trials", "2"],
+            ["decomp", "--x", "1000", "--q1", "1000", "--q2", "1000"],
         ],
     )
     def test_at_cap_is_accepted(self, args, tmp_path):
@@ -271,6 +284,30 @@ class TestSizeCaps:
         assert proc.returncode == 0, proc.stderr
         rows = strip_comments(path.read_text()).splitlines()
         assert rows[1] == "0,100000000,5761455,2,99999989"
+
+    def test_sieve_identity_memory_bound(self, tmp_path):
+        # decomp at the --x cap reads a 160 MB LPF table (2x entries) and
+        # fits under this limit; ten times the cap would need 1.6 GB, and is
+        # refused before any allocation
+        limit = 512 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        procs = [
+            subprocess.run(
+                [sys.executable, "-m", "apmod.cli", "decomp", "--x", x, "--z1", "2", "--z2", "3",
+                 "--z3", "4"],
+                capture_output=True,
+                text=True,
+                env=env,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+            for x in ("10000000", "100000000")
+        ]
+        assert procs[0].returncode == 0, procs[0].stderr
+        assert strip_comments(procs[0].stdout).splitlines()[-1] == "exact,True"
+        assert procs[1].returncode == 2
+        assert procs[1].stderr == (
+            "apmod: parameter error: --x must be <= 10000000, got 100000000\n"
+        )
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from apmod.constants import (
@@ -6,6 +8,7 @@ from apmod.constants import (
     HARMAN_X1E4_ROOT_TRIPLE,
 )
 from apmod.harman import dump_tree, harman_tree
+from apmod.primes import primes_in
 
 
 def spec_params(x=10**4):
@@ -70,6 +73,39 @@ class TestHarmanTree:
             f for f in rep.flags if f.name.endswith("-terminal")
         ]
         assert all(f.ok for f in term_checks)
+
+    def test_terminal_flags_count_cofactors(self):
+        # at x = 100 with these thresholds the windows of the three- and
+        # four-prime terminals hold m = 1, composite cofactors and a prime
+        # cofactor equal to its threshold; each is counted per m here
+        x, z1, z2, z3 = 100, 1.0, 20.0, 28.0
+        _, rep = harman_tree(x, z1, z2, z3, 1, 1, 0, epsilon=1.0)
+        ps = primes_in(1, 20)
+
+        def classes(d, z):
+            nonprime = at = 0
+            for m in range(x // d + 1, 2 * x // d + 1):
+                lpf = next((f for f in range(2, m + 1) if m % f == 0), math.inf)
+                if lpf >= z:
+                    if lpf == m:
+                        at += m == z
+                    else:
+                        nonprime += 1
+            return nonprime, at
+
+        g1d = [(p, r) for p in ps for r in ps if r < p and p * r > z3 and r > x**0.25]
+        g1c = [(p, r) for p in ps for r in ps if r < p and p * r > z3 and r <= x**0.25]
+        g3c = [(p, r, s) for p, r in g1c for s in ps if s < r]
+        three = [classes(p * r, r) for p, r in g1d]
+        four = [classes(p * r * s, s) for p, r, s in g3c]
+        np3, at3 = sum(c[0] for c in three), sum(c[1] for c in three)
+        np4 = sum(c[0] for c in four)
+        assert np3 and at3 and np4  # every class is populated
+        flags = {f.name: f.detail for f in rep.flags}
+        assert flags["three-prime-terminal"].endswith(
+            f"nonprime_cofactors={np3} at_threshold={at3}"
+        )
+        assert flags["four-prime-terminal"].endswith(f"nonprime_cofactors={np4}")
 
     def test_degenerate_z1_equals_z2(self):
         x = 2000

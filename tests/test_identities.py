@@ -8,6 +8,7 @@ from apmod.identities import (
     buchstab_terms,
     fundamental_lemma_weights,
     heath_brown_decompose,
+    heath_brown_range,
     random_buchstab_configs,
     reduction_sequences,
     verify_buchstab,
@@ -52,6 +53,29 @@ class TestHeathBrown:
                 v = heath_brown_decompose(n, k, 1500)
                 lam = von_mangoldt(n)
                 assert abs(v - lam) <= 1e-6 * (1 + lam), (n, k)
+
+
+class TestHeathBrownRange:
+    """The whole-range expansion against the per-n divisor lattice."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("x", [600, 1000])
+    def test_equals_per_n(self, k, x):
+        # the same float operations in the same order: equal, not close
+        values = heath_brown_range(600, k, x)
+        assert values.tolist()[1:] == [heath_brown_decompose(n, k, x) for n in range(1, 601)]
+
+    def test_reaches_2x(self):
+        values = heath_brown_range(200, 3, 100)
+        assert values[200] == heath_brown_decompose(200, 3, 100)
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            heath_brown_range(201, 2, 100)
+        with pytest.raises(ValueError):
+            heath_brown_range(0, 2, 100)
+        with pytest.raises(ValueError):
+            heath_brown_range(10, 5, 100)
 
 
 class TestFundamentalLemma:

@@ -24,8 +24,10 @@ from apmod.progressions import (
     exceptional_fraction,
     pi_ap,
     s_value,
+    s_values,
 )
 from apmod.rng import SplitMix64
+from test_primes import TRIAL_LPF
 
 
 class TestPiAp:
@@ -72,21 +74,26 @@ class TestSValue:
             s_value(20, 1, 2, 6, 1, 3)
 
     def test_partition_additivity(self):
-        # splitting the n-range via an extra predicate is exactly additive
+        # a kernel call over a term list equals the sum over its two halves
+        # and the sum of one-term calls
         rng = SplitMix64(9)
         for _ in range(25):
             x = rng.in_range(50, 2000)
-            d = rng.in_range(1, 3)
-            z = 1.5 + rng.unit() * 10
             q1, q2 = rng.in_range(1, 6), rng.in_range(1, 5)
             a = next(
                 v for v in range(q1 * q2) if math.gcd(v, q1 * q2) == 1
             ) if q1 * q2 > 1 else 0
-            cut = rng.in_range(1, 4000)
-            whole = s_value(x, d, z, q1, q2, a)
-            low = s_value(x, d, z, q1, q2, a, extra=lambda n: n <= cut)
-            high = s_value(x, d, z, q1, q2, a, extra=lambda n: n > cut)
-            assert (low + high).triple() == whole.triple()
+            terms = [
+                (rng.in_range(1, 60), 1.5 + rng.unit() * 10, rng.below(2) == 1)
+                for _ in range(rng.in_range(0, 12))
+            ]
+            cut = rng.in_range(0, len(terms))
+            whole = s_values(x, terms, q1, q2, a)[2]
+            halves = s_values(x, terms[:cut], q1, q2, a)[2] + s_values(x, terms[cut:], q1, q2, a)[2]
+            singles = SValue.zero(euler_phi(q1 * q2))
+            for d, z, inclusive in terms:
+                singles = singles + s_value(x, d, z, q1, q2, a, inclusive=inclusive)
+            assert whole.triple() == halves.triple() == singles.triple()
 
     def test_addition_requires_same_modulus(self):
         with pytest.raises(ValueError):
@@ -106,6 +113,82 @@ class TestSValue:
             # with rough cofactor fall in range
             strict = s_value(x, d, p, 3, 1, 1)
             assert inc.in_class >= strict.in_class
+
+
+def _brute_s(x, d, z, inclusive, q, a):
+    """(in_class, coprime) of S_d(z) by a per-n loop over the trial-division LPF."""
+    in_class = coprime = 0
+    for n in range(x // d + 1, 2 * x // d + 1):
+        p = int(TRIAL_LPF[n])
+        if p >= z if inclusive else p > z:
+            in_class += d * n % q == a % q
+            coprime += math.gcd(d * n, q) == 1
+    return in_class, coprime
+
+
+class TestSValuesOracle:
+    """s_values against _brute_s, per term."""
+
+    def check(self, x, terms, q1, q2, a):
+        in_class, coprime, total = s_values(x, terms, q1, q2, a)
+        want = [_brute_s(x, d, z, inc, q1 * q2, a) for d, z, inc in terms]
+        assert list(zip(in_class.tolist(), coprime.tolist())) == want
+        assert total.triple() == (
+            sum(w[0] for w in want), sum(w[1] for w in want), euler_phi(q1 * q2)
+        )
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_integer_thresholds(self, inclusive):
+        # P^- >= z against P^- > z at integer z, prime and composite
+        for z in (2, 3, 4, 5, 6, 7, 11, 12.0):
+            self.check(3000, [(d, z, inclusive) for d in (1, 2, 3, 7, 40)], 5, 2, 3)
+
+    def test_windows_holding_one(self):
+        # d in (x, 2x] leaves the window {1}, and P^-(1) is +infinity
+        x = 500
+        self.check(x, [(d, z, inc) for d in (x + 1, 2 * x - 1, 2 * x) for z in (2, 1e9)
+                       for inc in (False, True)], 3, 1, 2)
+
+    def test_empty_windows_and_unit_modulus(self):
+        x = 400
+        self.check(x, [(2 * x + 1, 2, False), (10**6, 3, True)], 3, 1, 1)
+        self.check(x, [(1, 5, False), (3, 7, True), (2 * x + 5, 2, False)], 1, 1, 0)
+        assert s_values(x, [], 4, 3, 5)[2].triple() == (0, 0, 4)
+
+    @pytest.mark.parametrize("width_offset", [-1, 0, 1])
+    @pytest.mark.parametrize("q1, q2, a", [(3, 1, 2), (12, 8, 35)])
+    def test_wide_cutoff_seam(self, width_offset, q1, q2, a):
+        # the window (x, 2x] holds x integers; the cutoff is set by _WIDE at
+        # q = 3 and by _PER_CLASS at q = 96
+        progs = apmod.progressions
+        x = max(progs._WIDE, progs._PER_CLASS * q1 * q2) + width_offset
+        self.check(x, [(1, 3, False), (1, 5, True), (2, 7, False)], q1, q2, a)
+
+    def test_batches_cross_segment(self):
+        # 600 windows of width 2000 overrun one SEGMENT batch, and one window
+        # straddles the seam
+        x = 10_000
+        terms = [(5, z, inc) for z, inc in ((3, False), (7, True), (2.5, True))] * 200
+        assert 600 * (2 * x // 5 - x // 5) > SEGMENT
+        self.check(x, terms, 7, 1, 3)
+
+    def test_small_segment_batches(self, monkeypatch):
+        # with a tiny SEGMENT, wide windows are read in many chunks and
+        # narrow ones in many batches, most of them cutting a window
+        monkeypatch.setattr(apmod.progressions, "SEGMENT", 97)
+        monkeypatch.setattr(apmod.progressions, "_WIDE", 300)
+        monkeypatch.setattr(apmod.progressions, "_PER_CLASS", 2)
+        rng = SplitMix64(17)
+        for _ in range(20):
+            x = rng.in_range(1, 5000)
+            q1, q2 = rng.in_range(1, 9), rng.in_range(1, 4)
+            a = next(v for v in range(q1 * q2) if math.gcd(v, q1 * q2) == 1) if q1 * q2 > 1 else 0
+            terms = [
+                ((2 * x + 2) // rng.in_range(1, 2 * x + 2), rng.in_range(1, 14) / 2,
+                 rng.below(2) == 1)
+                for _ in range(rng.in_range(0, 15))
+            ]
+            self.check(x, terms, q1, q2, a)
 
 
 class TestBvAggregate:
