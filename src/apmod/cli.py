@@ -123,17 +123,14 @@ def _at_most(label: str, value, hi) -> None:
 # and fsum sum phi(q)^2 phases, 16 s at q = 1e5; the sieve identities read
 # the shared LPF table, 8 * (limit + 1) bytes: verify fundlemma|reduction
 # take limit = --n-max <= 1e7 (80 MB), verify buchstab and decomp take
-# limit = 2x with --x <= 1e7 (160 MB), and decomp --q1 times --q2 <= 1e6
-# keeps the O(q) residue tables of its S-value passes near 20 MB; verify
-# heathbrown holds a few arrays of --n-max + 1 entries, and --n-max <= 1e5
-# keeps it at 3.6 s and 48 MB.
+# limit = 2x with --x <= 1e7 (160 MB); verify heathbrown holds a few arrays
+# of --n-max + 1 entries, and --n-max <= 1e5 keeps it at 3.6 s and 48 MB.
 SIEVE_HI_MAX = 10**12
 SIEVE_WIDTH_MAX = 10**8
 BV_X_MAX = 2 * 10**9
 BV_Q_WIDTH_MAX = 10**5
 FAMILY_MAX = 10**6
 LPF_LIMIT_MAX = 10**7
-DECOMP_Q_MAX = 10**6
 HEATHBROWN_N_MAX = 10**5
 EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 10**5}
 
@@ -351,7 +348,6 @@ def cmd_verify(args, out: Output) -> int:
 def cmd_decomp(args, out: Output) -> int:
     _at_least(args, "x", 1)
     _at_most("--x", args.x, LPF_LIMIT_MAX)
-    _at_most("--q1 times --q2", args.q1 * args.q2, DECOMP_Q_MAX)
     if args.z1 is None:
         args.z1 = args.x ** (1 / 7)
     if args.z2 is None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import euler_phi, mobius
+from .arith import P_MINUS_ONE_SENTINEL, euler_phi, mobius
 from .primes import SEGMENT, least_prime_factor_table, pi, prime_bitmap
 
 
@@ -145,12 +145,27 @@ def pi_ap(x: int, q: int, a: int) -> int:
     return _count_in_classes(x, [(q, a)])[0]
 
 
-# A window is counted by strided slices of the LPF table when it holds at
-# least _WIDE integers and at least _PER_CLASS per residue class mod q (the
-# slices cost one numpy call per class); narrower windows are gathered
-# together and counted per term by bincount.
-_WIDE = 1 << 11
-_PER_CLASS = 64
+def _least_lpf(z: float, inclusive: bool) -> int | None:
+    """Least P^-(n) that P^-(n) > z (>= z when inclusive) admits, or None.
+
+    An integer bound, ceil(z) (inclusive) or floor(z) + 1 (strict), raised to
+    0; None when it passes the P^-(1) sentinel, the largest LPF-table entry,
+    so no n qualifies (z = +inf or nan too, as their float comparisons say).
+    """
+    if not z < math.inf:
+        return None
+    z = max(z, 0.0)
+    bound = math.ceil(z) if inclusive else math.floor(z) + 1
+    return bound if bound <= P_MINUS_ONE_SENTINEL else None
+
+
+# A window goes to the strided path when each SEGMENT chunk of it holds at
+# least _WIDE + _PER_CLASS * q integers.  A strided chunk costs about 10 us
+# plus 1.3 us per residue class (one count_nonzero each), a gathered integer
+# 25 to 40 ns; the measured crossover width runs from about 700 at q = 1 to
+# 4e3 at q = 60 and 3e4 to 6e4 at q = 1000 (2 vCPUs, Intel Xeon).
+_WIDE = 1 << 10
+_PER_CLASS = 48
 
 
 def s_values(
@@ -166,14 +181,16 @@ def s_values(
 
     Returns (in_class, coprime, total): int64 arrays with one entry per term
     and their sum as an exact SValue.  The threshold becomes an integer bound
-    on the least prime factor, P^-(n) >= ceil(z) (inclusive) or
-    >= floor(z) + 1 (strict).  A wide window is read as a slice of the shared
-    LPF table, one SEGMENT at a time, and its survivors are histogrammed by
-    n mod q with strided count_nonzero.  The narrow windows are concatenated
-    and gathered in batches of at most SEGMENT integers; in each batch the
-    survivors with d*n = a mod q, and those with d*n a unit mod q, are counted
-    per term by bincount.  Memory: the LPF table, grown to the largest window
-    end (8 bytes per entry), plus O(SEGMENT) per batch and O(q + len(terms)).
+    on the least prime factor (see _least_lpf).  A wide window is read as
+    slices of the shared LPF table, one SEGMENT at a time, and its survivors
+    are histogrammed by n mod q with strided count_nonzero.  The narrow
+    windows are concatenated and gathered in batches of at most SEGMENT
+    integers; in each batch the survivors with d*n = a mod q, and those with
+    (d*n, q) = 1, are counted per term by bincount.  Memory: the LPF table,
+    grown to the largest window end (8 bytes per entry), plus O(SEGMENT) per
+    chunk or batch and O(len(terms)); the residue tables of the strided path
+    hold q < SEGMENT / _PER_CLASS entries, and are built only when a window
+    takes that path.
     """
     q = q1 * q2
     if q < 1:
@@ -181,8 +198,6 @@ def s_values(
     if math.gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
     a %= q
-    residues = np.arange(q)
-    unit = np.gcd(residues, q) == 1
     in_class = np.zeros(len(terms), dtype=np.int64)
     coprime = np.zeros(len(terms), dtype=np.int64)
     wide, narrow = [], []  # (term index, d, lo, hi, least allowed P^-(n))
@@ -191,12 +206,15 @@ def s_values(
         if d < 1:
             raise ValueError("d must be >= 1")
         lo, hi = x // d + 1, (2 * x) // d
-        if hi >= lo:
-            bound = math.ceil(z) if inclusive else math.floor(z) + 1
-            is_wide = hi - lo + 1 >= max(_WIDE, _PER_CLASS * q)
+        bound = _least_lpf(z, inclusive)
+        if hi >= lo and bound is not None:
+            is_wide = min(hi - lo + 1, SEGMENT) >= _WIDE + _PER_CLASS * q
             (wide if is_wide else narrow).append((i, d, lo, hi, bound))
             top = max(top, hi)
     lpf = least_prime_factor_table(top)
+    if wide:
+        residues = np.arange(q)
+        unit = np.gcd(residues, q) == 1
     for i, d, lo, hi, bound in wide:
         by_n = np.zeros(q, dtype=np.int64)  # survivors by n mod q
         for k in range(lo, hi + 1, SEGMENT):
@@ -219,9 +237,9 @@ def s_values(
             n = shift[t] + np.arange(s, e)
             keep = lpf[n] >= bounds[t]
             t = t[keep]
-            dn = ds[t] * n[keep] % q
+            dn = ds[t] * n[keep] % q  # d*n <= 2x
             in_class[idx] += np.bincount(t[dn == a], minlength=len(idx))
-            coprime[idx] += np.bincount(t[unit[dn]], minlength=len(idx))
+            coprime[idx] += np.bincount(t[np.gcd(dn, q) == 1], minlength=len(idx))
     total = SValue(int(in_class.sum()), int(coprime.sum()), euler_phi(q))
     return in_class, coprime, total
 

@@ -217,8 +217,6 @@ class TestSizeCaps:
             (["decomp", "--x", "10000001", "--z1", "2", "--z2", "3", "--z3", "4"],
              "--x must be <= 10000000,"),
             (["verify", "heathbrown", "--n-max", "100001"], "--n-max must be <= 100000,"),
-            (["decomp", "--x", "1000", "--q1", "1000", "--q2", "1001"],
-             "--q1 times --q2 must be <= 1000000,"),
         ],
     )
     def test_over_cap_is_2(self, args, msg, tmp_path, capsys):
@@ -237,7 +235,6 @@ class TestSizeCaps:
             ["expsum", "ramanujan", "--q", "1000000", "--n", "3"],
             ["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "1", "--qhi", "1000001"],
             ["verify", "buchstab", "--x", "10000000", "--trials", "2"],
-            ["decomp", "--x", "1000", "--q1", "1000", "--q2", "1000"],
         ],
     )
     def test_at_cap_is_accepted(self, args, tmp_path):
@@ -308,6 +305,22 @@ class TestSizeCaps:
         assert procs[1].stderr == (
             "apmod: parameter error: --x must be <= 10000000, got 100000000\n"
         )
+
+    def test_decomp_modulus_is_uncapped(self):
+        # the S-value kernel holds nothing sized by q on narrow windows, so a
+        # modulus near 1e12 runs in a few MB
+        limit = 512 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "apmod.cli", "decomp", "--x", "1000", "--q1", "1000000",
+             "--q2", "1000001"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert strip_comments(proc.stdout).splitlines()[-1] == "exact,True"
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

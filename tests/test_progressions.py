@@ -155,13 +155,25 @@ class TestSValuesOracle:
         self.check(x, [(1, 5, False), (3, 7, True), (2 * x + 5, 2, False)], 1, 1, 0)
         assert s_values(x, [], 4, 3, 5)[2].triple() == (0, 0, 4)
 
+    def test_thresholds_past_the_table(self):
+        # z = +-inf, nan and z above the P^-(1) sentinel compare as floats do
+        x = 300
+        self.check(x, [(d, z, inc) for d in (1, 7, x + 1)
+                       for z in (math.inf, -math.inf, math.nan, 1e30, -1e30, 2.0**63)
+                       for inc in (False, True)], 5, 1, 2)
+
+    def test_huge_modulus(self):
+        # nothing on the gathered path is sized by q, and no window here is
+        # wide enough for the strided path's q-entry tables
+        self.check(1000, [(1, 3, False), (3, 2, True), (1, 1e9, False)], 10**6, 10**6 + 1, 7)
+
     @pytest.mark.parametrize("width_offset", [-1, 0, 1])
-    @pytest.mark.parametrize("q1, q2, a", [(3, 1, 2), (12, 8, 35)])
+    @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (3, 1, 2), (12, 8, 35)])
     def test_wide_cutoff_seam(self, width_offset, q1, q2, a):
-        # the window (x, 2x] holds x integers; the cutoff is set by _WIDE at
-        # q = 3 and by _PER_CLASS at q = 96
+        # the window (x, 2x] holds x integers, on the strided path from
+        # _WIDE + _PER_CLASS * q on
         progs = apmod.progressions
-        x = max(progs._WIDE, progs._PER_CLASS * q1 * q2) + width_offset
+        x = progs._WIDE + progs._PER_CLASS * q1 * q2 + width_offset
         self.check(x, [(1, 3, False), (1, 5, True), (2, 7, False)], q1, q2, a)
 
     def test_batches_cross_segment(self):
@@ -174,9 +186,10 @@ class TestSValuesOracle:
 
     def test_small_segment_batches(self, monkeypatch):
         # with a tiny SEGMENT, wide windows are read in many chunks and
-        # narrow ones in many batches, most of them cutting a window
+        # narrow ones in many batches, most of them cutting a window; a
+        # window is wide when a 97-integer chunk holds 20 + 2q of them
         monkeypatch.setattr(apmod.progressions, "SEGMENT", 97)
-        monkeypatch.setattr(apmod.progressions, "_WIDE", 300)
+        monkeypatch.setattr(apmod.progressions, "_WIDE", 20)
         monkeypatch.setattr(apmod.progressions, "_PER_CLASS", 2)
         rng = SplitMix64(17)
         for _ in range(20):
