@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .arith import (  # noqa: F401,E402
     FactoredInt,
     ModFraction,
-    ResidueClass,
     bezout_split,
     coprime_partition,
     divisors,

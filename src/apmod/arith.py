@@ -61,26 +61,6 @@ class FactoredInt:
         return all(e == 1 for _, e in self.factors)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """A residue a modulo q with 0 <= a < q."""
-
-    a: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.a < self.q:
-            raise ValueError(f"residue {self.a} outside [0, {self.q})")
-
-    def contains(self, n: int) -> bool:
-        return n % self.q == self.a
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.a, self.q) == 1
-
-
 def _is_prime_u64(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:

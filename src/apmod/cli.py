@@ -7,11 +7,12 @@ byte-identical CSV after dropping comment lines.  Exit codes: 0 success with
 all assertions passing, 1 assertion failure (witness rows are still emitted),
 2 usage error.
 
-Every subcommand takes --out.  --seed (default 0) exists only where a value
-is drawn: verify buchstab|fsum|weil|partition and dispersion-demo.  --tol
-exists only where a verdict compares against one: verify fsum (default
-1e-6*q^2 per modulus q) and dispersion-demo (default 1e-9).  Values reach a
-subcommand through argparse alone.
+``COMMANDS`` is the whole surface: one row per subcommand with its help, its
+handler and its flags, each flag with its type, default, help and accepted
+range, which ``--help`` prints.  ``main`` builds the parser of the chosen
+subcommand only, and checks every numeric flag against its range before the
+handler runs, so a value outside it (NaN included) exits 2 with one line.
+Bounds worked out from two flags stay in the handlers.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .arith import (
     bezout_split,
@@ -31,10 +34,13 @@ from .arith import (
     euler_phi,
     random_coprime_pairs,
 )
-from .buchstab import buchstab_omega
+from .buchstab import U_MAX, buchstab_omega
 from .completion import PSI0, completed_ap_sum, completed_inverse_sum, coprime_smooth_sum
 from .dispersion import dispersion_expand, fixed_seed_instances
 from .expsums import (
+    DELIGNE_P_MAX,
+    F_Q_MAX,
+    WEIL_C_MAX,
     FSumKey,
     deligne_check,
     f_property_check,
@@ -54,12 +60,7 @@ from .identities import (
     verify_buchstab,
 )
 from .primes import least_prime_factor_table, pi, prime_segments, von_mangoldt
-from .progressions import (
-    bifactor_box_family,
-    bv_aggregate,
-    divisor_window_family,
-    dyadic_family,
-)
+from .progressions import bifactor_box_family, bv_aggregate, divisor_window_family, dyadic_family
 
 
 def _fmt(v) -> str:
@@ -97,42 +98,144 @@ class Output:
             self.fh.close()
 
 
-def _at_least(args, name: str, lo) -> None:
-    """Reject --name below lo with a parameter error that names the flag."""
-    value = getattr(args, name)
-    if value < lo:
-        raise ValueError(f"--{name.replace('_', '-')} must be >= {lo}, got {value}")
-
-
 def _at_most(label: str, value, hi) -> None:
-    """Reject a flag, or a size worked out from flags, above hi; the error names it."""
+    """Reject a size worked out from flags above hi; the error names it."""
     if value > hi:
         raise ValueError(f"{label} must be <= {hi}, got {value}")
 
 
-# Size caps, each keeping one run within a stated memory (or time) bound:
-# sieve: hi <= 1e12 keeps the base primes (<= sqrt(hi)) under 1 MB, and
-# hi - lo <= 1e8 bounds --list, which holds the primes (83 MB peak at
-# [0, 1e8]; the summary alone reads one segment at a time, 36 MB);
-# bv-scan: x <= 2e9 keeps the cached prime bitmap at x/16 <= 125 MB (94 MB
-# peak at x = 1e9), and qhi - qlo <= 1e5 moduli keeps one record per modulus
-# at 85 MB and 5 s (1e6 moduli take 562 MB and 142 s); moduli-set: each
-# family (dyadic qhi - qlo, divisor-window x^(1/2+delta), box q1 * q2) is
-# capped at 1e6 moduli, 68, 80 and 159 MB peak at the cap; expsum:
-# ramanujan and kloosterman build O(q) arrays, 85 MB at q = 1e6, and kl3
-# and fsum sum phi(q)^2 phases, 16 s at q = 1e5; the sieve identities read
-# the shared LPF table, 8 * (limit + 1) bytes: verify fundlemma|reduction
-# take limit = --n-max <= 1e7 (80 MB), verify buchstab and decomp take
-# limit = 2x with --x <= 1e7 (160 MB); verify heathbrown holds a few arrays
-# of --n-max + 1 entries, and --n-max <= 1e5 keeps it at 3.6 s and 48 MB.
-SIEVE_HI_MAX = 10**12
-SIEVE_WIDTH_MAX = 10**8
-BV_X_MAX = 2 * 10**9
-BV_Q_WIDTH_MAX = 10**5
-FAMILY_MAX = 10**6
+REQUIRED = ...  # a flag default: the flag must be given
+INF = math.inf
+SEED = ("--seed", int, 0, "deterministic sampling seed")
+TOLERANCE = (0, sys.float_info.max)  # finite; 0 demands an exact match
+# The sieve identities read the shared LPF table, 8 * (limit + 1) bytes:
+# limit = --n-max <= 1e7 is 80 MB, limit = 2 * --x <= 2e7 is 160 MB.
 LPF_LIMIT_MAX = 10**7
-HEATHBROWN_N_MAX = 10**5
-EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 10**5}
+N_MAX = ("--n-max", int, 10**5, "exhaustive bound on n", (1, LPF_LIMIT_MAX))
+Q_ARRAYS = ("--q", int, REQUIRED, "modulus", (-INF, 10**6))  # O(q) arrays: 85 MB at the cap
+Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))  # phi(q)^2 phases: 16 s at the cap
+# each moduli-set family (dyadic qhi - qlo, divisor-window x^(1/2+delta),
+# box q1 * q2) peaks at 68, 80 and 159 MB at this many moduli
+FAMILY_MAX = 10**6
+
+GROUPS = {"expsum": "evaluate one exponential sum", "verify": "run a verification sweep"}
+
+# (subcommand path, help, handler name, flags).  A flag is (name, type,
+# default, help[, (lo, hi)]): type bool is a switch and a tuple of strings
+# lists the choices.  A numeric flag without a range still refuses NaN.
+# Every cost below was measured in one process from interpreter start.
+COMMANDS = [
+    (("sieve",), "primes in a range (lo, hi]", "cmd_sieve", (
+        ("--lo", int, 0, "lower bound, exclusive", (-1, INF)),
+        # keeps the base primes (<= sqrt(hi)) under 1 MB
+        ("--hi", int, REQUIRED, "upper bound, inclusive", (-INF, 10**12)),
+        ("--list", bool, False, "emit one row per prime"),
+    )),
+    (("bv-scan",), "discrepancy scan over a modulus range", "cmd_bv_scan", (
+        # norm_delta divides by pi(x); the cached prime bitmap takes x/16
+        # bytes, 125 MB at the cap (94 MB peak at x = 1e9)
+        ("--x", int, REQUIRED, "count primes up to x", (2, 2 * 10**9)),
+        ("--qlo", int, REQUIRED, "lowest modulus"),
+        ("--qhi", int, REQUIRED, "highest modulus"),
+        ("--a", int, 1, "residue class"),
+    )),
+    (("moduli-set",), "realize a moduli family", "cmd_moduli_set", (
+        ("--kind", ("box", "divisor-window", "dyadic"), REQUIRED, "family to realize"),
+        ("--x", int, REQUIRED, "scale parameter x", (0, INF)),
+        ("--a", int, 1, "residue class"),
+        ("--q1", int, 10, "box kind: largest q1"),
+        ("--q2", int, 10, "box kind: largest q2"),
+        ("--delta", float, 0.01, "divisor-window exponent delta"),
+        ("--eta", float, 0.01, "divisor-window exponent eta"),
+        ("--qlo", int, 100, "dyadic kind: lowest modulus"),
+        ("--qhi", int, 200, "dyadic kind: highest modulus"),
+    )),
+    (("expsum", "ramanujan"), "Ramanujan sum c_q(n)", "cmd_expsum_ramanujan", (
+        Q_ARRAYS,
+        ("--n", int, REQUIRED, "argument"),
+    )),
+    (("expsum", "kloosterman"), "Kloosterman sum S(m, n; c)", "cmd_expsum_kloosterman", (
+        ("--m", int, REQUIRED, "first argument"),
+        ("--n", int, REQUIRED, "second argument"),
+        Q_ARRAYS,
+    )),
+    (("expsum", "kl3"), "hyper-Kloosterman sum Kl3(a; q)", "cmd_expsum_kl3", (
+        ("--a", int, REQUIRED, "argument"),
+        Q_PAIRS,
+    )),
+    (("expsum", "fsum"), "F-sum F(h1, h2, h3; a; q)", "cmd_expsum_fsum", (
+        *((f"--{h}", int, REQUIRED, "frequency") for h in ("h1", "h2", "h3")),
+        ("--a", int, REQUIRED, "residue"),
+        Q_PAIRS,
+    )),
+    (("expsum", "correlation"), "correlation of two Kl3 twists", "cmd_expsum_correlation", (
+        # two Kl3 values per h <= 5H/2: 1.8 s at the cap, 5.2 s with --s 9973
+        ("--H", float, REQUIRED, "length of the smoothed h-sum", (1, 10**5)),
+        *((f"--{n}", int, REQUIRED, "residue") for n in ("a1", "a2")),
+        *((f"--{n}", int, REQUIRED, "squarefree modulus") for n in ("r1", "r2", "s")),
+    )),
+    (("verify", "buchstab"), "exact Buchstab identity", "cmd_verify_buchstab", (
+        # configurations draw x from [50, --x] and read the LPF table to 2x
+        ("--x", int, 10**5, "max x for configurations", (50, LPF_LIMIT_MAX)),
+        # 1.3 s at the default --x; 27 s and 366 MB at --x 1e7
+        ("--trials", int, 200, "number of seeded configurations", (1, 1000)),
+        SEED,
+    )),
+    (("verify", "heathbrown"), "Heath-Brown identity", "cmd_verify_heathbrown", (
+        # a few arrays of n-max + 1 entries: 3.6 s and 48 MB at the cap
+        ("--n-max", int, 5000, "check every n up to this", (1, 10**5)),
+        ("--verbose", bool, False, "emit one row per n"),
+    )),
+    (("verify", "fundlemma"), "fundamental-lemma weights", "cmd_verify_fundlemma", (N_MAX,)),
+    (("verify", "reduction"), "reduction-sequence identity", "cmd_verify_reduction", (N_MAX,)),
+    (("verify", "fsum"), "the seven F-sum properties", "cmd_verify_fsum", (
+        # property 1 needs a modulus with two prime factors, the first is 6
+        ("--q-max", int, 48, "largest modulus swept", (6, F_Q_MAX)),
+        # 16 s at the cap with the default --q-max
+        ("--trials", int, 200, "h-triples per modulus", (1, 1000)),
+        ("--tol", float, None, "largest deviation; 1e-6*q^2 at modulus q if omitted", TOLERANCE),
+        SEED,
+    )),
+    (("verify", "weil"), "Weil bound for Kloosterman sums", "cmd_verify_weil", (
+        ("--c-max", int, 500, "largest modulus swept", (2, WEIL_C_MAX)),
+        # one list of pairs per modulus; 3.0 s at 500 with the default --c-max
+        ("--trials", int, 50, "(m, n) pairs per modulus", (1, 1000)),
+        SEED,
+    )),
+    (("verify", "deligne"), "Deligne bound for Kl3", "cmd_verify_deligne", (
+        ("--p-max", int, 200, "largest prime modulus swept", (2, DELIGNE_P_MAX)),
+    )),
+    (("verify", "bezout"), "Bezout split for q1, q2 <= 50", "cmd_verify_bezout", ()),
+    (("verify", "partition"), "coprime partition of 500 pairs", "cmd_verify_partition", (SEED,)),
+    (("decomp",), "build and verify the decomposition tree", "cmd_decomp", (
+        ("--x", int, REQUIRED, "dyadic scale: n ~ x", (1, LPF_LIMIT_MAX)),
+        ("--z1", float, None, "first sifting limit; x^(1/7) when omitted", (0, INF)),
+        ("--z2", float, None, "second sifting limit; x^(3/7) when omitted"),
+        ("--z3", float, None, "product-size split; min(x^(4/7), 2*sqrt(2x)) when omitted"),
+        ("--q1", int, 2, "first modulus factor"),
+        ("--q2", int, 1, "second modulus factor"),
+        ("--a", int, 1, "residue class"),
+        ("--epsilon", float, 0.0, "exponent slack of the x^(1+2 epsilon) cuts"),
+    )),
+    (("dispersion-demo",), "dispersion expansion identity on tiny instances",
+     "cmd_dispersion_demo", (
+        # 0.7 ms per instance: 6.7 s and 66 MB at the cap
+        ("--count", int, 10, "number of fixed-seed instances", (1, 10**4)),
+        ("--tol", float, 1e-9, "largest allowed relative error", TOLERANCE),
+        SEED,
+    )),
+    (("completion-demo",), "completion-of-sums reports", "cmd_completion_demo", (
+        ("--M", float, 100.0, "length scale of the smoothed sum"),
+        ("--q", int, 7, "modulus"),
+        ("--a", int, 3, "residue of the progression sum"),
+        ("--d", int, 3, "modulus of the inverse-sum congruence"),
+        ("--n0", int, 1, "residue modulo d"),
+        ("--b", int, 2, "numerator of the inverse phase"),
+        # 4.9 s and 62 MB at the cap; 7.4 s and 102 MB with --M 4e5 --d 3
+        ("--H", int, 100, "dual frequencies kept", (0, 10**5)),
+    )),
+    (("omega",), "Buchstab omega(u)", "cmd_omega", (("--u", float, REQUIRED, "u", (1, U_MAX)),)),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +243,9 @@ EXPSUM_Q_MAX = {"ramanujan": 10**6, "kloosterman": 10**6, "kl3": 10**5, "fsum": 
 
 
 def cmd_sieve(args, out: Output) -> int:
-    _at_least(args, "lo", -1)
-    _at_most("--hi", args.hi, SIEVE_HI_MAX)
-    _at_most("--hi minus --lo", args.hi - args.lo, SIEVE_WIDTH_MAX)
+    # --list holds the primes of (lo, hi]: 83 MB peak at [0, 1e8]; the summary
+    # alone reads one segment at a time (36 MB)
+    _at_most("--hi minus --lo", args.hi - args.lo, 10**8)
     if args.lo > args.hi:
         raise ValueError(f"reversed range ({args.lo}, {args.hi}]")
     segments = prime_segments(args.lo + 1, args.hi)
@@ -166,9 +269,8 @@ def cmd_sieve(args, out: Output) -> int:
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    _at_least(args, "x", 2)  # norm_delta divides by pi(x)
-    _at_most("--x", args.x, BV_X_MAX)
-    _at_most("--qhi minus --qlo", args.qhi - args.qlo, BV_Q_WIDTH_MAX)
+    # one record per modulus: 85 MB and 5 s at x = 1000 (1e6 take 562 MB and 142 s)
+    _at_most("--qhi minus --qlo", args.qhi - args.qlo, 10**5)
     fam = dyadic_family(args.x, args.qlo, args.qhi, args.a)
     total, records = bv_aggregate(args.x, fam)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
@@ -194,7 +296,6 @@ def cmd_moduli_set(args, out: Output) -> int:
         for q1, q2 in fam.pairs:
             out.row(q1, q2, q1 * q2)
     elif args.kind == "divisor-window":
-        _at_least(args, "x", 0)
         _at_most("x^(1/2+delta)", int(args.x ** (0.5 + args.delta)), FAMILY_MAX)
         fam = divisor_window_family(args.x, args.delta, args.eta, args.a)
         lo, hi = fam.params["window"]
@@ -210,154 +311,160 @@ def cmd_moduli_set(args, out: Output) -> int:
     return 0
 
 
-def cmd_expsum(args, out: Output) -> int:
-    if args.which in EXPSUM_Q_MAX:
-        _at_most("--q", args.q, EXPSUM_Q_MAX[args.which])
-    if args.which == "ramanujan":
-        v = ramanujan(args.q, args.n)
-        out.row("kind", "q", "n", "value_re", "value_im")
-        out.row("ramanujan", args.q, args.n, v.real, v.imag)
-    elif args.which == "kloosterman":
-        v = kloosterman(args.m, args.n, args.q)
-        out.row("kind", "m", "n", "c", "value_re", "value_im", "abs")
-        out.row("kloosterman", args.m, args.n, args.q, v.real, v.imag, abs(v))
-    elif args.which == "kl3":
-        v = kl3(args.a, args.q)
-        out.row("kind", "a", "q", "value_re", "value_im", "abs")
-        out.row("kl3", args.a, args.q, v.real, v.imag, abs(v))
-    elif args.which == "fsum":
-        v = f_sum(FSumKey(args.h1, args.h2, args.h3, args.a, args.q))
-        out.row("kind", "h1", "h2", "h3", "a", "q", "value_re", "value_im", "abs")
-        out.row("fsum", args.h1, args.h2, args.h3, args.a, args.q, v.real, v.imag, abs(v))
-    else:  # correlation
-        r = kl3_correlation(args.H, args.a1, args.a2, args.r1, args.r2, args.s)
-        out.row("kind", "H", "a1", "a2", "r1", "r2", "s", "lhs_re", "lhs_im", "rhs_bound", "ratio")
-        out.row(
-            "correlation", args.H, args.a1, args.a2, args.r1, args.r2, args.s,
-            r["lhs"].real, r["lhs"].imag, r["rhs_bound"], r["ratio"],
-        )
+def cmd_expsum_ramanujan(args, out: Output) -> int:
+    v = ramanujan(args.q, args.n)
+    out.row("kind", "q", "n", "value_re", "value_im")
+    out.row("ramanujan", args.q, args.n, v.real, v.imag)
     return 0
 
 
-def cmd_verify(args, out: Output) -> int:
-    which = args.which
+def cmd_expsum_kloosterman(args, out: Output) -> int:
+    v = kloosterman(args.m, args.n, args.q)
+    out.row("kind", "m", "n", "c", "value_re", "value_im", "abs")
+    out.row("kloosterman", args.m, args.n, args.q, v.real, v.imag, abs(v))
+    return 0
+
+
+def cmd_expsum_kl3(args, out: Output) -> int:
+    v = kl3(args.a, args.q)
+    out.row("kind", "a", "q", "value_re", "value_im", "abs")
+    out.row("kl3", args.a, args.q, v.real, v.imag, abs(v))
+    return 0
+
+
+def cmd_expsum_fsum(args, out: Output) -> int:
+    v = f_sum(FSumKey(args.h1, args.h2, args.h3, args.a, args.q))
+    out.row("kind", "h1", "h2", "h3", "a", "q", "value_re", "value_im", "abs")
+    out.row("fsum", args.h1, args.h2, args.h3, args.a, args.q, v.real, v.imag, abs(v))
+    return 0
+
+
+def cmd_expsum_correlation(args, out: Output) -> int:
+    r = kl3_correlation(args.H, args.a1, args.a2, args.r1, args.r2, args.s)
+    out.row("kind", "H", "a1", "a2", "r1", "r2", "s", "lhs_re", "lhs_im", "rhs_bound", "ratio")
+    out.row(
+        "correlation", args.H, args.a1, args.a2, args.r1, args.r2, args.s,
+        r["lhs"].real, r["lhs"].imag, r["rhs_bound"], r["ratio"],
+    )
+    return 0
+
+
+def cmd_verify_buchstab(args, out: Output) -> int:
     failures = 0
-    if which == "buchstab":
-        _at_least(args, "x", 50)  # configurations draw x from [50, --x]
-        _at_most("--x", args.x, LPF_LIMIT_MAX)
-        cfgs = random_buchstab_configs(args.trials, args.x, seed=args.seed)
-        out.row("x", "d", "z1", "z2", "q1", "q2", "a", "ok")
-        for c in cfgs:
-            ok = verify_buchstab(*c)
-            failures += not ok
-            out.row(*c, "pass" if ok else "FAIL")
-    elif which == "heathbrown":
-        _at_least(args, "n_max", 1)
-        _at_most("--n-max", args.n_max, HEATHBROWN_N_MAX)
-        lams = [von_mangoldt(n) for n in range(1, args.n_max + 1)]
-        out.row("n", "k", "value", "lambda", "dev", "ok")
-        for k in (2, 3):
-            values = heath_brown_range(args.n_max, k, args.n_max).tolist()
-            for n, lam in enumerate(lams, start=1):
-                v = values[n]
-                ok = abs(v - lam) <= 1e-6 * (1 + lam)
-                failures += not ok
-                if not ok or args.verbose:
-                    out.row(n, k, v, lam, abs(v - lam), "pass" if ok else "FAIL")
-        out.row("tested", 2 * args.n_max, "", "", "", "pass" if not failures else "FAIL")
-    elif which == "fundlemma":
-        import numpy as np
-
-        _at_least(args, "n_max", 1)
-        _at_most("--n-max", args.n_max, LPF_LIMIT_MAX)
-        out.row("z", "y", "n_max", "rough_equal_one", "sign_property", "ok")
-        lpf = least_prime_factor_table(args.n_max)
-        for z in (10, 20, 30):
-            rough = lpf[1:] > z  # n = 1 .. n_max
-            for y in (100, 1000):
-                w = fundamental_lemma_weights(z, y)
-                sp = w.sums_over_range(args.n_max, "+")[1:]
-                sm = w.sums_over_range(args.n_max, "-")[1:]
-                v1 = not np.any(rough & ((sp != 1) | (sm != 1)))
-                v2 = not np.any(~rough & ((sp < 0) | (sm > 0)))
-                failures += not (v1 and v2)
-                out.row(z, y, args.n_max, v1, v2, "pass" if v1 and v2 else "FAIL")
-    elif which == "reduction":
-        import numpy as np
-
-        _at_least(args, "n_max", 1)
-        _at_most("--n-max", args.n_max, LPF_LIMIT_MAX)
-        out.row("z1", "z2", "y", "n_max", "ok")
-        for (z1, z2, y) in ((30, 5, 100), (20, 3, 50), (50, 7, 1000), (15, 2, 30), (40, 11, 400)):
-            rs = reduction_sequences(z1, z2, y)
-            lhs, rhs = rs.identity_sides(args.n_max)
-            ok = bool(np.array_equal(lhs[1:], rhs[1:]))
-            failures += not ok
-            out.row(z1, z2, y, args.n_max, "pass" if ok else "FAIL")
-    elif which == "fsum":
-        reps = [
-            f_property_check(args.q_max, pid, args.trials, tol=args.tol, seed=args.seed)
-            for pid in range(1, 8)
-        ]
-        out.row("property", "tested", "failures", "max_dev_over_tol", "ok")
-        for pid, rep in enumerate(reps, start=1):
-            failures += len(rep.failures)
-            out.row(pid, rep.tested, len(rep.failures), rep.max_ratio,
-                    "pass" if rep.passed else "FAIL")
-            for w in rep.failures[:10]:
-                out.row("witness", str(w), "", "", "")
-    elif which == "weil":
-        rep = weil_check(args.c_max, args.trials, seed=args.seed)
-        failures += len(rep.failures)
-        out.row("tested", "max_ratio", "witness", "ok")
-        out.row(rep.tested, rep.max_ratio, str(rep.witness), "pass" if rep.passed else "FAIL")
-    elif which == "deligne":
-        rep = deligne_check(args.p_max)
-        failures += len(rep.failures)
-        out.row("tested", "max_ratio", "witness", "ok")
-        out.row(rep.tested, rep.max_ratio, str(rep.witness), "pass" if rep.passed else "FAIL")
-    elif which == "bezout":
-        out.row("q1_max", "checked", "ok")
-        checked = 0
-        ok = True
-        for q1 in range(1, 51):
-            for q2 in range(1, 51):
-                if math.gcd(q1, q2) != 1:
-                    continue
-                for a in range(q1 * q2):
-                    f1, f2 = bezout_split(a, q1, q2)
-                    s = f1.as_fraction() + f2.as_fraction()
-                    if (s - Fraction(a, q1 * q2)) % 1 != 0:
-                        ok = False
-                        failures += 1
-                        out.row("witness", f"a={a} q1={q1} q2={q2}", "FAIL")
-                    checked += 1
-        out.row(50, checked, "pass" if ok else "FAIL")
-    elif which == "partition":
-        pairs = random_coprime_pairs(500, seed=args.seed)
-        classes = coprime_partition(pairs)
-        ok = check_coprime_partition(pairs, classes)
+    out.row("x", "d", "z1", "z2", "q1", "q2", "a", "ok")
+    for c in random_buchstab_configs(args.trials, args.x, seed=args.seed):
+        ok = verify_buchstab(*c)
         failures += not ok
-        out.row("pairs", "classes", "property_ok")
-        out.row(len(pairs), len(classes), "pass" if ok else "FAIL")
-    else:
-        raise ValueError(f"unknown verify target {which}")
+        out.row(*c, "pass" if ok else "FAIL")
     return 1 if failures else 0
 
 
+def cmd_verify_heathbrown(args, out: Output) -> int:
+    failures = 0
+    lams = [von_mangoldt(n) for n in range(1, args.n_max + 1)]
+    out.row("n", "k", "value", "lambda", "dev", "ok")
+    for k in (2, 3):
+        values = heath_brown_range(args.n_max, k, args.n_max).tolist()
+        for n, lam in enumerate(lams, start=1):
+            v = values[n]
+            ok = abs(v - lam) <= 1e-6 * (1 + lam)
+            failures += not ok
+            if not ok or args.verbose:
+                out.row(n, k, v, lam, abs(v - lam), "pass" if ok else "FAIL")
+    out.row("tested", 2 * args.n_max, "", "", "", "pass" if not failures else "FAIL")
+    return 1 if failures else 0
+
+
+def cmd_verify_fundlemma(args, out: Output) -> int:
+    failures = 0
+    out.row("z", "y", "n_max", "rough_equal_one", "sign_property", "ok")
+    lpf = least_prime_factor_table(args.n_max)
+    for z in (10, 20, 30):
+        rough = lpf[1:] > z  # n = 1 .. n_max
+        for y in (100, 1000):
+            w = fundamental_lemma_weights(z, y)
+            sp = w.sums_over_range(args.n_max, "+")[1:]
+            sm = w.sums_over_range(args.n_max, "-")[1:]
+            v1 = not np.any(rough & ((sp != 1) | (sm != 1)))
+            v2 = not np.any(~rough & ((sp < 0) | (sm > 0)))
+            failures += not (v1 and v2)
+            out.row(z, y, args.n_max, v1, v2, "pass" if v1 and v2 else "FAIL")
+    return 1 if failures else 0
+
+
+def cmd_verify_reduction(args, out: Output) -> int:
+    failures = 0
+    out.row("z1", "z2", "y", "n_max", "ok")
+    for (z1, z2, y) in ((30, 5, 100), (20, 3, 50), (50, 7, 1000), (15, 2, 30), (40, 11, 400)):
+        rs = reduction_sequences(z1, z2, y)
+        lhs, rhs = rs.identity_sides(args.n_max)
+        ok = bool(np.array_equal(lhs[1:], rhs[1:]))
+        failures += not ok
+        out.row(z1, z2, y, args.n_max, "pass" if ok else "FAIL")
+    return 1 if failures else 0
+
+
+def cmd_verify_fsum(args, out: Output) -> int:
+    reps = [
+        f_property_check(args.q_max, pid, args.trials, tol=args.tol, seed=args.seed)
+        for pid in range(1, 8)
+    ]
+    out.row("property", "tested", "failures", "max_dev_over_tol", "ok")
+    for pid, rep in enumerate(reps, start=1):
+        out.row(pid, rep.tested, len(rep.failures), rep.max_ratio, "pass" if rep.passed else "FAIL")
+        for w in rep.failures[:10]:
+            out.row("witness", str(w), "", "", "")
+    return 1 if any(rep.failures for rep in reps) else 0
+
+
+def _bound_sweep(rep, out: Output) -> int:
+    out.row("tested", "max_ratio", "witness", "ok")
+    out.row(rep.tested, rep.max_ratio, str(rep.witness), "pass" if rep.passed else "FAIL")
+    return 1 if rep.failures else 0
+
+
+def cmd_verify_weil(args, out: Output) -> int:
+    return _bound_sweep(weil_check(args.c_max, args.trials, seed=args.seed), out)
+
+
+def cmd_verify_deligne(args, out: Output) -> int:
+    return _bound_sweep(deligne_check(args.p_max), out)
+
+
+def cmd_verify_bezout(args, out: Output) -> int:
+    out.row("q1_max", "checked", "ok")
+    checked = failures = 0
+    for q1 in range(1, 51):
+        for q2 in range(1, 51):
+            if math.gcd(q1, q2) != 1:
+                continue
+            for a in range(q1 * q2):
+                f1, f2 = bezout_split(a, q1, q2)
+                s = f1.as_fraction() + f2.as_fraction()
+                if (s - Fraction(a, q1 * q2)) % 1 != 0:
+                    failures += 1
+                    out.row("witness", f"a={a} q1={q1} q2={q2}", "FAIL")
+                checked += 1
+    out.row(50, checked, "pass" if not failures else "FAIL")
+    return 1 if failures else 0
+
+
+def cmd_verify_partition(args, out: Output) -> int:
+    pairs = random_coprime_pairs(500, seed=args.seed)
+    classes = coprime_partition(pairs)
+    ok = check_coprime_partition(pairs, classes)
+    out.row("pairs", "classes", "property_ok")
+    out.row(len(pairs), len(classes), "pass" if ok else "FAIL")
+    return 0 if ok else 1
+
+
 def cmd_decomp(args, out: Output) -> int:
-    _at_least(args, "x", 1)
-    _at_most("--x", args.x, LPF_LIMIT_MAX)
-    if args.z1 is None:
-        args.z1 = args.x ** (1 / 7)
-    if args.z2 is None:
-        args.z2 = args.x ** (3 / 7)
-    if args.z3 is None:
-        args.z3 = args.x ** (4 / 7)
-    _at_least(args, "z1", 0)
-    root, rep = harman_tree(
-        args.x, args.z1, args.z2, args.z3, args.q1, args.q2, args.a, args.epsilon
-    )
+    x = args.x
+    z1 = x ** (1 / 7) if args.z1 is None else args.z1
+    z2 = x ** (3 / 7) if args.z2 is None else args.z2
+    # x^(4/7) passes the tree's 2*sqrt(2x) limit above x = 2^21
+    z3 = min(x ** (4 / 7), 2 * math.sqrt(2 * x)) if args.z3 is None else args.z3
+    root, rep = harman_tree(x, z1, z2, z3, args.q1, args.q2, args.a, args.epsilon)
     out.row("section", "content")
     for line in dump_tree(root).splitlines():
         out.row("tree", line)
@@ -411,171 +518,61 @@ def cmd_omega(args, out: Output) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of every ``COMMANDS`` row whose path starts with ``path``."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    ap = argparse.ArgumentParser(
-        prog="apmod",
-        description="Desk-scale prime-discrepancy, sieve-identity and exponential-sum toolkit",
-        formatter_class=fmt,
-    )
+    ap = argparse.ArgumentParser(prog="apmod", formatter_class=fmt, description=(
+        "Desk-scale prime-discrepancy, sieve-identity and exponential-sum toolkit"))
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    def common(p):
+    def group(prefix):
+        if prefix not in groups:
+            parent = ap if not prefix else group(prefix[:-1]).add_parser(
+                prefix[-1], help=GROUPS[prefix[-1]], formatter_class=fmt)
+            # built for one leaf, a group still names all its choices in usage lines
+            names = dict.fromkeys(r[len(prefix)] for r, *_ in COMMANDS if r[:len(prefix)] == prefix)
+            groups[prefix] = parent.add_subparsers(
+                dest="which" if prefix else "command", required=True,
+                metavar="{" + ",".join(names) + "}" if path else None)
+        return groups[prefix]
+
+    for row in COMMANDS:
+        if row[0][: len(path)] != path:
+            continue
+        p = group(row[0][:-1]).add_parser(row[0][-1], help=row[1], formatter_class=fmt)
+        for name, kind, default, text, *rng in row[3]:
+            if rng:
+                text += f"; range [{rng[0][0]}, {rng[0][1]}]"
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=text)
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(name, type=None if choices else kind, choices=choices, help=text,
+                           default=None if default is REQUIRED else default,
+                           required=default is REQUIRED)
         p.add_argument("--out", default=None, help="CSV output path; stdout when omitted")
-
-    def seed(p):
-        p.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
-
-    p = sub.add_parser(formatter_class=fmt, name="sieve", help="primes in a range (lo, hi]")
-    p.add_argument("--lo", type=int, default=0, help="lower bound, exclusive")
-    p.add_argument("--hi", type=int, required=True, help="upper bound, inclusive")
-    p.add_argument("--list", action="store_true", help="emit one row per prime")
-    common(p)
-    p.set_defaults(fn=cmd_sieve)
-
-    p = sub.add_parser(formatter_class=fmt, name="bv-scan", help="discrepancy scan over a modulus range")
-    p.add_argument("--x", type=int, required=True, help="count primes up to x")
-    p.add_argument("--qlo", type=int, required=True, help="lowest modulus")
-    p.add_argument("--qhi", type=int, required=True, help="highest modulus")
-    p.add_argument("--a", type=int, default=1, help="residue class")
-    common(p)
-    p.set_defaults(fn=cmd_bv_scan)
-
-    p = sub.add_parser(formatter_class=fmt, name="moduli-set", help="realize a moduli family")
-    p.add_argument("--kind", choices=("box", "divisor-window", "dyadic"), required=True)
-    p.add_argument("--x", type=int, required=True, help="scale parameter x")
-    p.add_argument("--a", type=int, default=1, help="residue class (default 1)")
-    p.add_argument("--q1", type=int, default=10, help="box kind: largest q1")
-    p.add_argument("--q2", type=int, default=10, help="box kind: largest q2")
-    p.add_argument("--delta", type=float, default=0.01, help="divisor-window exponent delta")
-    p.add_argument("--eta", type=float, default=0.01, help="divisor-window exponent eta")
-    p.add_argument("--qlo", type=int, default=100, help="dyadic kind: lowest modulus")
-    p.add_argument("--qhi", type=int, default=200, help="dyadic kind: highest modulus")
-    common(p)
-    p.set_defaults(fn=cmd_moduli_set)
-
-    p = sub.add_parser(formatter_class=fmt, name="expsum", help="evaluate one exponential sum")
-    es = p.add_subparsers(dest="which", required=True)
-    q = es.add_parser(formatter_class=fmt, name="ramanujan")
-    q.add_argument("--q", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    common(q)
-    q.set_defaults(fn=cmd_expsum)
-    q = es.add_parser(formatter_class=fmt, name="kloosterman")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--q", type=int, required=True, help="modulus c")
-    common(q)
-    q.set_defaults(fn=cmd_expsum)
-    q = es.add_parser(formatter_class=fmt, name="kl3")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--q", type=int, required=True)
-    common(q)
-    q.set_defaults(fn=cmd_expsum)
-    q = es.add_parser(formatter_class=fmt, name="fsum")
-    for nm in ("h1", "h2", "h3", "a", "q"):
-        q.add_argument(f"--{nm}", type=int, required=True)
-    common(q)
-    q.set_defaults(fn=cmd_expsum)
-    q = es.add_parser(formatter_class=fmt, name="correlation")
-    q.add_argument("--H", type=float, required=True)
-    for nm in ("a1", "a2", "r1", "r2", "s"):
-        q.add_argument(f"--{nm}", type=int, required=True)
-    common(q)
-    q.set_defaults(fn=cmd_expsum)
-
-    p = sub.add_parser(formatter_class=fmt, name="verify", help="run a verification sweep")
-    vs = p.add_subparsers(dest="which", required=True)
-    q = vs.add_parser(formatter_class=fmt, name="buchstab")
-    q.add_argument("--x", type=int, default=10**5, help="max x for configurations")
-    q.add_argument("--trials", type=int, default=200, help="number of seeded configurations")
-    seed(q)
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="heathbrown")
-    q.add_argument("--n-max", type=int, default=5000, help="check every n up to this")
-    q.add_argument("--verbose", action="store_true", help="emit one row per n")
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="fundlemma")
-    q.add_argument("--n-max", type=int, default=10**5, help="exhaustive bound on n")
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="reduction")
-    q.add_argument("--n-max", type=int, default=10**5, help="exhaustive bound on n")
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="fsum")
-    q.add_argument("--q-max", type=int, default=48, help="largest modulus swept")
-    q.add_argument("--trials", type=int, default=200, help="h-triples per modulus")
-    q.add_argument("--tol", type=float, default=None,
-                   help="largest allowed deviation; 1e-6*q^2 for modulus q when omitted")
-    seed(q)
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="weil")
-    q.add_argument("--c-max", type=int, default=500, help="largest modulus swept")
-    q.add_argument("--trials", type=int, default=50, help="(m, n) pairs per modulus")
-    seed(q)
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="deligne")
-    q.add_argument("--p-max", type=int, default=200, help="largest prime modulus swept")
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="bezout")
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-    q = vs.add_parser(formatter_class=fmt, name="partition")
-    seed(q)
-    common(q)
-    q.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser(formatter_class=fmt, name="decomp", help="build and verify the decomposition tree")
-    p.add_argument("--x", type=int, required=True, help="dyadic scale: n ~ x")
-    p.add_argument("--z1", type=float, default=None, help="first sifting limit; x^(1/7) when omitted")
-    p.add_argument("--z2", type=float, default=None, help="second sifting limit; x^(3/7) when omitted")
-    p.add_argument("--z3", type=float, default=None, help="product-size split; x^(4/7) when omitted")
-    p.add_argument("--q1", type=int, default=2)
-    p.add_argument("--q2", type=int, default=1)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    common(p)
-    p.set_defaults(fn=cmd_decomp)
-
-    p = sub.add_parser(formatter_class=fmt, name="dispersion-demo", help="dispersion expansion identity on tiny instances")
-    p.add_argument("--count", type=int, default=10, help="number of fixed-seed instances")
-    p.add_argument("--tol", type=float, default=1e-9, help="largest allowed relative error")
-    seed(p)
-    common(p)
-    p.set_defaults(fn=cmd_dispersion_demo)
-
-    p = sub.add_parser(formatter_class=fmt, name="completion-demo", help="completion-of-sums reports")
-    p.add_argument("--M", type=float, default=100.0, help="length scale of the smoothed sum")
-    p.add_argument("--q", type=int, default=7)
-    p.add_argument("--a", type=int, default=3)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--H", type=int, default=100)
-    common(p)
-    p.set_defaults(fn=cmd_completion_demo)
-
-    p = sub.add_parser(formatter_class=fmt, name="omega", help="Buchstab omega(u)")
-    p.add_argument("--u", type=float, required=True, help="argument in [1, 20]")
-    common(p)
-    p.set_defaults(fn=cmd_omega)
-
+        p.set_defaults(row=row)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    desc = args.command + (f" {args.which}" if getattr(args, "which", None) else "")
-    out = Output(args.out, desc, getattr(args, "seed", 0))
+    argv = sys.argv[1:] if argv is None else argv
+    # --version, a bare apmod, --help above a leaf and unknown names take the
+    # whole table, so argparse's usage and choice errors read as before
+    chosen = next((p for p, *_ in COMMANDS if tuple(argv[: len(p)]) == p), ())
+    args = build_parser(chosen).parse_args(argv)
+    path, _, handler, flags = args.row
+    out = Output(args.out, " ".join(path), getattr(args, "seed", 0))
     try:
-        code = args.fn(args, out)
+        for name, kind, _, _, *rng in flags:
+            lo, hi = rng[0] if rng else (-INF, INF)
+            value = getattr(args, name[2:].replace("-", "_"))
+            if kind in (int, float) and value is not None and not lo <= value <= hi:
+                rule = f">= {lo}" if value < lo else f"<= {hi}" if value > hi else "a number"
+                raise ValueError(f"{name} must be {rule}, got {value}")
+        # looked up per call, so a rebound cmd_* (a tracer, a test) is the one run
+        code = globals()[handler](args, out)
     except (ValueError, OverflowError) as exc:
         # precondition violations surface as usage errors, not tracebacks
         print(f"apmod: parameter error: {exc}", file=sys.stderr)

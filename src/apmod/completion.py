@@ -106,15 +106,6 @@ def psi0_deriv_vec(ts, order: int) -> np.ndarray:
     return out
 
 
-def psi0_deriv(t: float, order: int) -> float:
-    """Analytic derivative of psi0 of order 0..8 (jet arithmetic, no FD)."""
-    if not 0 <= order <= 8:
-        raise ValueError("order must be in 0..8")
-    if order == 0:
-        return psi0_eval(t)
-    return float(psi0_deriv_vec(np.array([t]), order)[0])
-
-
 # ---------------------------------------------------------------------------
 # composite Gauss-Kronrod (G7, K15) quadrature
 
@@ -477,28 +468,6 @@ def completed_inverse_sum(
         H_used=H,
         params={"N": N, "q": q, "d": d, "n0": n0, "b": b},
     )
-
-
-def ramanujan_weil_bound_check(N: float, q: int, b: int) -> dict:
-    """Smoothed inverse-phase sum against its Ramanujan + Weil envelope.
-
-    lhs = sum over (n, q) = 1 of psi0(n/N) e(b inv(n)/q), computed exactly by
-    enumeration and cross-checked against its completed form.  The reference
-    envelope N gcd(b, q)/q + tau(q) sqrt(q) reflects the main-term and
-    dual-sum scales; the ratio is DIAGNOSTIC ONLY (no sharp constant is
-    asserted).
-    """
-    from .arith import tau_k
-
-    H = max(10, math.ceil(4.0 * q / N * math.log(max(N, 3.0)) ** 2)) + 2
-    rep = completed_inverse_sum(PSI0, N, q, 1, 0, b, H)
-    envelope = N * math.gcd(b, q) / q + tau_k(q, 2) * math.sqrt(q)
-    return {
-        "lhs": rep.exact,
-        "completion_error": rep.error,
-        "envelope": envelope,
-        "ratio": abs(rep.exact) / envelope,
-    }
 
 
 def coprime_smooth_sum(f: SmoothBump, M: float, q: int) -> CompletionReport:

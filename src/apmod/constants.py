@@ -23,11 +23,6 @@ BV_MEAN_NORM_ENVELOPE = 0.03
 # x = 10^6.  Same oracle run as above (exact rational total, one float cast).
 BV_DYADIC_100_200_TOTAL_1E6 = 1196.6272172104345
 
-# Barban-Davenport-Halberstam statistic, N = 10^3, Q = 10, unit sequence.
-# Oracle run 2026-08-09: direct double loop over residues in Fractions
-# (exact value 13/6).
-BDH_UNIT_N1000_Q10 = 13.0 / 6.0
-
 # Fraction of q in [512, 1024], (q, 1) = 1, without a divisor in the
 # divisor window at x = 10^6, delta = eta = 0.01.  Oracle run
 # 2026-08-09: direct divisor enumeration (256 of 513).

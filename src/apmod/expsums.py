@@ -67,6 +67,12 @@ def _inv_table(q: int) -> np.ndarray:
 # about 10% for 16x the memory.
 _LEAF = 1 << 14
 
+# The largest sweeps the checks accept: f_property_check's q_max (O(q^2) per
+# value), weil_check's c_max and deligne_check's p_max.
+F_Q_MAX = 200
+WEIL_C_MAX = 2000
+DELIGNE_P_MAX = 500
+
 
 def _pair_phases(q: int, c1: int, c2: int, c3: int):
     """phases(lo, hi): (c1*b1 + c2*b2 + c3*inv(b1*b2)) mod q at flat positions
@@ -368,8 +374,8 @@ def f_property_check(
     """
     if property_id not in range(1, 8):
         raise ValueError("property_id must be in 1..7")
-    if q_max > 200:
-        raise ValueError("q_max above 200 is out of contract (O(q^2) per value)")
+    if q_max > F_Q_MAX:
+        raise ValueError(f"q_max above {F_Q_MAX} is out of contract (O(q^2) per value)")
     tol_of = (lambda q: 1e-6 * q * q) if tol is None else (lambda q: tol)
     report = SweepReport(name=f"f-property-{property_id}", tested=0, seed=seed)
     if property_id == 6:
@@ -406,9 +412,10 @@ def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
     def record(q, h, a, lhs, rhs):
         nonlocal tested, max_ratio
         tested += 1
-        dev = abs(lhs - rhs)
-        max_ratio = max(max_ratio, dev / tol_of(q))
-        if dev > tol_of(q):
+        dev, tol = abs(lhs - rhs), tol_of(q)
+        # tol = 0 demands an exact match: any deviation is infinitely over it
+        max_ratio = max(max_ratio, dev / tol if tol else math.inf if dev else 0.0)
+        if dev > tol:
             failures.append(
                 {"q": q, "h": tuple(h), "a": a, "lhs": lhs, "rhs": rhs, "dev": dev}
             )
@@ -483,8 +490,8 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
     plus the degenerate corners (0,0), (0,1), (1,1).  Reports the maximum
     observed ratio; any ratio >= 1 is a failure, not a tolerance bump.
     """
-    if c_max > 2000:
-        raise ValueError("c_max above 2000 is out of contract")
+    if c_max > WEIL_C_MAX:
+        raise ValueError(f"c_max above {WEIL_C_MAX} is out of contract")
     report = SweepReport(name="weil", tested=0, seed=seed)
     for c in range(2, c_max + 1):
         rng = SplitMix64(seed * 7919 + c)
@@ -512,8 +519,8 @@ def deligne_check(p_max: int) -> SweepReport:
     squarefree composites up to 2 * p_max for every unit a through the
     multiplicativity identity.  A slack of 1e-9 absorbs float rounding only.
     """
-    if p_max > 500:
-        raise ValueError("p_max above 500 is out of contract")
+    if p_max > DELIGNE_P_MAX:
+        raise ValueError(f"p_max above {DELIGNE_P_MAX} is out of contract")
     report = SweepReport(name="deligne", tested=0)
     slack = 1e-9
     for p in sieve_upto(p_max).tolist():

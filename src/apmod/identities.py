@@ -140,20 +140,6 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     return total
 
 
-def z0_of(x: float) -> float:
-    """Default sifting limit x^(1/(log log x)^3); requires x > e^e."""
-    if math.log(math.log(x)) <= 0:
-        raise ValueError("needs x > e^e")
-    return x ** (1.0 / math.log(math.log(x)) ** 3)
-
-
-def y0_of(x: float) -> float:
-    """Default sieve level x^(1/log log x); requires x > e^e."""
-    if math.log(math.log(x)) <= 0:
-        raise ValueError("needs x > e^e")
-    return x ** (1.0 / math.log(math.log(x)))
-
-
 # ---------------------------------------------------------------------------
 # fundamental-lemma weights (combinatorial sieve, truncated Buchstab iteration)
 
@@ -190,13 +176,6 @@ class SieveWeights:
                 out[d::d] += w
         return out
 
-    def density_ratio(self) -> float:
-        """Diagnostic: sum lambda+_d/d over prod_{p <= z}(1 - 1/p); not asserted."""
-        main = math.fsum(w / d for d, w in self.lambda_plus.items())
-        prod = 1.0
-        for p in sieve_upto(int(self.z)):
-            prod *= 1.0 - 1.0 / int(p)
-        return main / prod
 
 
 def fundamental_lemma_weights(z: float, y: float) -> SieveWeights:

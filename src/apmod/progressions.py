@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import P_MINUS_ONE_SENTINEL, euler_phi, mobius
+from .arith import P_MINUS_ONE_SENTINEL, euler_phi
 from .primes import SEGMENT, least_prime_factor_table, pi, prime_bitmap
 
 
@@ -408,41 +408,3 @@ def exceptional_fraction(
         "total": total,
         "reference_bound": bound,
     }
-
-
-_BDH_SEQS = ("unit", "mobius", "prime-indicator")
-
-
-def bdh_statistic(N: int, Q: int, seq_id: str = "unit") -> float:
-    """Barban-Davenport-Halberstam style mean-square discrepancy, exact then rounded.
-
-    sum_{q <= Q} sum_{b mod q, (b,q)=1} | sum_{n ~ N} alpha_n
-        (1[n = b mod q] - 1[(n,q)=1]/phi(q)) |^2
-
-    over n in (N, 2N], with alpha the unit, Mobius, or prime-indicator
-    sequence.  Diagnostic only: the decay in N/Q is reported, not asserted.
-    """
-    if seq_id not in _BDH_SEQS:
-        raise ValueError(f"seq_id must be one of {_BDH_SEQS}")
-    if not Q < N:
-        raise ValueError("requires Q < N")
-    ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    if seq_id == "unit":
-        alpha = np.ones(len(ns), dtype=np.int64)
-    elif seq_id == "mobius":
-        alpha = np.array([mobius(int(n)) for n in ns], dtype=np.int64)
-    else:
-        lpf = least_prime_factor_table(2 * N)
-        alpha = (lpf[ns] == ns).astype(np.int64)
-    total = Fraction(0)
-    for q in range(1, Q + 1):
-        phi_q = euler_phi(q)
-        res = ns % q
-        per_b = np.zeros(q, dtype=np.int64)
-        np.add.at(per_b, res, alpha)
-        units = [b for b in range(q) if math.gcd(b, q) == 1]
-        cop = int(sum(per_b[b] for b in units))
-        for b in units:
-            diff = Fraction(int(per_b[b])) - Fraction(cop, phi_q)
-            total += diff * diff
-    return float(total)

@@ -9,7 +9,6 @@ from apmod.arith import (
     FactoredInt,
     ModFraction,
     P_MINUS_ONE_SENTINEL,
-    ResidueClass,
     bezout_split,
     check_coprime_partition,
     coprime_partition,
@@ -283,14 +282,6 @@ class TestModFraction:
         assert sm * cof == n
         assert sm == 1 or p_plus(sm) <= z
         assert cof == 1 or p_minus(cof) > z
-
-
-class TestResidueClass:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClass(5, 3)
-        assert ResidueClass(2, 3).contains(5)
-        assert ResidueClass(0, 1).is_unit()
 
 
 class TestCoprimePartition:

@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import resource
 import subprocess
@@ -171,6 +172,14 @@ class TestExitCodes:
         assert code == 1
         assert "worst" in text
 
+    def test_zero_tolerance_fsum_is_a_verdict(self, tmp_path):
+        # tol = 0 demands exact equality; a float deviation reads inf, not a crash
+        code, text = run_cli(["verify", "fsum", "--q-max", "6", "--trials", "1", "--tol", "0"],
+                             tmp_path)
+        rows = [r.split(",") for r in strip_comments(text).splitlines()[1:]]
+        assert code == 1
+        assert {r[3] for r in rows if r[4] == "FAIL"} == {"inf"}
+
     def test_tolerance_override_failure_is_1(self, tmp_path):
         # an impossible tolerance forces the assertion path
         code, text = run_cli(
@@ -182,6 +191,57 @@ class TestExitCodes:
     def test_pass_is_0(self, tmp_path):
         code, _ = run_cli(["verify", "weil", "--c-max", "60"], tmp_path)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "args, msg",
+        [
+            # a sweep that would test nothing, or a NaN that no comparison rejects
+            (["verify", "weil", "--c-max", "0"], "--c-max must be >= 2, got 0"),
+            (["verify", "deligne", "--p-max", "-1"], "--p-max must be >= 2, got -1"),
+            (["verify", "fsum", "--q-max", "0"], "--q-max must be >= 6, got 0"),
+            (["verify", "fsum", "--trials", "-1"], "--trials must be >= 1, got -1"),
+            (["verify", "buchstab", "--trials", "-1"], "--trials must be >= 1, got -1"),
+            (["verify", "fsum", "--tol", "nan"], "--tol must be a number, got nan"),
+            (["verify", "fsum", "--tol", "inf"], "--tol must be <= "),
+            (["verify", "fsum", "--tol=-1e-9"], "--tol must be >= 0, got -1e-09"),
+            (["dispersion-demo", "--tol", "nan"], "--tol must be a number, got nan"),
+            (["decomp", "--x", "1000", "--epsilon", "nan"], "--epsilon must be a number"),
+            (["omega", "--u", "nan"], "--u must be a number, got nan"),
+            # unbounded costs, refused before any work
+            (["completion-demo", "--H", "100000000"], "--H must be <= 100000, got"),
+            (["expsum", "correlation", "--H", "1e300", "--a1", "1", "--a2", "2", "--r1", "3",
+              "--r2", "5", "--s", "7"], "--H must be <= 100000, got 1e+300"),
+            (["verify", "buchstab", "--trials", "100000000"], "--trials must be <= 1000,"),
+            (["dispersion-demo", "--count", "100000"], "--count must be <= 10000, got"),
+        ],
+    )
+    def test_vacuous_or_unbounded_input_is_2(self, args, msg, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main(args + ["--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
+        assert msg in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "row", [r for r in cli.COMMANDS if r[0][0] == "verify" and r[3]],
+        ids=lambda r: " ".join(r[0]),
+    )
+    def test_verify_floor_tests_a_case(self, row, tmp_path):
+        # every sized flag at the floor of its range still tests something
+        argv = list(row[0])
+        for name, kind, _, _, *rng in row[3]:
+            if rng and kind is int:
+                argv += [name, str(rng[0][0])]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in strip_comments(text).splitlines()]
+        if "tested" in rows[0]:
+            col = rows[0].index("tested")
+            assert all(int(r[col]) >= 1 for r in rows[1:] if r[0] != "witness")
+        elif rows[-1][0] == "tested":
+            assert int(rows[-1][1]) >= 1
+        assert len(rows) >= 2
 
 
 class TestSizeCaps:
@@ -377,6 +437,12 @@ class TestOutputs:
         assert code == 0
         assert "exact,True" in strip_comments(text)
 
+    def test_decomp_default_z3_above_2_to_21(self, tmp_path):
+        # x^(4/7) passes 2*sqrt(2x) above x = 2^21, so the default clamps to it
+        code, text = run_cli(["decomp", "--x", "5000000"], tmp_path)
+        assert code == 0
+        assert strip_comments(text).splitlines()[-1] == "exact,True"
+
     def test_help_lists_flags(self):
         proc = subprocess.run(
             [sys.executable, "-m", "apmod.cli", "bv-scan", "--help"],
@@ -405,7 +471,6 @@ class TestFlagSurface:
 
     def test_flags_only_where_read(self):
         leaves = dict(_leaf_parsers(build_parser()))
-        assert len(leaves) == 21
         flags = {
             name: {opt for a in p._actions for opt in a.option_strings}
             for name, p in leaves.items()
@@ -413,3 +478,73 @@ class TestFlagSurface:
         assert {n for n, f in flags.items() if "--seed" in f} == self.SEED
         assert {n for n, f in flags.items() if "--tol" in f} == self.TOL
         assert all("--out" in f and "--config" not in f for f in flags.values())
+
+    def test_parser_is_the_table(self):
+        leaves = dict(_leaf_parsers(build_parser()))
+        rows = {" ".join(r[0]): r for r in cli.COMMANDS}
+        assert set(leaves) == set(rows)
+        for name, p in leaves.items():
+            opts = {opt for a in p._actions for opt in a.option_strings}
+            assert opts - {"-h", "--help", "--out"} == {f[0] for f in rows[name][3]}
+
+    def test_chosen_leaf_parser_is_built_alone(self):
+        parser = build_parser(("verify", "fsum"))
+        assert [name for name, _ in _leaf_parsers(parser)] == ["verify fsum"]
+
+
+def _flag_values(flag):
+    """Values from the low end of the flag's range, and values just past either end."""
+    name, kind, _, _, *rng = flag
+    if kind is bool:
+        return st.booleans()
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    lo, hi = rng[0] if rng else (-math.inf, math.inf)
+    start = lo if lo > -math.inf else -2
+    if kind is int:
+        near = st.integers(int(start), int(min(hi, start + 20)))
+        past = [v for v in (lo - 1, hi + 1) if math.isfinite(v)]
+    else:
+        near = st.floats(start, min(hi, start + 4))
+        past = [math.nan, math.inf, -math.inf] + [
+            math.nextafter(v, w) for v, w in ((lo, -math.inf), (hi, math.inf)) if math.isfinite(v)
+        ]
+    return st.one_of(near, st.sampled_from(past)) if past else near
+
+
+# verify bezout takes no flag to draw and runs for seconds
+_LEAVES = [row for row in cli.COMMANDS if row[3]]
+_CASES = st.sampled_from(_LEAVES).flatmap(
+    lambda row: st.tuples(st.just(row), st.tuples(*map(_flag_values, row[3])))
+)
+
+
+class TestTableContract:
+    """Every table leaf, with flags drawn in and just past their ranges."""
+
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(case=_CASES)
+    def test_every_input_ends_in_rows_or_one_line(self, case, tmp_path, capsys):
+        row, values = case
+        path = tmp_path / "fuzz.csv"
+        path.unlink(missing_ok=True)
+        argv, bad = list(row[0]), None
+        for (name, kind, _, _, *rng), value in zip(row[3], values):
+            if kind is bool:
+                argv += [name] if value else []
+                continue
+            argv.append(f"{name}={value}")
+            lo, hi = rng[0] if rng else (-math.inf, math.inf)
+            if bad is None and not isinstance(kind, tuple) and not lo <= value <= hi:
+                bad = name
+        capsys.readouterr()
+        code = main(argv + ["--out", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1, err
+            assert not path.exists()
+        if bad is not None:
+            assert code == 2 and err.startswith(f"apmod: parameter error: {bad} must be "), err

@@ -12,8 +12,6 @@ from apmod.identities import (
     random_buchstab_configs,
     reduction_sequences,
     verify_buchstab,
-    y0_of,
-    z0_of,
 )
 from apmod.primes import least_prime_factor_table, von_mangoldt
 from apmod.progressions import s_value
@@ -149,10 +147,6 @@ class TestFundamentalLemma:
         with pytest.raises(ValueError):
             fundamental_lemma_weights(10, 5)
 
-    def test_density_ratio_positive(self):
-        w = fundamental_lemma_weights(10, 1000)
-        assert w.density_ratio() > 0.0
-
 
 class TestReductionSequences:
     def test_alpha_values(self):
@@ -189,22 +183,6 @@ class TestReductionSequences:
             reduction_sequences(5, 30, 100)
         with pytest.raises(ValueError):
             reduction_sequences(30, 5, 0)
-
-
-class TestSieveParameters:
-    def test_z0_below_y0(self):
-        for x in (10**4, 10**6, 10**9):
-            assert z0_of(x) < y0_of(x) < x
-
-    def test_requires_large_x(self):
-        with pytest.raises(ValueError):
-            z0_of(2.0)
-
-    def test_exponents(self):
-        x = 10**6
-        ll = math.log(math.log(x))
-        assert y0_of(x) == pytest.approx(x ** (1 / ll))
-        assert z0_of(x) == pytest.approx(x ** (1 / ll**3))
 
 
 class TestVerifyBuchstab:

@@ -6,7 +6,6 @@ import pytest
 
 from apmod.arith import _trial_primes, euler_phi
 from apmod.constants import (
-    BDH_UNIT_N1000_Q10,
     BV_DYADIC_100_200_TOTAL_1E6,
     EXCEPTIONAL_FRACTION_Q512,
 )
@@ -15,7 +14,6 @@ import apmod.progressions
 from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in, sieve_upto
 from apmod.progressions import (
     SValue,
-    bdh_statistic,
     bifactor_box_family,
     bv_aggregate,
     divisor_window,
@@ -377,28 +375,3 @@ class TestExceptionalFraction:
         r = exceptional_fraction(64, 10**5, 0.02, 0.02, 3)
         assert 0.0 <= r["fraction"] <= 1.0
         assert r["reference_bound"] == pytest.approx(18 * 0.02 * euler_phi(3) / 3)
-
-
-class TestBdh:
-    def test_pinned_unit(self):
-        assert bdh_statistic(1000, 10, "unit") == pytest.approx(
-            BDH_UNIT_N1000_Q10, abs=1e-12
-        )
-
-    def test_nonnegative_all_seqs(self):
-        for seq in ("unit", "mobius", "prime-indicator"):
-            assert bdh_statistic(200, 8, seq) >= 0.0
-
-    def test_requires_q_below_n(self):
-        with pytest.raises(ValueError):
-            bdh_statistic(10, 20, "unit")
-
-    def test_unknown_seq(self):
-        with pytest.raises(ValueError):
-            bdh_statistic(100, 5, "nope")
-
-    def test_decay_diagnostic(self):
-        # growing N at fixed Q should not blow up the normalized statistic
-        v1 = bdh_statistic(250, 5, "unit") / 250**2
-        v2 = bdh_statistic(2000, 5, "unit") / 2000**2
-        assert v2 <= v1 + 1e-9
