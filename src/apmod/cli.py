@@ -60,7 +60,13 @@ from .identities import (
     verify_buchstab,
 )
 from .primes import least_prime_factor_table, pi, prime_segments, von_mangoldt
-from .progressions import bifactor_box_family, bv_aggregate, divisor_window_family, dyadic_family
+from .progressions import (
+    bifactor_box_family,
+    bv_aggregate,
+    check_window_params,
+    divisor_window_family,
+    dyadic_family,
+)
 
 
 def _fmt(v) -> str:
@@ -117,6 +123,13 @@ Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))  # phi(q)^2 phases: 1
 # each moduli-set family (dyadic qhi - qlo, divisor-window x^(1/2+delta),
 # box q1 * q2) peaks at 68, 80 and 159 MB at this many moduli
 FAMILY_MAX = 10**6
+# verify weil costs about 10 ns per Kloosterman term (c-max^2 * trials / 2
+# of them) plus 8 us per sum (c-max * trials): at this cap 7.0 s with
+# --c-max 2000 --trials 125 and 10.0 s with 707 and 1000
+WEIL_WORK_MAX = 5 * 10**8
+# verify fsum at this cap: 10 to 11.5 s with --q-max 200 --trials 60, 4.6 s
+# with 60 and 200, 4.2 s with 12 and 1000
+FSUM_WORK_MAX = 12_000
 
 GROUPS = {"expsum": "evaluate one exponential sum", "verify": "run a verification sweep"}
 
@@ -177,7 +190,7 @@ COMMANDS = [
     (("verify", "buchstab"), "exact Buchstab identity", "cmd_verify_buchstab", (
         # configurations draw x from [50, --x] and read the LPF table to 2x
         ("--x", int, 10**5, "max x for configurations", (50, LPF_LIMIT_MAX)),
-        # 1.3 s at the default --x; 27 s and 366 MB at --x 1e7
+        # 1.3 s at the default --x; 7.6 s and 213 MB at --x 1e7
         ("--trials", int, 200, "number of seeded configurations", (1, 1000)),
         SEED,
     )),
@@ -191,14 +204,15 @@ COMMANDS = [
     (("verify", "fsum"), "the seven F-sum properties", "cmd_verify_fsum", (
         # property 1 needs a modulus with two prime factors, the first is 6
         ("--q-max", int, 48, "largest modulus swept", (6, F_Q_MAX)),
-        # 16 s at the cap with the default --q-max
+        # --q-max times --trials is capped too, at FSUM_WORK_MAX
         ("--trials", int, 200, "h-triples per modulus", (1, 1000)),
         ("--tol", float, None, "largest deviation; 1e-6*q^2 at modulus q if omitted", TOLERANCE),
         SEED,
     )),
     (("verify", "weil"), "Weil bound for Kloosterman sums", "cmd_verify_weil", (
         ("--c-max", int, 500, "largest modulus swept", (2, WEIL_C_MAX)),
-        # one list of pairs per modulus; 3.0 s at 500 with the default --c-max
+        # one list of pairs per modulus; --c-max squared times --trials is
+        # capped too, at WEIL_WORK_MAX
         ("--trials", int, 50, "(m, n) pairs per modulus", (1, 1000)),
         SEED,
     )),
@@ -296,6 +310,7 @@ def cmd_moduli_set(args, out: Output) -> int:
         for q1, q2 in fam.pairs:
             out.row(q1, q2, q1 * q2)
     elif args.kind == "divisor-window":
+        check_window_params(args.delta, args.eta)  # before x^(1/2+delta) is formed
         _at_most("x^(1/2+delta)", int(args.x ** (0.5 + args.delta)), FAMILY_MAX)
         fam = divisor_window_family(args.x, args.delta, args.eta, args.a)
         lo, hi = fam.params["window"]
@@ -405,6 +420,7 @@ def cmd_verify_reduction(args, out: Output) -> int:
 
 
 def cmd_verify_fsum(args, out: Output) -> int:
+    _at_most("--q-max times --trials", args.q_max * args.trials, FSUM_WORK_MAX)
     reps = [
         f_property_check(args.q_max, pid, args.trials, tol=args.tol, seed=args.seed)
         for pid in range(1, 8)
@@ -424,6 +440,7 @@ def _bound_sweep(rep, out: Output) -> int:
 
 
 def cmd_verify_weil(args, out: Output) -> int:
+    _at_most("--c-max squared times --trials", args.c_max**2 * args.trials, WEIL_WORK_MAX)
     return _bound_sweep(weil_check(args.c_max, args.trials, seed=args.seed), out)
 
 

@@ -437,6 +437,8 @@ def completed_inverse_sum(
               + (N/(d q)) sum_{1<=|h|<=H} fhat(hN/(dq)) e(n0 inv(q) h / d)
                                           S(h, b inv(d); q)
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if math.gcd(d, q) != 1:
         raise ValueError("d and q must be coprime")
     if N * d * q > 10**7:

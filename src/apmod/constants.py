@@ -65,3 +65,34 @@ HARMAN_X1E4_FLAG_SNAPSHOT = (
     "flag name=five-six-prime-terminal status=ok tuples=0 "
     "non_bi_prime=0 at_threshold=0"
 )
+
+# dump_tree plus the split-check lines for the same tree, with every node's
+# constraint, threshold and kind labels and its S-value triple.  Captured from
+# the hand-built tree (one s_values call per node, a hand-typed list of split
+# names), before the tree was restated as one table; the table-driven build is
+# an independent route to the same text.
+HARMAN_X1E4_TREE_SNAPSHOT = (
+    "+ root [internal] {d=1; P->200} S=(1033, 1033, 1)\n"
+    "  + A0 [sieve-asymptotic] {d=1; P->3.72759} S=(3334, 3334, 1)\n"
+    "  - M [internal] {z1<p<=z2; P->=p} S=(1956, 1956, 1)\n"
+    "    + B1 [sieve-asymptotic] {z1<p<=z2; P->3.72759} S=(2763, 2763, 1)\n"
+    "    - G1 [internal] {z1<r<p<=z2; P->=r} S=(807, 807, 1)\n"
+    "      + G1a [internal] {z1<r<p<=z2 & p*r<=z2; P->=r} S=(96, 96, 1)\n"
+    "        + B2a [sieve-asymptotic] {z1<r<p<=z2 & p*r<=z2; P->3.72759} S=(96, 96, 1)\n"
+    "        - G2 [internal] {z1<s<r<p<=z2 & p*r<=z2; P->=s} S=(0, 0, 1)\n"
+    "          + B4a [sieve-asymptotic] {z1<s<r<p<=z2 & p*r<=z2; P->3.72759} S=(0, 0, 1)\n"
+    "          - G3 [five-or-six-primes] {z1<t<s<r<p<=z2 & p*r<=z2; P->=t} S=(0, 0, 1)\n"
+    "      + G1b [type-II] {z1<r<p<=z2 & z2<p*r<=z3; P->=r} S=(428, 428, 1)\n"
+    "      + G1c [internal] {z1<r<p<=z2 & z3<p*r & r<=x^1/4; P->=r} S=(109, 109, 1)\n"
+    "        + B3a [sieve-asymptotic] {z1<r<p<=z2 & z3<p*r & r<=x^1/4; P->3.72759} S=(126, 126, 1)\n"
+    "        - G3c [four-primes] {z1<s<r<p<=z2 & z3<p*r & r<=x^1/4; P->=s} S=(17, 17, 1)\n"
+    "      + G1d [three-primes] {z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2<=x^(1+2eps); P->=r} S=(141, 141, 1)\n"
+    "      + G1e [residual] {z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2>x^(1+2eps); P->=r} S=(33, 33, 1)\n"
+    "  - C0 [type-II] {z2<p<=2*sqrt(x); P->=p} S=(345, 345, 1)\n"
+    "root=A0-M-C0 exact\n"
+    "M=B1-G1 exact\n"
+    "G1=G1a+G1b+G1c+G1d+G1e exact\n"
+    "G1a=B2a-G2 exact\n"
+    "G2=B4a-G3 exact\n"
+    "G1c=B3a-G3c exact"
+)

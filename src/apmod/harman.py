@@ -12,13 +12,25 @@ strictly decreasing.  Every split in the evaluation tree is therefore an
 exact identity of S-values, so the root always equals the signed sum of the
 leaves, integer-exactly.
 
+The tree is one table, one row per node in pre-order with children in split
+order: name, parent, sign, constraint text, kind, the set of prime tuples it
+sums over and its threshold.  A node sums S_d(z) over d = the product of each
+tuple, with z either a number (the strict condition P^-(m) > z) or the
+tuple's last prime (the inclusive P^-(m) >= p).  Every node's terms go into
+one s_values call, and each node's S-value is the sum of its slice of the
+per-term arrays; an internal node is counted from its own terms, never from
+its children, so the split checks derived from the table are real checks.
+
 The familiar asymptotic simplifications (replacing S_p(p) by
 S_p(x^(1/2+eps)/sqrt(p)), dropping the p*r^2 <= x^(1+2*eps) constraint where
 it is implied, and reading terminal sums as counts of exactly 3 / 4 / 5-6
 primes) can all fail at desk scale.  They are re-verified by enumeration and
-reported as named flags; a failed check never breaks the evaluation, which
-always uses the pre-substitution form.  One extra leaf ("residual") holds
-the tuples that the substituted form would have excluded.
+reported as named flags: the min-threshold terms ride in the same s_values
+pass and are compared term by term with M's, and the terminal readings come
+from one census of the cofactors in each terminal's windows.  A failed check
+never breaks the evaluation, which always uses the pre-substitution form.
+One extra leaf ("residual") holds the tuples that the substituted form would
+have excluded.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primes import least_prime_factor_table, primes_in
+from .primes import SEGMENT, least_prime_factor_table, primes_in
 from .progressions import SValue, s_values
 
 
@@ -37,8 +49,7 @@ class DecompNode:
     """One node of the decomposition tree.
 
     sign is relative to the parent; the effective sign of a leaf is the
-    product along its path.  Terms of a leaf are (d, z, inclusive) triples:
-    the leaf value is their sum, one s_values call over the list.
+    product along its path.
     """
 
     name: str
@@ -93,10 +104,45 @@ class HarmanReport:
         return self.root_value.triple() == self.leaf_sum.triple()
 
     def flag_lines(self) -> list[str]:
-        out = []
-        for f in self.flags:
-            out.append(f"flag name={f.name} status={'ok' if f.ok else 'FAIL'} {f.detail}")
-        return out
+        return [f"flag name={f.name} status={'ok' if f.ok else 'FAIL'} {f.detail}"
+                for f in self.flags]
+
+
+def _cofactor_census(x: int, terms) -> tuple[int, ...]:
+    """Classify the m in (x/d, 2x/d] with P^-(m) >= z, over (d, z, _) terms.
+
+    Returns five counts summed over the windows: m = 1; prime m = z;
+    composite m; composite m with a composite cofactor m / P^-(m); composite
+    m with a prime cofactor and P^-(m) = z.  The windows are concatenated and
+    read in batches of at most SEGMENT integers, so memory is O(SEGMENT)
+    beyond the shared LPF table (to 2x) and O(len(terms)).
+    """
+    lpf = least_prime_factor_table(2 * x)
+    d = np.array([t[0] for t in terms], dtype=np.int64)
+    z = np.array([t[1] for t in terms], dtype=np.int64)
+    lo = x // d + 1
+    width = np.maximum((2 * x) // d - lo + 1, 0)
+    ends = np.cumsum(width)
+    counts = np.zeros(5, dtype=np.int64)
+    for s in range(0, int(ends[-1]) if len(ends) else 0, SEGMENT):
+        pos = np.arange(s, min(s + SEGMENT, int(ends[-1])))
+        t = np.searchsorted(ends, pos, side="right")
+        m = lo[t] + pos - (ends[t] - width[t])
+        pm, zt = lpf[m], z[t]
+        rough = pm >= zt
+        m, pm, zt = m[rough], pm[rough], zt[rough]
+        prime = pm == m  # P^-(1) is a sentinel, so m = 1 is not prime
+        comp = ~prime & (m != 1)
+        cof = m[comp] // pm[comp]
+        cof_prime = lpf[cof] == cof
+        counts += [
+            np.count_nonzero(m == 1),
+            np.count_nonzero(prime & (m == zt)),
+            np.count_nonzero(comp),
+            np.count_nonzero(~cof_prime),
+            np.count_nonzero(cof_prime & (pm[comp] == zt[comp])),
+        ]
+    return tuple(int(c) for c in counts)
 
 
 def harman_tree(
@@ -130,247 +176,115 @@ def harman_tree(
     half_eps = float(x) ** (0.5 + epsilon)
 
     p12 = primes_in(math.floor(z1), math.floor(z2))
-    p2r = primes_in(math.floor(z2), math.floor(root_z))
 
-    # tuple sets for the five-way split of G1 = {z1 < r < p <= z2}
-    g1 = [(p, r) for p in p12 for r in p12 if r < p]
+    def extend(tuples):
+        """Each tuple followed by every smaller prime of (z1, z2]."""
+        return [(*t, s) for t in tuples for s in p12 if s < t[-1]]
+
+    # tuple sets; G1 = {z1 < r < p <= z2} splits five ways by the size of p*r
+    p1 = [(p,) for p in p12]
+    g1 = extend(p1)
     g1a = [(p, r) for (p, r) in g1 if p * r <= z2]
     g1b = [(p, r) for (p, r) in g1 if z2 < p * r <= z3]
     g1c = [(p, r) for (p, r) in g1 if z3 < p * r and r <= x14]
     g1d = [(p, r) for (p, r) in g1 if z3 < p * r and r > x14 and p * r * r <= X]
     g1e = [(p, r) for (p, r) in g1 if z3 < p * r and r > x14 and p * r * r > X]
+    g2 = extend(g1a)
 
-    def triples(pairs):
-        return [(p, r, s) for (p, r) in pairs for s in p12 if s < r]
+    # (name, parent, sign, constraint, kind, tuples, threshold): pre-order,
+    # children in split order; a letter threshold names the tuple's last prime
+    table = [
+        ("root", None, +1, "d=1", "internal", [()], root_z),
+        ("A0", "root", +1, "d=1", "sieve-asymptotic", [()], z1),
+        ("M", "root", -1, "z1<p<=z2", "internal", p1, "p"),
+        ("B1", "M", +1, "z1<p<=z2", "sieve-asymptotic", p1, z1),
+        ("G1", "M", -1, "z1<r<p<=z2", "internal", g1, "r"),
+        ("G1a", "G1", +1, "z1<r<p<=z2 & p*r<=z2", "internal", g1a, "r"),
+        ("B2a", "G1a", +1, "z1<r<p<=z2 & p*r<=z2", "sieve-asymptotic", g1a, z1),
+        ("G2", "G1a", -1, "z1<s<r<p<=z2 & p*r<=z2", "internal", g2, "s"),
+        ("B4a", "G2", +1, "z1<s<r<p<=z2 & p*r<=z2", "sieve-asymptotic", g2, z1),
+        ("G3", "G2", -1, "z1<t<s<r<p<=z2 & p*r<=z2", "five-or-six-primes", extend(g2), "t"),
+        ("G1b", "G1", +1, "z1<r<p<=z2 & z2<p*r<=z3", "type-II", g1b, "r"),
+        ("G1c", "G1", +1, "z1<r<p<=z2 & z3<p*r & r<=x^1/4", "internal", g1c, "r"),
+        ("B3a", "G1c", +1, "z1<r<p<=z2 & z3<p*r & r<=x^1/4", "sieve-asymptotic", g1c, z1),
+        ("G3c", "G1c", -1, "z1<s<r<p<=z2 & z3<p*r & r<=x^1/4", "four-primes", extend(g1c),
+         "s"),
+        ("G1d", "G1", +1, "z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2<=x^(1+2eps)",
+         "three-primes", g1d, "r"),
+        ("G1e", "G1", +1, "z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2>x^(1+2eps)",
+         "residual", g1e, "r"),
+        ("C0", "root", -1, "z2<p<=2*sqrt(x)", "type-II",
+         [(p,) for p in primes_in(math.floor(z2), math.floor(root_z))], "p"),
+    ]
 
-    g2 = triples(g1a)
-    g3 = [(p, r, s, t) for (p, r, s) in g2 for t in p12 if t < s]
-    g3c = triples(g1c)
+    # ---- one S-value pass over every node's terms, then flag 1's ----------
+    terms, spans, nodes = [], {}, {}
+    for name, parent, sign, constraint, kind, tuples, thr in table:
+        strict = not isinstance(thr, str)
+        text = f"P->{thr:g}" if strict else f"P->={thr}"
+        nodes[name] = node = DecompNode(name, sign, constraint, text, kind)
+        if parent is not None:
+            nodes[parent].children.append(node)
+        spans[name] = (len(terms), len(terms) + len(tuples))
+        terms += [(math.prod(t), thr if strict else t[-1], not strict) for t in tuples]
+    lit_at = len(terms)
+    terms += [(p, min(float(p), half_eps / math.sqrt(p)), False) for p in p12]
+    ic, cp, total = s_values(x, terms, q1, q2, a)
+    for name, (lo, hi) in spans.items():
+        nodes[name].svalue = SValue(int(ic[lo:hi].sum()), int(cp[lo:hi].sum()), total.phi_q)
+    root = nodes["root"]
 
-    def sum_terms(terms) -> SValue:
-        return s_values(x, terms, q1, q2, a)[2]
-
-    # ---- leaves ----------------------------------------------------------
-    a0 = DecompNode("A0", +1, "d=1", f"P->{z1:g}", "sieve-asymptotic")
-    a0.svalue = sum_terms([(1, z1, False)])
-
-    b1 = DecompNode("B1", +1, "z1<p<=z2", f"P->{z1:g}", "sieve-asymptotic")
-    b1.svalue = sum_terms([(p, z1, False) for p in p12])
-
-    b2a = DecompNode("B2a", +1, "z1<r<p<=z2 & p*r<=z2", f"P->{z1:g}", "sieve-asymptotic")
-    b2a.svalue = sum_terms([(p * r, z1, False) for (p, r) in g1a])
-
-    b4a = DecompNode(
-        "B4a", +1, "z1<s<r<p<=z2 & p*r<=z2", f"P->{z1:g}", "sieve-asymptotic"
-    )
-    b4a.svalue = sum_terms([(p * r * s, z1, False) for (p, r, s) in g2])
-
-    g3_leaf = DecompNode(
-        "G3", -1, "z1<t<s<r<p<=z2 & p*r<=z2", "P->=t", "five-or-six-primes"
-    )
-    g3_leaf.svalue = sum_terms([(p * r * s * t, t, True) for (p, r, s, t) in g3])
-
-    g1b_leaf = DecompNode("G1b", +1, "z1<r<p<=z2 & z2<p*r<=z3", "P->=r", "type-II")
-    g1b_leaf.svalue = sum_terms([(p * r, r, True) for (p, r) in g1b])
-
-    b3a = DecompNode(
-        "B3a", +1, "z1<r<p<=z2 & z3<p*r & r<=x^1/4", f"P->{z1:g}", "sieve-asymptotic"
-    )
-    b3a.svalue = sum_terms([(p * r, z1, False) for (p, r) in g1c])
-
-    g3c_leaf = DecompNode(
-        "G3c", -1, "z1<s<r<p<=z2 & z3<p*r & r<=x^1/4", "P->=s", "four-primes"
-    )
-    g3c_leaf.svalue = sum_terms([(p * r * s, s, True) for (p, r, s) in g3c])
-
-    g1d_leaf = DecompNode(
-        "G1d",
-        +1,
-        "z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2<=x^(1+2eps)",
-        "P->=r",
-        "three-primes",
-    )
-    g1d_leaf.svalue = sum_terms([(p * r, r, True) for (p, r) in g1d])
-
-    g1e_leaf = DecompNode(
-        "G1e",
-        +1,
-        "z1<r<p<=z2 & z3<p*r & r>x^1/4 & p*r^2>x^(1+2eps)",
-        "P->=r",
-        "residual",
-    )
-    g1e_leaf.svalue = sum_terms([(p * r, r, True) for (p, r) in g1e])
-
-    c0 = DecompNode("C0", -1, "z2<p<=2*sqrt(x)", "P->=p", "type-II")
-    c0.svalue = sum_terms([(p, p, True) for p in p2r])
-
-    # ---- internal nodes --------------------------------------------------
-    g2_node = DecompNode("G2", -1, "z1<s<r<p<=z2 & p*r<=z2", "P->=s", "internal")
-    g2_node.children = [b4a, g3_leaf]
-    g2_node.svalue = sum_terms([(p * r * s, s, True) for (p, r, s) in g2])
-
-    g1a_node = DecompNode("G1a", +1, "z1<r<p<=z2 & p*r<=z2", "P->=r", "internal")
-    g1a_node.children = [b2a, g2_node]
-    g1a_node.svalue = sum_terms([(p * r, r, True) for (p, r) in g1a])
-
-    g1c_node = DecompNode(
-        "G1c", +1, "z1<r<p<=z2 & z3<p*r & r<=x^1/4", "P->=r", "internal"
-    )
-    g1c_node.children = [b3a, g3c_leaf]
-    g1c_node.svalue = sum_terms([(p * r, r, True) for (p, r) in g1c])
-
-    g1_node = DecompNode("G1", -1, "z1<r<p<=z2", "P->=r", "internal")
-    g1_node.children = [g1a_node, g1b_leaf, g1c_node, g1d_leaf, g1e_leaf]
-    g1_node.svalue = sum_terms([(p * r, r, True) for (p, r) in g1])
-
-    m_node = DecompNode("M", -1, "z1<p<=z2", "P->=p", "internal")
-    m_node.children = [b1, g1_node]
-    m_node.svalue = sum_terms([(p, p, True) for p in p12])
-
-    root = DecompNode("root", +1, "d=1", f"P->{root_z:g}", "internal")
-    root.children = [a0, m_node, c0]
-    root.svalue = sum_terms([(1, root_z, False)])
-
-    # ---- exact split checks (must all hold by construction) --------------
+    # ---- exact split checks, one per internal node in pre-order -----------
     split_checks: list[tuple[str, bool]] = []
-
-    def check_split(name: str, node: DecompNode):
-        acc = SValue.zero(node.svalue.phi_q)
-        for c in node.children:
-            acc = acc + (c.svalue if c.sign > 0 else -c.svalue)
-        split_checks.append((name, acc.triple() == node.svalue.triple()))
-
-    for nm, nd in (
-        ("root=A0-M-C0", root),
-        ("M=B1-G1", m_node),
-        ("G1=G1a+G1b+G1c+G1d+G1e", g1_node),
-        ("G1a=B2a-G2", g1a_node),
-        ("G2=B4a-G3", g2_node),
-        ("G1c=B3a-G3c", g1c_node),
-    ):
-        check_split(nm, nd)
+    for node, _ in root.walk():
+        if node.children:
+            zero = SValue.zero(total.phi_q)
+            acc = sum((c.svalue if c.sign > 0 else -c.svalue for c in node.children), zero)
+            rhs = "".join(("+" if c.sign > 0 else "-") + c.name for c in node.children)
+            split_checks.append(
+                (f"{node.name}={rhs.removeprefix('+')}", acc.triple() == node.svalue.triple())
+            )
 
     # ---- substitution flags (paper-conformance, never break evaluation) --
     flags: list[SubstitutionFlag] = []
-    lpf = least_prime_factor_table(2 * x)
 
-    # 1. the min-threshold rewrite of the middle first-split term
-    lit_terms = [(p, min(float(p), half_eps / math.sqrt(p)), False) for p in p12]
-    lit = s_values(x, lit_terms, q1, q2, a)
-    inc = s_values(x, [(p, p, True) for p in p12], q1, q2, a)
-    bad_p = [
-        p
-        for p, lit_ic, lit_cp, ic, cp in zip(p12, *lit[:2], *inc[:2])
-        if (lit_ic, lit_cp) != (ic, cp)
-    ]
-    flags.append(
-        SubstitutionFlag(
-            "min-threshold",
-            not bad_p,
-            f"primes={len(p12)} failing={len(bad_p)} witnesses={bad_p[:6]}",
-        )
-    )
+    def flag(name: str, ok: bool, detail: str) -> None:
+        flags.append(SubstitutionFlag(name, ok, detail))
+
+    # 1. the min-threshold rewrite of M's terms, compared prime by prime
+    m_lo, m_hi = spans["M"]
+    differs = (ic[lit_at:] != ic[m_lo:m_hi]) | (cp[lit_at:] != cp[m_lo:m_hi])
+    bad_p = [p for p, bad in zip(p12, differs) if bad]
+    flag("min-threshold", not bad_p,
+         f"primes={len(p12)} failing={len(bad_p)} witnesses={bad_p[:6]}")
 
     # 2. implied-size constraint p*r^2 <= x^(1+2eps) dropped in the split
     for label, pairs in (("G1a", g1a), ("G1b", g1b), ("G1c", g1c)):
         viol = [(p, r) for (p, r) in pairs if p * r * r > X]
-        flags.append(
-            SubstitutionFlag(
-                f"implied-pr2-{label}",
-                not viol,
-                f"tuples={len(pairs)} violating={len(viol)} witnesses={viol[:6]}",
-            )
-        )
-    flags.append(
-        SubstitutionFlag(
-            "residual-empty",
-            not g1e,
-            f"tuples={len(g1e)} witnesses={g1e[:6]}",
-        )
-    )
+        flag(f"implied-pr2-{label}", not viol,
+             f"tuples={len(pairs)} violating={len(viol)} witnesses={viol[:6]}")
+    flag("residual-empty", not g1e, f"tuples={len(g1e)} witnesses={g1e[:6]}")
 
-    def cofactor_classes(d: int, z: int):
-        """(non_prime, at_threshold) among m ~ x/d with P^-(m) >= z."""
-        lo, hi = x // d + 1, (2 * x) // d
-        m = np.arange(lo, hi + 1)
-        rough = lpf[lo : hi + 1] >= z
-        prime = (lpf[lo : hi + 1] == m) & (m != 1)
-        return (
-            int(np.count_nonzero(rough & ~prime)),
-            int(np.count_nonzero(rough & prime & (m == z))),
-        )
+    # 3-5. the terminals count exactly three, four and five or six primes:
+    # each reads the cofactor census of its own windows
+    def census(name):
+        lo, hi = spans[name]
+        return (hi - lo, *_cofactor_census(x, terms[lo:hi]))
 
-    # 3. "counts exactly three primes" for the unbalanced wide leaf
-    np3 = sum(cofactor_classes(p * r, r)[0] for (p, r) in g1d)
-    at3 = sum(cofactor_classes(p * r, r)[1] for (p, r) in g1d)
-    flags.append(
-        SubstitutionFlag(
-            "three-prime-terminal",
-            np3 == 0 and at3 == 0,
-            f"tuples={len(g1d)} nonprime_cofactors={np3} at_threshold={at3}",
-        )
-    )
+    n, one, at, composite, _, _ = census("G1d")
+    flag("three-prime-terminal", one + composite == 0 and at == 0,
+         f"tuples={n} nonprime_cofactors={one + composite} at_threshold={at}")
+    n, one, _, composite, _, _ = census("G3c")
+    flag("four-prime-terminal", one + composite == 0,
+         f"tuples={n} nonprime_cofactors={one + composite}")
+    n, one, at, _, cof_composite, cof_at = census("G3")
+    flag("five-six-prime-terminal", one + cof_composite == 0 and at + cof_at == 0,
+         f"tuples={n} non_bi_prime={one + cof_composite} at_threshold={at + cof_at}")
 
-    # 4. "counts exactly four primes"
-    np4 = sum(cofactor_classes(p * r * s, s)[0] for (p, r, s) in g3c)
-    flags.append(
-        SubstitutionFlag(
-            "four-prime-terminal",
-            np4 == 0,
-            f"tuples={len(g3c)} nonprime_cofactors={np4}",
-        )
-    )
-
-    # 5. "counts exactly five or six primes"
-    bad5 = at5 = 0
-    for (p, r, s, t) in g3:
-        lo, hi = x // (p * r * s * t) + 1, (2 * x) // (p * r * s * t)
-        for m in range(lo, hi + 1):
-            pm = lpf[m]
-            if pm < t:
-                continue
-            if m == 1:
-                bad5 += 1
-            elif pm == m:
-                if m == t:
-                    at5 += 1
-            else:
-                cof = m // pm
-                if lpf[cof] != cof or pm == t:
-                    # not a semiprime with both factors > t
-                    if lpf[cof] != cof:
-                        bad5 += 1
-                    else:
-                        at5 += 1
-    flags.append(
-        SubstitutionFlag(
-            "five-six-prime-terminal",
-            bad5 == 0 and at5 == 0,
-            f"tuples={len(g3)} non_bi_prime={bad5} at_threshold={at5}",
-        )
-    )
-
-    leaf_sum = SValue.zero(root.svalue.phi_q)
-    n_leaves = 0
-    for leaf, eff in root.leaves():
-        n_leaves += 1
-        leaf_sum = leaf_sum + (leaf.svalue if eff > 0 else -leaf.svalue)
-
-    report = HarmanReport(
-        x=x,
-        z1=z1,
-        z2=z2,
-        z3=z3,
-        q1=q1,
-        q2=q2,
-        a=a,
-        epsilon=epsilon,
-        flags=flags,
-        split_checks=split_checks,
-        root_value=root.svalue,
-        leaf_sum=leaf_sum,
-        leaf_count=n_leaves,
-    )
+    leaves = [leaf.svalue if eff > 0 else -leaf.svalue for leaf, eff in root.leaves()]
+    leaf_sum = sum(leaves, SValue.zero(total.phi_q))
+    report = HarmanReport(x, z1, z2, z3, q1, q2, a, epsilon, flags, split_checks,
+                          root.svalue, leaf_sum, len(leaves))
     return root, report
 
 

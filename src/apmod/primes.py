@@ -169,12 +169,15 @@ def least_prime_factor_table(limit: int) -> np.ndarray:
     A read-only view of one process-wide table.  The table is rebuilt, to
     exactly ``limit``, only when ``limit`` exceeds every limit requested so
     far, so it holds 8 bytes x (largest limit requested + 1) for the life of
-    the process.
+    the process.  The old table is released before the new one is built, so
+    growth too holds at most that many bytes, unless a caller still keeps a
+    slice of the old table.
     """
     global _lpf
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit >= len(_lpf):
+        _lpf = np.empty(0, dtype=np.int64)  # drop the old table before building
         lpf = np.arange(limit + 1, dtype=np.int64)  # primes are their own lpf
         # descending, so the smallest prime dividing n writes lpf[n] last
         for p in sieve_upto(math.isqrt(limit))[::-1]:

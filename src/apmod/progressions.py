@@ -336,7 +336,8 @@ def divisor_window(x: int, delta: float, eta: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_window_params(delta: float, eta: float) -> None:
+def check_window_params(delta: float, eta: float) -> None:
+    """Reject a divisor-window (delta, eta) outside the admissible range."""
     if not 0 < delta < 1 / 42:
         raise ValueError(f"delta = {delta} outside (0, 1/42)")
     if not 0 < eta < (1 - 42 * delta) / 4:
@@ -363,7 +364,7 @@ def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFam
     widened by one ulp on each side is recorded in ``flagged`` (borderline)
     rather than silently misclassified.
     """
-    _check_window_params(delta, eta)
+    check_window_params(delta, eta)
     lo, hi = divisor_window(x, delta, eta)
     lo_wide = math.nextafter(lo, -math.inf)
     hi_wide = math.nextafter(hi, math.inf)
@@ -394,7 +395,7 @@ def exceptional_fraction(
     Returned alongside the asymptotic comparison value 18*delta*phi(a)/a as a
     diagnostic; the bound is not asserted.
     """
-    _check_window_params(delta, eta)
+    check_window_params(delta, eta)
     lo, hi = divisor_window(x, delta, eta)
     qs = np.arange(Q, 2 * Q + 1)
     units = qs[np.gcd(qs, a) == 1]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from apmod import cli
 from apmod.cli import build_parser, main
+from apmod.expsums import SweepReport
 from apmod.primes import pi, primes_in
 
 
@@ -213,6 +214,14 @@ class TestExitCodes:
               "--r2", "5", "--s", "7"], "--H must be <= 100000, got 1e+300"),
             (["verify", "buchstab", "--trials", "100000000"], "--trials must be <= 1000,"),
             (["dispersion-demo", "--count", "100000"], "--count must be <= 10000, got"),
+            (["verify", "weil", "--c-max", "2000", "--trials", "126"],
+             "--c-max squared times --trials must be <= 500000000, got 504000000"),
+            (["verify", "fsum", "--q-max", "200", "--trials", "61"],
+             "--q-max times --trials must be <= 12000, got 12200"),
+            # degenerate inputs refused before x^(1/2+delta) or n % d is formed
+            (["moduli-set", "--kind", "divisor-window", "--x", "0", "--delta", "-1"],
+             "delta = -1.0 outside (0, 1/42)"),
+            (["completion-demo", "--q", "1", "--d", "0"], "d must be >= 1, got 0"),
         ],
     )
     def test_vacuous_or_unbounded_input_is_2(self, args, msg, tmp_path, capsys):
@@ -298,6 +307,27 @@ class TestSizeCaps:
         ],
     )
     def test_at_cap_is_accepted(self, args, tmp_path):
+        assert run_cli(args, tmp_path)[0] == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "weil"],
+            ["verify", "weil", "--c-max", "500"],
+            ["verify", "weil", "--c-max", "2000", "--trials", "125"],
+            ["verify", "weil", "--c-max", "707", "--trials", "1000"],
+            ["verify", "fsum"],
+            ["verify", "fsum", "--q-max", "48", "--trials", "200"],
+            ["verify", "fsum", "--q-max", "200", "--trials", "60"],
+            ["verify", "fsum", "--q-max", "12", "--trials", "1000"],
+        ],
+    )
+    def test_sweep_product_caps_admit(self, args, tmp_path, monkeypatch):
+        # defaults, README examples and the caps' corners pass the product
+        # caps; the sweeps themselves are stubbed
+        report = lambda *a, **k: SweepReport(name="stub", tested=1)
+        monkeypatch.setattr(cli, "weil_check", report)
+        monkeypatch.setattr(cli, "f_property_check", report)
         assert run_cli(args, tmp_path)[0] == 0
 
     def test_kl3_cap_admits_1e5(self, tmp_path, monkeypatch):

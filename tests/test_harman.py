@@ -6,6 +6,7 @@ from apmod.constants import (
     HARMAN_X1E4_FLAG_SNAPSHOT,
     HARMAN_X1E4_LEAF_COUNT,
     HARMAN_X1E4_ROOT_TRIPLE,
+    HARMAN_X1E4_TREE_SNAPSHOT,
 )
 from apmod.harman import dump_tree, harman_tree
 from apmod.primes import primes_in
@@ -35,6 +36,11 @@ class TestHarmanTree:
         blob2 = "\n".join(rep2.flag_lines())
         assert blob1 == blob2
         assert blob1 == HARMAN_X1E4_FLAG_SNAPSHOT
+
+    def test_tree_dump_and_split_checks_pinned(self):
+        root, rep = harman_tree(**spec_params(), q1=2, q2=1, a=1)
+        splits = [f"{name} {'exact' if ok else 'BROKEN'}" for name, ok in rep.split_checks]
+        assert "\n".join([dump_tree(root), *splits]) == HARMAN_X1E4_TREE_SNAPSHOT
 
     def test_exact_with_informative_modulus(self):
         # q = 3 gives in_class != coprime generally, so the triple equality
@@ -106,6 +112,31 @@ class TestHarmanTree:
             f"nonprime_cofactors={np3} at_threshold={at3}"
         )
         assert flags["four-prime-terminal"].endswith(f"nonprime_cofactors={np4}")
+
+    def test_five_six_flag_counts_cofactors(self):
+        # with z1 = 1 and z2 = 100 at x = 3000 the five-or-six-prime windows
+        # hold m = 1, composite cofactors and cofactors at the threshold t;
+        # each m is classified by trial division here
+        x, z2 = 3000, 100.0
+        _, rep = harman_tree(x, 1.0, z2, 150.0, 1, 1, 0, epsilon=1.0)
+        ps = primes_in(1, 100)
+
+        def lpf(m):
+            return next((f for f in range(2, math.isqrt(m) + 1) if m % f == 0), m)
+
+        bad = at = 0
+        g2 = [(p, r, s) for p in ps for r in ps for s in ps if s < r < p and p * r <= z2]
+        for d, t in ((p * r * s * t, t) for p, r, s in g2 for t in ps if t < s):
+            for m in range(x // d + 1, 2 * x // d + 1):
+                if m == 1:
+                    bad += 1
+                elif lpf(m) >= t:
+                    cof = m // lpf(m)
+                    bad += cof > 1 and lpf(cof) != cof
+                    at += (m == t) if cof == 1 else (lpf(cof) == cof and lpf(m) == t)
+        assert bad and at
+        detail = next(f.detail for f in rep.flags if f.name == "five-six-prime-terminal")
+        assert detail.endswith(f"non_bi_prime={bad} at_threshold={at}")
 
     def test_degenerate_z1_equals_z2(self):
         x = 2000

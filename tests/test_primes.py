@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ class TestLeastPrimeFactorTable:
         small = least_prime_factor_table(300)
         assert len(small) == 301
         assert np.shares_memory(large, small)
+
+    def test_growth_holds_one_table_at_a_time(self, fresh_lpf_table):
+        # the old table is released before the larger one is built, so the
+        # peak while growing from L to 2L is the new table, not old + new
+        tracemalloc.start()
+        try:
+            least_prime_factor_table(100_000)
+            tracemalloc.reset_peak()
+            grown = least_prime_factor_table(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * grown.nbytes
 
 
 class TestVonMangoldt:
