@@ -19,7 +19,6 @@ from .arith import (  # noqa: F401,E402
     factorize,
     mobius,
     mod_inv,
-    mult_eval,
     tau_k,
 )
 from .buchstab import buchstab_omega  # noqa: F401,E402

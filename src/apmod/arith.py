@@ -283,36 +283,6 @@ def smooth_part(n: int | FactoredInt, z: int) -> int:
     return out
 
 
-_MULT_FNS = {
-    "phi": (euler_phi, False),
-    "mobius": (mobius, False),
-    "tau_k": (tau_k, True),
-    "p_minus": (p_minus, False),
-    "p_plus": (p_plus, False),
-    "squarefull": (squarefull_part, False),
-    "smooth_part": (smooth_part, True),
-}
-
-
-def mult_eval(fn_id: str, n: int | FactoredInt, aux: int | None = None) -> int:
-    """Dispatch a multiplicative-function evaluation by name.
-
-    ``aux`` is the order k for tau_k and the smoothness bound z for
-    smooth_part; it is rejected as missing where required.
-    """
-    try:
-        fn, needs_aux = _MULT_FNS[fn_id]
-    except KeyError:
-        raise ValueError(f"unknown fn_id {fn_id!r}; one of {sorted(_MULT_FNS)}")
-    if needs_aux:
-        if aux is None:
-            raise ValueError(f"{fn_id} requires the aux parameter")
-        return fn(n, aux)
-    if aux is not None:
-        raise ValueError(f"{fn_id} takes no aux parameter")
-    return fn(n)
-
-
 # ---------------------------------------------------------------------------
 # coprime-set partition
 
@@ -349,22 +319,21 @@ def coprime_partition(pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     return classes
 
 
-def random_coprime_pairs(
-    count: int, seed: int = 0, prime_max: int = 100, max_factors: int = 2
-) -> list[tuple[int, int]]:
-    """Deterministic internally-coprime pairs built from a small prime pool."""
+def random_coprime_pairs(count: int, seed: int = 0) -> list[tuple[int, int]]:
+    """Deterministic internally-coprime pairs, each side a product of one or
+    two primes below 100."""
     from .primes import sieve_upto
     from .rng import SplitMix64
 
     rng = SplitMix64(seed)
-    pool = [int(p) for p in sieve_upto(prime_max)]
+    pool = [int(p) for p in sieve_upto(100)]
     pairs: list[tuple[int, int]] = []
     while len(pairs) < count:
         a = 1
-        for _ in range(rng.in_range(1, max_factors)):
+        for _ in range(rng.in_range(1, 2)):
             a *= pool[rng.below(len(pool))]
         b = 1
-        for _ in range(rng.in_range(1, max_factors)):
+        for _ in range(rng.in_range(1, 2)):
             b *= pool[rng.below(len(pool))]
         if math.gcd(a, b) == 1:
             pairs.append((a, b))

@@ -4,7 +4,7 @@ omega(u) solves the delay differential equation (u*omega(u))' = omega(u-1)
 with omega(u) = 1/u on [1, 2].  We integrate W(u) := u*omega(u) on a uniform
 grid: W' depends only on the already-computed history (delay 1 >> step), so
 each step is a Simpson update with linear interpolation into the history.
-The grid is solved once per u_max and cached.
+The grid on [1, U_MAX] is solved once and cached.
 """
 
 from __future__ import annotations
@@ -38,31 +38,31 @@ class BuchstabSolution:
         return float(self._w_at(u)) / u
 
 
-@lru_cache(maxsize=2)
-def solve_buchstab(u_max: float = U_MAX, step: float = STEP) -> BuchstabSolution:
-    n = round((u_max - 1.0) / step)
+@lru_cache(maxsize=1)
+def solve_buchstab() -> BuchstabSolution:
+    n = round((U_MAX - 1.0) / STEP)
     w = np.empty(n + 1)
-    per_unit = round(1.0 / step)
+    per_unit = round(1.0 / STEP)
     # W = 1 exactly on [1, 2]
     w[: per_unit + 1] = 1.0
 
-    u = 1.0 + np.arange(n + 1) * step
+    u = 1.0 + np.arange(n + 1) * STEP
 
     def w_hist(t: float, upto: int) -> float:
         # linear interpolation into grid prefix w[:upto+1]
-        idx = (t - 1.0) / step
+        idx = (t - 1.0) / STEP
         k = min(int(idx), upto - 1)
         frac = idx - k
         return (1 - frac) * w[k] + frac * w[k + 1]
 
     for k in range(per_unit, n):
         uk = u[k]
-        # rhs g(t) = W(t-1)/(t-1); Simpson over [uk, uk+step]
+        # rhs g(t) = W(t-1)/(t-1); Simpson over [uk, uk+STEP]
         g0 = w_hist(uk - 1.0, k) / (uk - 1.0)
-        gm = w_hist(uk - 1.0 + step / 2, k) / (uk - 1.0 + step / 2)
-        g1 = w_hist(uk - 1.0 + step, k) / (uk - 1.0 + step)
-        w[k + 1] = w[k] + step / 6.0 * (g0 + 4.0 * gm + g1)
-    return BuchstabSolution(grid=w, step=step, u_max=u_max)
+        gm = w_hist(uk - 1.0 + STEP / 2, k) / (uk - 1.0 + STEP / 2)
+        g1 = w_hist(uk - 1.0 + STEP, k) / (uk - 1.0 + STEP)
+        w[k + 1] = w[k] + STEP / 6.0 * (g0 + 4.0 * gm + g1)
+    return BuchstabSolution(grid=w, step=STEP, u_max=U_MAX)
 
 
 def buchstab_omega(u: float) -> float:

@@ -123,9 +123,9 @@ Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))  # phi(q)^2 phases: 1
 # each moduli-set family (dyadic qhi - qlo, divisor-window x^(1/2+delta),
 # box q1 * q2) peaks at 68, 80 and 159 MB at this many moduli
 FAMILY_MAX = 10**6
-# verify weil costs about 10 ns per Kloosterman term (c-max^2 * trials / 2
-# of them) plus 8 us per sum (c-max * trials): at this cap 7.0 s with
-# --c-max 2000 --trials 125 and 10.0 s with 707 and 1000
+# verify weil sums about 0.3 * c-max^2 * trials Kloosterman terms at about
+# 20 ns each, in one kloosterman call per modulus: at this cap 3.6 s and
+# 100 MB with --c-max 2000 --trials 125, 3.7 to 4.7 s and 71 MB with 707 and 1000
 WEIL_WORK_MAX = 5 * 10**8
 # verify fsum at this cap: 10 to 11.5 s with --q-max 200 --trials 60, 4.6 s
 # with 60 and 200, 4.2 s with 12 and 1000

@@ -155,25 +155,22 @@ def _composite_gk(f, a: float, b: float, panels: int) -> tuple[complex, float]:
     return complex(k), abs(complex(k - g))
 
 
-def quad_oscillatory(
-    f,
-    a: float,
-    b: float,
-    freq: float,
-    tol: float = 1e-12,
-    max_panels: int = 4096,
-) -> complex:
+QUAD_TOL = 1e-12  # absolute Gauss/Kronrod discrepancy the quadrature stops at
+QUAD_MAX_PANELS = 4096
+
+
+def quad_oscillatory(f, a: float, b: float, freq: float) -> complex:
     """Composite Gauss-Kronrod sized to the oscillation frequency.
 
     ``freq`` is the number of phase cycles per unit length.  Starts just
     below one panel per cycle (G7K15 resolves that comfortably) and doubles,
-    up to max_panels, until the embedded Gauss/Kronrod discrepancy is within
-    tol.
+    up to QUAD_MAX_PANELS, until the embedded Gauss/Kronrod discrepancy is
+    within QUAD_TOL.
     """
-    panels = min(max(8, math.ceil(0.8 * abs(freq) * (b - a))), max_panels)
+    panels = min(max(8, math.ceil(0.8 * abs(freq) * (b - a))), QUAD_MAX_PANELS)
     val, err = _composite_gk(f, a, b, panels)
-    while err > tol and panels < max_panels:
-        panels = min(2 * panels, max_panels)
+    while err > QUAD_TOL and panels < QUAD_MAX_PANELS:
+        panels = min(2 * panels, QUAD_MAX_PANELS)
         val, err = _composite_gk(f, a, b, panels)
     return val
 
@@ -238,15 +235,15 @@ class SmoothBump:
             return math.inf
         return self.high_deriv_norm() / (2.0 * math.pi * abs(xi)) ** self.high_order
 
-    def hat(self, xi: float, tol: float = 1e-12) -> complex:
-        """Fourier transform integral over the support, to absolute error tol."""
+    def hat(self, xi: float) -> complex:
+        """Fourier transform integral over the support, to absolute error QUAD_TOL per ramp."""
         xi = float(xi)
         got = self._hat_cache.get(xi)
         if got is not None:
             return got
         if xi < 0.0:
             # real weights: hat(-xi) = conj(hat(xi))
-            val = self.hat(-xi, tol).conjugate()
+            val = self.hat(-xi).conjugate()
             self._hat_cache[xi] = val
             return val
         if abs(xi) > XI_BYPARTS and self.tail_bound(xi) < 1e-22:
@@ -267,7 +264,7 @@ class SmoothBump:
                 return np.asarray(self.fn(t)) * np.exp(-2j * np.pi * xi * t)
 
             val = plateau_val + sum(
-                quad_oscillatory(integrand, a, b, xi, tol)
+                quad_oscillatory(integrand, a, b, xi)
                 for a, b in self._ramp_pieces()
                 if b > a
             )
@@ -306,9 +303,9 @@ PSI0 = SmoothBump(
 )
 
 
-def psi0_hat(xi: float, tol: float = 1e-12) -> complex:
+def psi0_hat(xi: float) -> complex:
     """Fourier transform of psi0 at xi (quadrature on the ramps, memoized)."""
-    return PSI0.hat(xi, tol)
+    return PSI0.hat(xi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ tiny instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,9 @@ class DispersionInstance:
 
     Scales E, Q, D, R, N, M are all <= 30: e ~ E, d ~ D, r ~ R, n ~ N run
     over dyadic ranges (T, 2T]; q and m are smoothed by psi0(q/Q), psi0(m/M).
-    alpha maps n to a complex weight, lam maps (q, d, r) triples.  beta and
-    gamma (the sequences eliminated by Cauchy-Schwarz before the square is
-    opened) may be carried for completeness but do not enter the identity;
-    siegel_walfisz is a declared property flag on alpha, likewise inert here.
+    alpha maps n to a complex weight, lam maps (q, d, r) triples.  The
+    sequences eliminated by Cauchy-Schwarz before the square is opened do
+    not enter the identity, so they are not carried.
     """
 
     a: int
@@ -39,9 +38,6 @@ class DispersionInstance:
     M: int
     alpha: dict[int, complex]
     lam: dict[tuple[int, int, int], complex]
-    beta: dict[int, complex] = field(default_factory=dict)
-    gamma: dict[tuple[int, int], complex] = field(default_factory=dict)
-    siegel_walfisz: bool = True
 
     def ranges(self):
         dy = lambda T: range(T + 1, 2 * T + 1)  # noqa: E731

@@ -2,7 +2,8 @@
 
 All evaluators are direct enumerations over units with phases drawn from a
 precomputed table of q-th roots of unity (one sin/cos per residue class), so
-no phase drift accumulates across the O(q^2) loops.  Verification sweeps use
+no phase drift accumulates across the O(q^2) loops.  One cached table per
+modulus holds those roots, the units and their inverses.  Verification sweeps use
 the deterministic splitmix generator; every failure report carries a concrete
 witness.
 
@@ -38,27 +39,21 @@ from .rng import SplitMix64
 
 
 @lru_cache(maxsize=4096)
-def _roots(q: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(q) / q)
-
-
-@lru_cache(maxsize=4096)
-def _units(q: int) -> np.ndarray:
-    if q == 1:
-        return np.zeros(1, dtype=np.int64)
+def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, units, inverses) mod q: e(r/q) for 0 <= r < q, the units in
+    ascending order, and each unit's inverse.  For q = 1 the only unit is 0."""
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
     r = np.arange(q, dtype=np.int64)
-    return r[np.gcd(r, q) == 1]
-
-
-@lru_cache(maxsize=4096)
-def _inv_table(q: int) -> np.ndarray:
-    """inv[u] for units u mod q (0 elsewhere)."""
-    inv = np.zeros(q, dtype=np.int64)
-    if q == 1:
-        return inv
-    for u in _units(q):
-        inv[u] = pow(int(u), -1, q)
-    return inv
+    units = r[np.gcd(r, q) == 1]
+    # Euler: inv(u) = u^(phi(q) - 1) mod q, squared and multiplied on all
+    # units at once; every product stays below q^2
+    inverses, base, e = np.ones_like(units), units, len(units) - 1
+    while e:
+        if e & 1:
+            inverses = inverses * base % q
+        base = base * base % q
+        e >>= 1
+    return roots, units, inverses % q
 
 
 # Unit-pair phases are generated and summed in leaves of this many values, so
@@ -84,8 +79,7 @@ def _pair_phases(q: int, c1: int, c2: int, c3: int):
     vectors; writing inv(b1*b2) = inv(b1)*inv(b2) keeps every product below
     q^2.
     """
-    u = _units(q)
-    iu = _inv_table(q)[u]
+    _, u, iu = _unit_table(q)
     n = len(u)
     row1, col2, row3 = c1 % q * u % q, c2 % q * u % q, c3 % q * iu % q
 
@@ -145,13 +139,8 @@ class FSumKey:
 
 
 def ramanujan(q: int, n: int) -> complex:
-    """Ramanujan sum c_q(n) = sum over units b of e(b*n/q).  Real-valued."""
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
-    if q == 1:
-        return 1 + 0j
-    idx = (_units(q) * (n % q)) % q
-    return complex(_roots(q)[idx].sum())
+    """Ramanujan sum c_q(n) = S(n, 0; q) = sum over units b of e(b*n/q).  Real-valued."""
+    return kloosterman(n, 0, q)
 
 
 def ramanujan_exact(q: int, n: int) -> int:
@@ -162,15 +151,26 @@ def ramanujan_exact(q: int, n: int) -> int:
     return mobius(q // g) * euler_phi(q) // euler_phi(q // g)
 
 
-def kloosterman(m: int, n: int, c: int) -> complex:
-    """S(m, n; c) = sum over units b mod c of e((m*b + n*inv(b))/c)."""
+def kloosterman(m, n, c: int) -> complex | np.ndarray:
+    """S(m, n; c) = sum over units b mod c of e((m*b + n*inv(b))/c).
+
+    m and n may also be equal-length integer arrays; the result is then the
+    array of S(m[i], n[i]; c).  Each row is summed on its own, so every value
+    equals the scalar call bit for bit.  Memory: len(m) * phi(c) phases.
+    """
     if c < 1:
         raise ValueError("modulus must be >= 1")
-    if c == 1:
-        return 1 + 0j
-    u = _units(c)
-    idx = ((m % c) * u + (n % c) * _inv_table(c)[u]) % c
-    return complex(_roots(c)[idx].sum())
+    roots, u, iu = _unit_table(c)
+    idx = (np.multiply.outer(m % c, u) + np.multiply.outer(n % c, iu)) % c
+    s = roots[idx].sum(axis=-1)
+    return complex(s) if s.ndim == 0 else s
+
+
+def _pair_sum(q: int, c1: int, c2: int, c3: int) -> complex:
+    """Sum over unit pairs (b1, b2) mod q of e((c1*b1 + c2*b2 + c3*inv(b1*b2))/q)."""
+    roots, u, _ = _unit_table(q)
+    phases = _pair_phases(q, c1, c2, c3)
+    return _tree_sum(len(u) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum())
 
 
 def kl3(a: int, q: int) -> complex:
@@ -185,17 +185,14 @@ def kl3(a: int, q: int) -> complex:
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q == 1:
-        return 1 + 0j
-    roots, phases = _roots(q), _pair_phases(q, 1, 1, a)
-    return _tree_sum(len(_units(q)) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum()) / q
+    return _pair_sum(q, 1, 1, a) / q
 
 
 def kl3_full_loop(a: int, q: int) -> complex:
     """O(q^3) definition-level oracle; intended only for q <= ~100."""
     if q == 1:
         return 1 + 0j
-    roots = _roots(q)
+    roots = _unit_table(q)[0]
     total = 0j
     for b1 in range(q):
         for b2 in range(q):
@@ -214,9 +211,10 @@ def kl3_prime_table(p: int) -> np.ndarray:
     """
     if p == 1:
         return np.ones(1, dtype=complex)
-    roots, inv_pair, pair_sum = _roots(p), _pair_phases(p, 0, 0, 1), _pair_phases(p, 1, 1, 0)
+    roots, u, _ = _unit_table(p)
+    inv_pair, pair_sum = _pair_phases(p, 0, 0, 1), _pair_phases(p, 1, 1, 0)
     t = np.zeros(p, dtype=complex)
-    n = len(_units(p)) ** 2
+    n = len(u) ** 2
     for lo in range(0, n, _LEAF):
         hi = min(n, lo + _LEAF)
         # t[inv(b1*b2)] += e((b1 + b2)/p), in the order of the pair grid
@@ -253,7 +251,7 @@ def _kl3_squarefree_units(f: FactoredInt) -> np.ndarray:
     is rounded exactly as the scalar route rounds it.
     """
     q = f.n
-    a = _units(q)
+    a = _unit_table(q)[1]
     re, im = 1.0, 0.0
     for p, _ in f.factors:
         m = q // p
@@ -270,13 +268,9 @@ def f_sum(key: FSumKey) -> complex:
 
     Time: phi(q)^2 phases.  Memory: O(_LEAF + q); no pair table is kept.
     """
-    h1, h2, h3, a, q = key.h1, key.h2, key.h3, key.a, key.q
-    if q == 1:
-        return 1 + 0j
-    if math.gcd(a, q) != 1:
+    if math.gcd(key.a, key.q) != 1:
         return 0j
-    roots, phases = _roots(q), _pair_phases(q, h1, h2, a * h3)
-    return _tree_sum(len(_units(q)) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum())
+    return _pair_sum(key.q, key.h1, key.h2, key.a * key.h3)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +287,6 @@ class SweepReport:
     max_ratio: float = 0.0
     witness: dict = field(default_factory=dict)
     seed: int = 0
-    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -303,7 +296,7 @@ class SweepReport:
 def _sample_unit(rng: SplitMix64, q: int) -> int:
     if q == 1:
         return 0
-    u = _units(q)
+    u = _unit_table(q)[1]
     return int(u[rng.below(len(u))])
 
 
@@ -378,8 +371,6 @@ def f_property_check(
         raise ValueError(f"q_max above {F_Q_MAX} is out of contract (O(q^2) per value)")
     tol_of = (lambda q: 1e-6 * q * q) if tol is None else (lambda q: tol)
     report = SweepReport(name=f"f-property-{property_id}", tested=0, seed=seed)
-    if property_id == 6:
-        report.note = "hypothesis: exists p with p^2 | q and p | h1*h2*h3"
 
     for q in range(1, q_max + 1):
         fq = factorize(q)
@@ -489,6 +480,7 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
     bound, so it is excluded as trivial) over deterministic (m, n) samples
     plus the degenerate corners (0,0), (0,1), (1,1).  Reports the maximum
     observed ratio; any ratio >= 1 is a failure, not a tolerance bump.
+    One kloosterman call per modulus holds trials_per_c * phi(c) phases.
     """
     if c_max > WEIL_C_MAX:
         raise ValueError(f"c_max above {WEIL_C_MAX} is out of contract")
@@ -499,8 +491,9 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
         pairs = [(0, 0), (0, 1), (1, 1)]
         while len(pairs) < trials_per_c:
             pairs.append((rng.in_range(0, 3 * c), rng.in_range(0, 3 * c)))
-        for m, n in pairs[:trials_per_c]:
-            s = kloosterman(m, n, c)
+        ms, ns = np.array(pairs[:trials_per_c], dtype=np.int64).reshape(-1, 2).T
+        sums = kloosterman(ms, ns, c).tolist()
+        for (m, n), s in zip(pairs, sums):
             g = math.gcd(math.gcd(m, n), c)
             ratio = abs(s) / (tau_c * math.sqrt(c * g))
             report.tested += 1
@@ -524,7 +517,7 @@ def deligne_check(p_max: int) -> SweepReport:
     report = SweepReport(name="deligne", tested=0)
     slack = 1e-9
     for p in sieve_upto(p_max).tolist():
-        vals = np.abs(kl3_prime_table(p)[_units(p)])
+        vals = np.abs(kl3_prime_table(p)[_unit_table(p)[1]])
         worst = float(vals.max())
         report.tested += len(vals)
         if worst / 3.0 > report.max_ratio:

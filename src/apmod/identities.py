@@ -28,16 +28,10 @@ from .rng import SplitMix64
 # ---------------------------------------------------------------------------
 # Heath-Brown identity
 
-# Global sign of the j-th term.  Fixed once by matching the expansion against
-# the von Mangoldt oracle on n <= 100 (see tests): (-1)^(j-1) reproduces
-# Lambda(n); the opposite choice reproduces -Lambda(n).
-HEATH_BROWN_SIGN = +1  # multiplies (-1)**(j-1)
-
-
 def heath_brown_decompose(n: int, k: int, x: int) -> float:
     """Evaluate the k-fold expansion of Lambda(n) with cutoff m_i <= 2 x^(1/k).
 
-    sum_{j=1..k} sign * (-1)^(j-1) C(k,j) sum_{n = m_1..m_j n_1..n_j,
+    sum_{j=1..k} (-1)^(j-1) C(k,j) sum_{n = m_1..m_j n_1..n_j,
     m_i <= 2 x^(1/k)} mu(m_1)..mu(m_j) log n_1,
 
     computed by Dirichlet convolutions on the divisor lattice of n.  Exact up
@@ -87,7 +81,7 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
         for i, d in enumerate(divs):
             if mu_pow[i]:
                 term += mu_pow[i] * lconv[pos[n // d]]
-        total += HEATH_BROWN_SIGN * (-1) ** (j - 1) * math.comb(k, j) * term
+        total += (-1) ** (j - 1) * math.comb(k, j) * term
     return total
 
 
@@ -136,7 +130,7 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
             mu_pow = _dirichlet(mu_pow, mu)
             tau_prev = _dirichlet(tau_prev, one)
         term = _dirichlet(mu_pow, _dirichlet(logv, tau_prev))
-        total += HEATH_BROWN_SIGN * (-1) ** (j - 1) * math.comb(k, j) * term
+        total += (-1) ** (j - 1) * math.comb(k, j) * term
     return total
 
 

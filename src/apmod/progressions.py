@@ -89,8 +89,9 @@ class ModuliFamily:
 
     kind: "box" (pairs (q1, q2) with q1 <= Q1, q2 <= Q2), "divisor-window"
     (q <= x^(1/2+delta) having a divisor in an exponent window), or "dyadic"
-    (q in [qlo, qhi]).  members holds the realized moduli; for the box kind,
-    pairs holds the (q1, q2) list, so repeated moduli keep their multiplicity.
+    (q in [qlo, qhi]).  members holds the realized moduli with multiplicity;
+    for the box kind, pairs holds the (q1, q2) list and members their
+    products q1 * q2 in the same order.
     """
 
     kind: str
@@ -261,18 +262,18 @@ def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyR
     SEGMENT-byte buffer.
     """
     pix = pi(x)
-    items = family.pairs if family.kind == "box" else [(q, 1) for q in family.members]
-    classes = [(q1 * q2, family.a % (q1 * q2)) for q1, q2 in items]
-    records = []
+    classes = [(q, family.a % q) for q in family.members]
+    records, deltas = [], []
     for (q, a), cnt in zip(classes, _count_in_classes(x, classes)):
         expected = Fraction(pix, euler_phi(q))
-        delta = abs(Fraction(cnt) - expected)
+        delta = abs(cnt - expected)
+        deltas.append(delta)
         records.append(
             DiscrepancyRecord(x=x, q=q, a=a, pi_ap=cnt, expected=expected, delta=float(delta))
         )
     records.sort(key=lambda r: (r.q, r.a))
-    total = float(sum((abs(Fraction(r.pi_ap) - r.expected) for r in records), Fraction(0)))
-    return total, records
+    # an exact Fraction sum, so the order of the deltas does not change it
+    return float(sum(deltas, Fraction(0))), records
 
 
 def box_constraints(x: int, q1_max: int, q2_max: int, epsilon: float = 0.0) -> dict[str, bool]:

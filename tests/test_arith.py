@@ -17,7 +17,6 @@ from apmod.arith import (
     factorize,
     mobius,
     mod_inv,
-    mult_eval,
     p_minus,
     p_plus,
     random_coprime_pairs,
@@ -184,7 +183,6 @@ class TestBezout:
 class TestMultEval:
     def test_phi(self):
         assert euler_phi(12) == 4
-        assert mult_eval("phi", 12) == 4
 
     def test_tau3_prime_square(self):
         for p in (2, 3, 5):
@@ -199,14 +197,6 @@ class TestMultEval:
         assert p_plus(1) == 1
         assert p_minus(15) == 3
         assert p_plus(15) == 5
-
-    def test_aux_validation(self):
-        with pytest.raises(ValueError):
-            mult_eval("tau_k", 12)
-        with pytest.raises(ValueError):
-            mult_eval("phi", 12, aux=3)
-        with pytest.raises(ValueError):
-            mult_eval("nope", 12)
 
     def test_phi_multiplicative_sampled(self):
         rng = SplitMix64(5)

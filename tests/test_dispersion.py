@@ -70,10 +70,6 @@ class TestDispersionExpand:
                 DispersionInstance(a=1, E=1, Q=31, D=1, R=1, N=4, M=5, alpha={}, lam={})
             )
 
-    def test_siegel_walfisz_flag_carried(self):
-        inst = fixed_seed_instances(1, seed=2)[0]
-        assert inst.siegel_walfisz is True
-
     @given(small_instances())
     @settings(max_examples=25, deadline=None)
     def test_identity_for_arbitrary_weights(self, inst):

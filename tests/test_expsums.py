@@ -16,11 +16,9 @@ from apmod.constants import (
 from apmod.expsums import (
     _LEAF,
     FSumKey,
-    _inv_table,
     _kl3_squarefree_units,
-    _roots,
     _tree_sum,
-    _units,
+    _unit_table,
     deligne_check,
     f_property_check,
     f_sum,
@@ -54,7 +52,29 @@ class TestRamanujan:
                 assert abs(v.imag) <= 1e-9 * max(euler_phi(q), 1)
 
 
+class TestUnitTable:
+    def test_units_and_inverses(self):
+        for q in range(1, 601):
+            roots, u, inv = _unit_table(q)
+            assert u.tolist() == [r for r in range(q) if math.gcd(r, q) == 1]
+            assert q == 1 or np.all((u * inv) % q == 1)
+            assert len(roots) == q
+
+    def test_q_one(self):
+        roots, u, inv = _unit_table(1)
+        assert roots.tolist() == [1] and u.tolist() == [0] and inv.tolist() == [0]
+
+
 class TestKloosterman:
+    def test_array_call_equals_scalar_calls(self):
+        rng = SplitMix64(29)
+        for c in range(1, 301):
+            drawn = [rng.in_range(-3 * c, 3 * c) for _ in range(12)]
+            m = [0, 1, -1, c, 2 * c + 1, -3 * c - 2] + drawn[:6]
+            n = [0, 0, c - 1, -c, 5 * c, 1] + drawn[6:]
+            got = kloosterman(np.array(m), np.array(n), c)
+            assert got.tolist() == [kloosterman(a, b, c) for a, b in zip(m, n)]
+
     def test_reduces_to_ramanujan(self):
         for q in (3, 8, 15):
             for n in range(3):
@@ -125,30 +145,31 @@ def _pair_grid(q):
     """The whole unit-pair grid at once, the reference for the streamed evaluators.
 
     b1-major (b1, b2) pairs of units mod q and ip = inv(b1*b2) mod q, three
-    arrays of phi(q)^2 entries each.
+    arrays of phi(q)^2 entries each.  The inverse of each product is looked
+    up by the product itself.
     """
-    u = _units(q)
+    _, u, inv = _unit_table(q)
     b1 = np.repeat(u, len(u))
     b2 = np.tile(u, len(u))
-    return b1, b2, _inv_table(q)[(b1 * b2) % q]
+    return b1, b2, inv[np.searchsorted(u, (b1 * b2) % q)]
 
 
 def _kl3_grid(a, q):
     b1, b2, ip = _pair_grid(q)
     b3 = ((a % q) * ip) % q
-    return complex(_roots(q)[(b1 + b2 + b3) % q].sum()) / q
+    return complex(_unit_table(q)[0][(b1 + b2 + b3) % q].sum()) / q
 
 
 def _f_sum_grid(h1, h2, h3, a, q):
     b1, b2, ip = _pair_grid(q)
     b3 = ((a % q) * ip) % q
     idx = (b1 * (h1 % q) + b2 * (h2 % q) + b3 * (h3 % q)) % q
-    return complex(_roots(q)[idx].sum())
+    return complex(_unit_table(q)[0][idx].sum())
 
 
 def _kl3_prime_table_grid(p):
     b1, b2, ip = _pair_grid(p)
-    roots = _roots(p)
+    roots = _unit_table(p)[0]
     t = np.zeros(p, dtype=complex)
     np.add.at(t, ip, roots[(b1 + b2) % p])
     return np.fft.ifft(t)
@@ -177,7 +198,7 @@ class TestStreamedPairSums:
 
     @pytest.mark.parametrize("q", STREAM_MODULI)
     def test_f_sum_bit_identical(self, q):
-        a = int(_units(q)[-1])
+        a = int(_unit_table(q)[1][-1])
         for h in ((1, 1, 1), (2, 3, 5), (q, 1, 7), (4, 6, 9), (-3, 11, 2 * q + 1)):
             assert f_sum(FSumKey(*h, a, q)) == _f_sum_grid(*h, a, q)
             assert f_sum(FSumKey(*h, 1, q)) == _f_sum_grid(*h, 1, q)
@@ -306,7 +327,7 @@ class TestDeligne:
             if not f.is_squarefree():
                 continue
             got = _kl3_squarefree_units(f)
-            want = [kl3_squarefree(int(a), f) for a in _units(q)]
+            want = [kl3_squarefree(int(a), f) for a in _unit_table(q)[1]]
             assert [complex(v) for v in got] == want, q
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from apmod.identities import (
-    HEATH_BROWN_SIGN,
     buchstab_terms,
     fundamental_lemma_weights,
     heath_brown_decompose,
@@ -27,10 +26,9 @@ class TestHeathBrown:
             assert v == pytest.approx(math.log(p), rel=1e-12)
 
     def test_sign_normalization_is_unique(self):
-        # the empirical build-time determination: with the chosen global sign
-        # the expansion reproduces Lambda(n) on n <= 100; with the opposite
-        # sign it reproduces -Lambda(n), so the choice is forced
-        assert HEATH_BROWN_SIGN == 1
+        # with the sign (-1)^(j-1) the expansion reproduces Lambda(n) on
+        # n <= 100; with the opposite sign it reproduces -Lambda(n), so the
+        # choice is forced
         for k in (2, 3):
             for n in range(1, 101):
                 lam = von_mangoldt(n)
