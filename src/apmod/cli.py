@@ -127,8 +127,8 @@ FAMILY_MAX = 10**6
 # 20 ns each, in one kloosterman call per modulus: at this cap 3.6 s and
 # 100 MB with --c-max 2000 --trials 125, 3.7 to 4.7 s and 71 MB with 707 and 1000
 WEIL_WORK_MAX = 5 * 10**8
-# verify fsum at this cap: 10 to 11.5 s with --q-max 200 --trials 60, 4.6 s
-# with 60 and 200, 4.2 s with 12 and 1000
+# verify fsum at this cap: 7.5 to 7.8 s with --q-max 200 --trials 60, 2.0
+# to 2.2 s with 60 and 200, 1.3 to 1.4 s with 12 and 1000
 FSUM_WORK_MAX = 12_000
 
 GROUPS = {"expsum": "evaluate one exponential sum", "verify": "run a verification sweep"}

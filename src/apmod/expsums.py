@@ -8,12 +8,16 @@ the deterministic splitmix generator; every failure report carries a concrete
 witness.
 
 Kl3, the F-sum and the prime Kl3 table run over the phi(q)^2 unit pairs
-(b1, b2) mod q.  They take time proportional to phi(q)^2 phases, but never
-hold the pair grid: phases are generated and summed _LEAF values at a time,
-so one evaluation allocates O(_LEAF + q) memory whatever q is and nothing of
-size phi(q)^2 is retained.  The leaves are cut where numpy's pairwise
-summation cuts the whole array (_tree_sum), so every sum is bit-identical to
-summing the whole grid at once.
+(b1, b2) mod q.  One kernel, _pair_sums, evaluates any number of coefficient
+triples at one modulus and returns one sum per triple; kl3 and f_sum are its
+one-row calls, and the F-sum sweep makes one call per modulus.  It takes
+time proportional to phi(q)^2 phases per row, but never holds the pair
+grid: phases are generated and summed in leaves of at most _LEAF values per
+row, in chunks of at most _CHUNK phases over all rows, so one call
+allocates O(_CHUNK + q) memory at a time besides its results, whatever q
+is, and nothing of size phi(q)^2 is retained.  The leaves are cut where
+numpy's pairwise summation cuts the whole row (_tree_sum), so every sum is
+bit-identical to summing that row's whole grid at once.
 """
 
 from __future__ import annotations
@@ -56,11 +60,13 @@ def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return roots, units, inverses % q
 
 
-# Unit-pair phases are generated and summed in leaves of this many values, so
-# the buffers of one Kl3 or F-sum evaluation stay O(_LEAF) whatever q is.
-# Leaves of 2^12 pay about 1.4x in per-leaf overhead at q = 2027; 2^18 gains
-# about 10% for 16x the memory.
+# Unit-pair phases are generated and summed in leaves of at most this many
+# values per row.  Leaves of 2^12 pay about 1.4x in per-leaf overhead at
+# q = 2027; 2^18 gains about 10% for 16x the memory.
 _LEAF = 1 << 14
+# _pair_sums evaluates its rows in chunks of at most this many phases at once
+# (one int64 phase and one complex root per phase: 3 MB).
+_CHUNK = 8 * _LEAF
 
 # The largest sweeps the checks accept: f_property_check's q_max (O(q^2) per
 # value), weil_check's c_max and deligne_check's p_max.
@@ -69,22 +75,26 @@ WEIL_C_MAX = 2000
 DELIGNE_P_MAX = 500
 
 
-def _pair_phases(q: int, c1: int, c2: int, c3: int):
-    """phases(lo, hi): (c1*b1 + c2*b2 + c3*inv(b1*b2)) mod q at flat positions
-    lo..hi-1 of the b1-major grid of unit pairs (b1, b2) mod q.
+def _pair_phases(q: int, coeffs):
+    """phases(lo, hi): for each triple (c1, c2, c3) of ``coeffs``, one row of
+    (c1*b1 + c2*b2 + c3*inv(b1*b2)) mod q at flat positions lo..hi-1 of the
+    b1-major grid of unit pairs (b1, b2) mod q; a C-contiguous int64 array of
+    shape (len(coeffs), hi - lo).
 
-    The per-unit vectors c1*b, c2*b, c3*inv(b) mod q are built once, here.
-    A span is cut into at most three row blocks (the tail of a row, whole
-    rows, the head of a row), each filled in place by one broadcast of those
-    vectors; writing inv(b1*b2) = inv(b1)*inv(b2) keeps every product below
-    q^2.
+    The per-unit rows c1*b, c2*b and (c3*inv(b) mod q), with every c
+    reduced mod q first, are built once, here.  A span is cut into at most
+    three row blocks (the tail of a row, whole rows, the head of a row),
+    each filled in place by one broadcast of those rows; writing
+    inv(b1*b2) = inv(b1)*inv(b2) keeps every product below q^2, so every
+    phase stays below 3q^2 until its one reduction mod q.
     """
     _, u, iu = _unit_table(q)
     n = len(u)
-    row1, col2, row3 = c1 % q * u % q, c2 % q * u % q, c3 % q * iu % q
+    c = np.array([[v % q for v in row] for row in coeffs], dtype=np.int64)
+    row1, col2, row3 = c[:, :1] * u, c[:, 1:2] * u, c[:, 2:] * iu % q
 
     def phases(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo, dtype=np.int64)
+        out = np.empty((len(c), hi - lo), dtype=np.int64)
         pos = lo
         while pos < hi:
             r, j = divmod(pos, n)
@@ -93,25 +103,28 @@ def _pair_phases(q: int, c1: int, c2: int, c3: int):
             else:
                 nr, end = 1, min(n, j + hi - pos)
             rows, cols = slice(r, r + nr), slice(j, end)
-            blk = out[pos - lo : pos - lo + nr * (end - j)].reshape(nr, end - j)
-            np.multiply.outer(row3[rows], iu[cols], out=blk)
-            blk += row1[rows, None]
-            blk += col2[cols]
-            pos += blk.size
+            span = out[:, pos - lo : pos - lo + nr * (end - j)]
+            # a view (numpy >= 2.1 raises rather than copy), so filled in place
+            blk = span.reshape(len(c), nr, end - j, copy=False)
+            np.multiply(row3[:, rows, None], iu[cols], out=blk)
+            blk += row1[:, rows, None]
+            blk += col2[:, None, cols]
+            pos += nr * (end - j)
         out %= q
         return out
 
     return phases
 
 
-def _tree_sum(n: int, leaf) -> complex:
+def _tree_sum(n: int, leaf):
     """The sum of n complex values, added in exactly numpy's order.
 
-    ``leaf(lo, hi)`` returns the numpy sum of values lo..hi-1.  numpy's
-    pairwise ``add.reduce`` splits a node of m scalars (two per complex
-    value) after m//2 - (m//2) % 8 of them; splitting the same way until a
-    node holds at most _LEAF values, and summing that node with numpy,
-    reproduces the sum of the whole array bit for bit.
+    ``leaf(lo, hi)`` returns the numpy sum of values lo..hi-1, a scalar or a
+    vector of independent sums added elementwise.  numpy's pairwise
+    ``add.reduce`` splits a node of m scalars (two per complex value) after
+    m//2 - (m//2) % 8 of them; splitting the same way until a node holds at
+    most _LEAF values, and summing that node with numpy, reproduces the sum
+    of the whole array bit for bit.
     """
 
     def node(lo: int, m: int):
@@ -120,7 +133,30 @@ def _tree_sum(n: int, leaf) -> complex:
         h = (m - m % 8) // 2
         return node(lo, h) + node(lo + h, m - h)
 
-    return complex(node(0, n))
+    return node(0, n)
+
+
+def _pair_sums(q: int, coeffs) -> list[complex]:
+    """Sum over unit pairs (b1, b2) mod q of e((c1*b1 + c2*b2 + c3*inv(b1*b2))/q),
+    one sum for each coefficient triple (c1, c2, c3) of ``coeffs``.
+
+    Each row is summed on its own in numpy's order, so every value is bit
+    for bit the numpy sum of that row's whole grid of phi(q)^2 roots.  Rows
+    are evaluated in chunks of at most _CHUNK phases (per row a leaf of at
+    most min(phi(q)^2, _LEAF) values): time phi(q)^2 phases per row, memory
+    O(_CHUNK + q) at a time besides the len(coeffs) results, whatever q is;
+    nothing of size phi(q)^2 is retained.
+    """
+    roots, u, _ = _unit_table(q)
+    n = len(u) ** 2
+    k = max(1, _CHUNK // min(n, _LEAF))
+    out = []
+    for i in range(0, len(coeffs), k):
+        phases = _pair_phases(q, coeffs[i : i + k])
+        # roots[...] of a C-contiguous index array is C-contiguous, so numpy
+        # reduces each row pairwise, exactly as it reduces that row alone
+        out += _tree_sum(n, lambda lo, hi: roots[phases(lo, hi)].sum(axis=1)).tolist()
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,13 +202,6 @@ def kloosterman(m, n, c: int) -> complex | np.ndarray:
     return complex(s) if s.ndim == 0 else s
 
 
-def _pair_sum(q: int, c1: int, c2: int, c3: int) -> complex:
-    """Sum over unit pairs (b1, b2) mod q of e((c1*b1 + c2*b2 + c3*inv(b1*b2))/q)."""
-    roots, u, _ = _unit_table(q)
-    phases = _pair_phases(q, c1, c2, c3)
-    return _tree_sum(len(u) ** 2, lambda lo, hi: roots[phases(lo, hi)].sum())
-
-
 def kl3(a: int, q: int) -> complex:
     """Hyper-Kloosterman Kl3(a; q) = (1/q) * sum over b1*b2*b3 = a of e((b1+b2+b3)/q).
 
@@ -185,7 +214,7 @@ def kl3(a: int, q: int) -> complex:
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    return _pair_sum(q, 1, 1, a) / q
+    return _pair_sums(q, [(1, 1, a)])[0] / q
 
 
 def kl3_full_loop(a: int, q: int) -> complex:
@@ -212,13 +241,14 @@ def kl3_prime_table(p: int) -> np.ndarray:
     if p == 1:
         return np.ones(1, dtype=complex)
     roots, u, _ = _unit_table(p)
-    inv_pair, pair_sum = _pair_phases(p, 0, 0, 1), _pair_phases(p, 1, 1, 0)
+    # rows: inv(b1*b2) and b1 + b2
+    phases = _pair_phases(p, [(0, 0, 1), (1, 1, 0)])
     t = np.zeros(p, dtype=complex)
     n = len(u) ** 2
     for lo in range(0, n, _LEAF):
-        hi = min(n, lo + _LEAF)
+        inv_pair, pair_sum = phases(lo, min(n, lo + _LEAF))
         # t[inv(b1*b2)] += e((b1 + b2)/p), in the order of the pair grid
-        np.add.at(t, inv_pair(lo, hi), roots[pair_sum(lo, hi)])
+        np.add.at(t, inv_pair, roots[pair_sum])
     # Kl3(a; p) = (1/p) * sum_c t[c] e(a c / p) = ifft(t)[a]
     return np.fft.ifft(t)
 
@@ -270,7 +300,7 @@ def f_sum(key: FSumKey) -> complex:
     """
     if math.gcd(key.a, key.q) != 1:
         return 0j
-    return _pair_sum(key.q, key.h1, key.h2, key.a * key.h3)
+    return _pair_sums(key.q, [(key.h1, key.h2, key.a * key.h3)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +337,10 @@ def _sample_coprime(rng: SplitMix64, q: int, lo: int, hi: int) -> int:
             return v
 
 
-def _coprime_splittings(q: int) -> list[tuple[int, int]]:
+def _coprime_splittings(fq: FactoredInt) -> list[tuple[int, int]]:
     """Nontrivial unordered coprime factorizations q = q1 * q2."""
-    ps = [p**e for p, e in factorize(q).factors]
+    q = fq.n
+    ps = [p**e for p, e in fq.factors]
     out = []
     for bits in range(1, 1 << (len(ps) - 1)):
         q1 = 1
@@ -320,16 +351,17 @@ def _coprime_splittings(q: int) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
-def _sample_p7_triple(rng: SplitMix64, q: int, assignment=None):
+def _sample_p7_triple(rng: SplitMix64, fq: FactoredInt, assignment=None):
     """h-triple with q | h1*h2*h3 and gcd(h1, h2, h3, q) = 1, q squarefree.
 
     Each prime of q is assigned to exactly one slot and multipliers stay
     coprime to q, so (h_i, q) equals the product of the slot's primes.  Pass
     ``assignment`` to force the same (h_i, q) triple with fresh multipliers.
     """
+    q = fq.n
     if assignment is None:
         assignment = [1, 1, 1]
-        for p, _ in factorize(q).factors:
+        for p, _ in fq.factors:
             assignment[rng.below(3)] *= p
     h = [assignment[i] * _sample_coprime(rng, q, 1, 2 * q + 1) for i in range(3)]
     return h, tuple(assignment)
@@ -360,6 +392,12 @@ def f_property_check(
 
     The default tolerance is 1e-6 * q^2, the trivial-bound scale of F.
 
+    Each modulus draws all its samples first, then evaluates every F-sum
+    they need in one batched _pair_sums call per modulus involved (q, and
+    q1 and q2 or q/d for statements 1 and 4): time samples_per_q * phi(q)^2
+    phases per value, memory O(_CHUNK + q) at a time plus a few values per
+    sample.
+
     Note on 6: the blanket hypothesis "q not squarefree and (h1 h2 h3, q) > 1"
     admits counterexamples where the shared prime divides only the squarefree
     part of q (q = 12, h = (3, 1, 1)); the hypothesis enforced here is the one
@@ -384,7 +422,7 @@ def f_property_check(
         if property_id == 7 and not squarefree:
             continue
         tested, failures, max_ratio = _check_f_property_at_q(
-            q, property_id, samples_per_q, tol_of, seed
+            fq, property_id, samples_per_q, tol_of, seed
         )
         report.tested += tested
         report.failures.extend(failures)
@@ -392,49 +430,65 @@ def f_property_check(
     return report
 
 
-def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
-    """One modulus of the property sweep; rng seeded per (seed, property, q)."""
+def _check_f_property_at_q(fq, property_id, samples_per_q, tol_of, seed):
+    """One modulus of the property sweep; rng seeded per (seed, property, q).
+
+    Two passes: every sample is drawn first, in one rng stream, queueing the
+    pair sums it needs; then each modulus involved (q, and q1 and q2 for
+    property 1 or q/d for property 4) is evaluated in one _pair_sums call,
+    and the samples are recorded in the order they were drawn.
+    """
+    q = fq.n
     rng = SplitMix64((seed * 1_000_003 + property_id) * 1_000_003 + q)
-    fq = factorize(q)
-    tested = 0
-    failures = []
-    max_ratio = 0.0
+    rows: dict[int, list] = {}  # modulus -> queued coefficient triples
+    sums: dict[int, list] = {}  # modulus -> their pair sums, once evaluated
 
-    def record(q, h, a, lhs, rhs):
-        nonlocal tested, max_ratio
-        tested += 1
-        dev, tol = abs(lhs - rhs), tol_of(q)
-        # tol = 0 demands an exact match: any deviation is infinitely over it
-        max_ratio = max(max_ratio, dev / tol if tol else math.inf if dev else 0.0)
-        if dev > tol:
-            failures.append(
-                {"q": q, "h": tuple(h), "a": a, "lhs": lhs, "rhs": rhs, "dev": dev}
-            )
+    def pair_sum(m, c1, c2, c3):
+        """Queue one pair sum at modulus m; returns a reader of its value."""
+        queue = rows.setdefault(m, [])
+        queue.append((c1, c2, c3))
+        i = len(queue) - 1
+        return lambda: sums[m][i]
 
-    for t in range(samples_per_q):
+    def f(h, a, m):
+        """F(h; a; m), queued exactly as f_sum evaluates it."""
+        if math.gcd(a, m) != 1:
+            return lambda: 0j
+        return pair_sum(m, h[0], h[1], a * h[2])
+
+    # per-modulus invariants
+    if property_id == 1:
+        splits = [
+            (q1, q2, pow(mod_inv(q1, q2), 3, q2), pow(mod_inv(q2, q1), 3, q1))
+            for q1, q2 in _coprime_splittings(fq)
+        ]
+    elif property_id == 3:
+        bad = [r for r in range(q) if math.gcd(r, q) != 1]
+    elif property_id == 4:
+        phi_q = euler_phi(fq)
+        scaled = [(d, phi_q**2 // euler_phi(q // d) ** 2) for d in divisors(fq)]
+    elif property_id == 6:
+        sq_primes = [p for p, e in fq.factors if e >= 2]
+
+    def draw(t):
+        """(h, a, lhs, rhs, bound) of sample t; lhs and rhs are readers."""
         a = _sample_unit(rng, q)
         if property_id == 1:
             h = [rng.in_range(1, 3 * q) for _ in range(3)]
-            splits = _coprime_splittings(q)
-            q1, q2 = splits[t % len(splits)]
-            a2 = (a * pow(mod_inv(q1, q2), 3, q2)) % q2
-            a1 = (a * pow(mod_inv(q2, q1), 3, q1)) % q1
-            lhs = f_sum(FSumKey(*h, a, q))
-            rhs = f_sum(FSumKey(*h, a2, q2)) * f_sum(FSumKey(*h, a1, q1))
-        elif property_id == 2:
+            q1, q2, m2, m1 = splits[t % len(splits)]
+            lhs, r2, r1 = f(h, a, q), f(h, a * m2 % q2, q2), f(h, a * m1 % q1, q1)
+            return h, a, lhs, lambda: r2() * r1(), None
+        if property_id == 2:
             h = [rng.in_range(1, 3 * q) for _ in range(3)]
             b = _sample_unit(rng, q) if q > 1 else 1
             ab = a if q == 1 else (a * pow(mod_inv(b, q), 3, q)) % q
-            lhs = f_sum(FSumKey(*h, a, q))
-            rhs = f_sum(FSumKey(b * h[0], b * h[1], b * h[2], ab, q))
-        elif property_id == 3:
+            return h, a, f(h, a, q), f([b * v for v in h], ab, q), None
+        if property_id == 3:
             h = [rng.in_range(1, 3 * q) for _ in range(3)]
-            bad = [r for r in range(q) if math.gcd(r, q) != 1]
             a = bad[rng.below(len(bad))]
-            lhs, rhs = f_sum(FSumKey(*h, a, q)), 0j
-        elif property_id == 4:
-            divs = divisors(fq)
-            d = divs[t % len(divs)]
+            return h, a, f(h, a, q), lambda: 0j, None
+        if property_id == 4:
+            d, scale = scaled[t % len(scaled)]
             qd = q // d
             while True:
                 hp = [rng.in_range(1, 3 * q) for _ in range(3)]
@@ -442,35 +496,44 @@ def _check_f_property_at_q(q, property_id, samples_per_q, tol_of, seed):
                 if g == 1:
                     break
             h = [d * v for v in hp]
-            scale = euler_phi(q) ** 2 // euler_phi(qd) ** 2
-            lhs = f_sum(FSumKey(*h, a, q))
-            rhs = scale * f_sum(FSumKey(*hp, a % qd, qd))
-        elif property_id == 5:
+            rhs = f(hp, a % qd, qd)
+            return h, a, f(h, a, q), lambda: scale * rhs(), None
+        if property_id == 5:
             h = [_sample_coprime(rng, q, 1, 3 * q) for _ in range(3)]
-            lhs = f_sum(FSumKey(*h, a, q))
-            rhs = q * kl3((a * h[0] * h[1] * h[2]) % q, q)
-        elif property_id == 6:
-            sq_primes = [p for p, e in fq.factors if e >= 2]
+            # q * kl3(a h1 h2 h3; q), with kl3's own division by q
+            s = pair_sum(q, 1, 1, (a * h[0] * h[1] * h[2]) % q)
+            return h, a, f(h, a, q), lambda: q * (s() / q), None
+        if property_id == 6:
             p = sq_primes[t % len(sq_primes)]
             while True:
                 h = [rng.in_range(1, 3 * q) for _ in range(3)]
                 h[t % 3] = p * rng.in_range(1, 2 * q)
                 if math.gcd(math.gcd(h[0], h[1]), math.gcd(h[2], q)) == 1:
                     break
-            lhs, rhs = f_sum(FSumKey(*h, a, q)), 0j
-        else:  # property 7
-            h, assignment = _sample_p7_triple(rng, q)
-            h2, _ = _sample_p7_triple(rng, q, assignment=assignment)
-            a2 = _sample_unit(rng, q)
-            lhs = f_sum(FSumKey(*h, a, q))
-            rhs = f_sum(FSumKey(*h2, a2, q))
-            bound = assignment[0] * assignment[1] * assignment[2] / q
-            if abs(lhs) > bound * (1 + 1e-9) + tol_of(q):
-                failures.append(
-                    {"q": q, "h": tuple(h), "a": a, "lhs": lhs, "bound": bound}
-                )
-        record(q, h, a, lhs, rhs)
-    return tested, failures, max_ratio
+            return h, a, f(h, a, q), lambda: 0j, None
+        # property 7
+        h, assignment = _sample_p7_triple(rng, fq)
+        h2, _ = _sample_p7_triple(rng, fq, assignment=assignment)
+        a2 = _sample_unit(rng, q)
+        bound = assignment[0] * assignment[1] * assignment[2] / q
+        return h, a, f(h, a, q), f(h2, a2, q), bound
+
+    samples = [draw(t) for t in range(samples_per_q)]
+    sums.update((m, _pair_sums(m, r)) for m, r in rows.items())
+
+    failures = []
+    max_ratio = 0.0
+    tol = tol_of(q)
+    for h, a, lhs, rhs, bound in samples:
+        lhs, rhs = lhs(), rhs()
+        if bound is not None and abs(lhs) > bound * (1 + 1e-9) + tol:
+            failures.append({"q": q, "h": tuple(h), "a": a, "lhs": lhs, "bound": bound})
+        dev = abs(lhs - rhs)
+        # tol = 0 demands an exact match: any deviation is infinitely over it
+        max_ratio = max(max_ratio, dev / tol if tol else math.inf if dev else 0.0)
+        if dev > tol:
+            failures.append({"q": q, "h": tuple(h), "a": a, "lhs": lhs, "rhs": rhs, "dev": dev})
+    return len(samples), failures, max_ratio
 
 
 def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport:

@@ -27,11 +27,11 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection (exact, unbiased)."""
         if n <= 0:
             raise ValueError("below() needs n >= 1")
-        lim = _MASK - (_MASK % n) if n & (n - 1) else _MASK
+        if n & (n - 1) == 0:
+            return self.next_u64() & (n - 1)
+        lim = _MASK - (_MASK % n)
         while True:
             v = self.next_u64()
-            if n & (n - 1) == 0:
-                return v & (n - 1)
             if v <= lim:
                 return v % n
 

@@ -552,7 +552,7 @@ _CASES = st.sampled_from(_LEAVES).flatmap(
 class TestTableContract:
     """Every table leaf, with flags drawn in and just past their ranges."""
 
-    @settings(max_examples=1500, deadline=None,
+    @settings(max_examples=1500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(case=_CASES)
     def test_every_input_ends_in_rows_or_one_line(self, case, tmp_path, capsys):

@@ -14,9 +14,12 @@ from apmod.constants import (
     KL3_CORRELATION_LHS,
 )
 from apmod.expsums import (
+    _CHUNK,
     _LEAF,
     FSumKey,
     _kl3_squarefree_units,
+    _pair_phases,
+    _pair_sums,
     _tree_sum,
     _unit_table,
     deligne_check,
@@ -180,6 +183,35 @@ def _kl3_prime_table_grid(p):
 STREAM_MODULI = (2, 12, 100, 127, 131, 243, 255, 256, 257, 343, 1000, 1540, 2310)
 STREAM_PRIMES = (2, 3, 127, 131, 257, 499, 1999)
 
+# (tested, len(failures), max_ratio.hex()) of f_property_check(48, pid, 200,
+# seed=s), keyed (pid, s); captured with the per-sample scalar evaluation that
+# preceded the batched kernel
+F_SWEEP_48_PINS = {
+    (1, 0): (5000, 0, "0x1.8434cc8b436d6p-34"),
+    (2, 0): (9600, 0, "0x1.74b35594a517fp-34"),
+    (3, 0): (9400, 0, "0x0.0p+0"),
+    (4, 0): (9600, 0, "0x1.399dcc86fd426p-32"),
+    (5, 0): (9600, 0, "0x1.0a368196e24a9p-34"),
+    (6, 0): (3400, 0, "0x1.101871cb76605p-34"),
+    (7, 0): (6200, 0, "0x1.e26d30f1c4760p-35"),
+    (1, 1): (5000, 0, "0x1.633d8ca12d3cep-34"),
+    (2, 1): (9600, 0, "0x1.2455e4c9c296dp-34"),
+    (3, 1): (9400, 0, "0x0.0p+0"),
+    (4, 1): (9600, 0, "0x1.399dcc86fd426p-32"),
+    (5, 1): (9600, 0, "0x1.0a368196e24a9p-34"),
+    (6, 1): (3400, 0, "0x1.10cdb4efc96d3p-34"),
+    (7, 1): (6200, 0, "0x1.2851af56edf59p-34"),
+}
+
+
+def _coefficient_pool(q):
+    """Coefficient triples with entries that are negative, >= q or = 0 mod q."""
+    rng = SplitMix64(q)
+    edge = [0, q, -q, 1, -1, 2 * q + 1, -3 * q - 2, q - 1]
+    pool = [(edge[i], edge[-1 - i], edge[(3 * i + 1) % 8]) for i in range(8)]
+    pool += [tuple(rng.in_range(-3 * q, 3 * q) for _ in range(3)) for _ in range(8)]
+    return pool
+
 
 class TestStreamedPairSums:
     """The streamed evaluators add the same terms in the same order as the grid."""
@@ -202,6 +234,27 @@ class TestStreamedPairSums:
         for h in ((1, 1, 1), (2, 3, 5), (q, 1, 7), (4, 6, 9), (-3, 11, 2 * q + 1)):
             assert f_sum(FSumKey(*h, a, q)) == _f_sum_grid(*h, a, q)
             assert f_sum(FSumKey(*h, 1, q)) == _f_sum_grid(*h, 1, q)
+
+    @pytest.mark.parametrize("q", STREAM_MODULI)
+    def test_pair_sums_rows_bit_identical(self, q):
+        # one chunk holds at most _CHUNK phases; cover one row and a batch
+        # just below, at and just past one chunk of rows
+        chunk = max(1, _CHUNK // min(euler_phi(q) ** 2, _LEAF))
+        pool = _coefficient_pool(q)
+        want = [_f_sum_grid(*c, 1, q) for c in pool]
+        for k in (1, chunk - 1, chunk, chunk + 1):
+            got = _pair_sums(q, [pool[i % len(pool)] for i in range(k)])
+            assert len(got) == k
+            assert got == [want[i % len(pool)] for i in range(k)], k
+
+    def test_pair_sums_rows_are_not_summed_column_by_column(self):
+        # rows of 4 leaves each: a column-by-column (F-ordered) reduction of
+        # the gathered leaf differs from the row sums in the last bits
+        q, coeffs = 257, [(1, 1, 1), (2, -3, 262), (0, 7, -1)]
+        leaf = _unit_table(q)[0][_pair_phases(q, coeffs)(0, _LEAF)]
+        rows = [complex(row.sum()) for row in leaf]
+        assert np.asfortranarray(leaf).sum(axis=1).tolist() != rows
+        assert _pair_sums(q, coeffs) == [_f_sum_grid(*c, 1, q) for c in coeffs]
 
     @pytest.mark.parametrize("p", STREAM_PRIMES)
     def test_prime_table_bit_identical(self, p):
@@ -280,6 +333,13 @@ class TestFPropertySweeps:
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             f_property_check(10, 9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_48_pinned(self, seed):
+        for pid in range(1, 8):
+            rep = f_property_check(48, pid, 200, seed=seed)
+            got = (rep.tested, len(rep.failures), rep.max_ratio.hex())
+            assert got == F_SWEEP_48_PINS[pid, seed], pid
 
     def test_paper_blanket_hypothesis_counterexample(self):
         # q = 12, h = (3, 1, 1): q is not squarefree, gcd(h1 h2 h3, q) = 3 > 1
