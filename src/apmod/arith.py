@@ -22,9 +22,9 @@ _TRIAL_LIMIT = 10**6
 
 @lru_cache(maxsize=1)
 def _trial_primes() -> tuple[int, ...]:
-    from .primes import sieve_upto
+    from .primes import primes_in
 
-    return tuple(int(p) for p in sieve_upto(_TRIAL_LIMIT))
+    return tuple(primes_in(0, _TRIAL_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -251,38 +251,6 @@ def tau_k(n: int | FactoredInt, k: int) -> int:
     return out
 
 
-def p_minus(n: int | FactoredInt) -> int:
-    """Smallest prime factor; P^-(1) is the +infinity sentinel."""
-    f = _as_factored(n)
-    return f.factors[0][0] if f.factors else P_MINUS_ONE_SENTINEL
-
-
-def p_plus(n: int | FactoredInt) -> int:
-    """Largest prime factor, with P^+(1) = 1."""
-    f = _as_factored(n)
-    return f.factors[-1][0] if f.factors else 1
-
-
-def squarefull_part(n: int | FactoredInt) -> int:
-    """Product of p^e over primes with p^2 | n."""
-    f = _as_factored(n)
-    out = 1
-    for p, e in f.factors:
-        if e >= 2:
-            out *= p**e
-    return out
-
-
-def smooth_part(n: int | FactoredInt, z: int) -> int:
-    """Product of p^e over primes p <= z dividing n."""
-    f = _as_factored(n)
-    out = 1
-    for p, e in f.factors:
-        if p <= z:
-            out *= p**e
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coprime-set partition
 
@@ -322,11 +290,11 @@ def coprime_partition(pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
 def random_coprime_pairs(count: int, seed: int = 0) -> list[tuple[int, int]]:
     """Deterministic internally-coprime pairs, each side a product of one or
     two primes below 100."""
-    from .primes import sieve_upto
+    from .primes import primes_in
     from .rng import SplitMix64
 
     rng = SplitMix64(seed)
-    pool = [int(p) for p in sieve_upto(100)]
+    pool = primes_in(0, 100)
     pairs: list[tuple[int, int]] = []
     while len(pairs) < count:
         a = 1

@@ -12,7 +12,7 @@ measurements at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, mod_inv
@@ -381,7 +381,6 @@ class CompletionReport:
     truncated: complex
     error: float
     H_used: int
-    params: dict = field(default_factory=dict)
 
 
 def _support_range(f: SmoothBump, scale: float) -> range:
@@ -420,7 +419,6 @@ def completed_ap_sum(f: SmoothBump, M: float, q: int, a: int, H: int) -> Complet
         truncated=complex(truncated),
         error=abs(exact - truncated),
         H_used=H,
-        params={"M": M, "q": q, "a": a},
     )
 
 
@@ -465,7 +463,6 @@ def completed_inverse_sum(
         truncated=complex(truncated),
         error=abs(exact - truncated),
         H_used=H,
-        params={"N": N, "q": q, "d": d, "n0": n0, "b": b},
     )
 
 
@@ -489,5 +486,4 @@ def coprime_smooth_sum(f: SmoothBump, M: float, q: int) -> CompletionReport:
         truncated=complex(main),
         error=abs(exact - main),
         H_used=0,
-        params={"M": M, "q": q},
     )

@@ -7,10 +7,6 @@ compare library output against these values; a drift is a regression, never
 a reason to re-pin silently.
 """
 
-# pi(10^6), classical value; re-derived by an independent bytearray sieve
-# (oracle run 2026-08-09, sieve_list(10**6)).
-PI_1E6 = 78498
-
 # Mean of |pi(x;q,1) - pi(x)/phi(q)| * phi(q) / pi(x) over q in [50, 1000],
 # x = 10^6: exact-rational per-q deltas, float per term, math.fsum, / count.
 # Oracle run 2026-08-09: direct sieve scan, independent phi/sieve code.

@@ -30,7 +30,6 @@ import numpy as np
 
 from .arith import (
     FactoredInt,
-    _as_factored,
     divisors,
     euler_phi,
     factorize,
@@ -38,7 +37,7 @@ from .arith import (
     mobius,
     tau_k,
 )
-from .primes import sieve_upto
+from .primes import primes_in
 from .rng import SplitMix64
 
 
@@ -253,32 +252,13 @@ def kl3_prime_table(p: int) -> np.ndarray:
     return np.fft.ifft(t)
 
 
-def kl3_squarefree(a: int, q: int | FactoredInt) -> complex:
-    """Kl3(a; q) for squarefree q and (a, q) = 1 via the prime tables.
-
-    Uses Kl3(a; q1*q2) = Kl3(a*inv(q1)^3; q2) * Kl3(a*inv(q2)^3; q1), so
-    large squarefree moduli cost one table lookup per prime factor.
-    """
-    f = _as_factored(q)
-    q = f.n
-    if not f.is_squarefree():
-        raise ValueError(f"{q} is not squarefree")
-    if math.gcd(a, q) != 1:
-        raise ValueError("residue must be a unit")
-    out = 1 + 0j
-    for p, _ in f.factors:
-        m = q // p
-        ap = a % p if m == 1 else (a * pow(mod_inv(m, p), 3, p)) % p
-        out *= complex(kl3_prime_table(p)[ap])
-    return out
-
-
 def _kl3_squarefree_units(f: FactoredInt) -> np.ndarray:
-    """kl3_squarefree(a, q) for every unit a of squarefree q, ascending in a.
+    """Kl3(a; q) for every unit a of squarefree q, ascending in a.
 
-    One table gather per prime factor, multiplied in kl3_squarefree's factor
-    order with the complex product written out in real parts, so each value
-    is rounded exactly as the scalar route rounds it.
+    Uses Kl3(a; q1*q2) = Kl3(a*inv(q1)^3; q2) * Kl3(a*inv(q2)^3; q1), so a
+    squarefree modulus costs one prime-table gather per prime factor.  The
+    factors are multiplied in ascending order, starting from 1 + 0j, with the
+    complex product written out in real parts.
     """
     q = f.n
     a = _unit_table(q)[1]
@@ -311,12 +291,10 @@ def f_sum(key: FSumKey) -> complex:
 class SweepReport:
     """Outcome of a verification sweep; failures carry concrete witnesses."""
 
-    name: str
     tested: int
     failures: list[dict] = field(default_factory=list)
     max_ratio: float = 0.0
     witness: dict = field(default_factory=dict)
-    seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -408,7 +386,7 @@ def f_property_check(
     if q_max > F_Q_MAX:
         raise ValueError(f"q_max above {F_Q_MAX} is out of contract (O(q^2) per value)")
     tol_of = (lambda q: 1e-6 * q * q) if tol is None else (lambda q: tol)
-    report = SweepReport(name=f"f-property-{property_id}", tested=0, seed=seed)
+    report = SweepReport(tested=0)
 
     for q in range(1, q_max + 1):
         fq = factorize(q)
@@ -547,7 +525,7 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
     """
     if c_max > WEIL_C_MAX:
         raise ValueError(f"c_max above {WEIL_C_MAX} is out of contract")
-    report = SweepReport(name="weil", tested=0, seed=seed)
+    report = SweepReport(tested=0)
     for c in range(2, c_max + 1):
         rng = SplitMix64(seed * 7919 + c)
         tau_c = tau_k(c, 2)
@@ -577,9 +555,9 @@ def deligne_check(p_max: int) -> SweepReport:
     """
     if p_max > DELIGNE_P_MAX:
         raise ValueError(f"p_max above {DELIGNE_P_MAX} is out of contract")
-    report = SweepReport(name="deligne", tested=0)
+    report = SweepReport(tested=0)
     slack = 1e-9
-    for p in sieve_upto(p_max).tolist():
+    for p in primes_in(0, p_max):
         vals = np.abs(kl3_prime_table(p)[_unit_table(p)[1]])
         worst = float(vals.max())
         report.tested += len(vals)
@@ -622,6 +600,12 @@ def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dic
     if s * lcm > 10**4:
         raise ValueError("moduli too large for direct evaluation (s*[r1,r2] > 1e4)")
     m1, m2 = r1 * s, r2 * s
+    # Kl3(b; m) at every residue b (0 at the non-units), one table per modulus
+    kl = {}
+    for m in {m1, m2}:
+        kl[m] = np.zeros(m, dtype=complex)
+        kl[m][_unit_table(m)[1]] = _kl3_squarefree_units(factorize(m))
+    kl1, kl2 = kl[m1], kl[m2]
     lhs = 0j
     h_lo = max(1, math.floor(H / 2))
     h_hi = math.ceil(5 * H / 2)
@@ -629,11 +613,7 @@ def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dic
         w = psi0_eval(h / H)
         if w == 0.0 or math.gcd(h, s * r1 * r2) != 1:
             continue
-        lhs += (
-            w
-            * kl3_squarefree((a1 * h) % m1, m1)
-            * np.conj(kl3_squarefree((a2 * h) % m2, m2))
-        )
+        lhs += w * kl1[(a1 * h) % m1] * np.conj(kl2[(a2 * h) % m2])
     g_r = math.gcd(math.gcd(a2 - a1, r1), r2)
     g_s = math.gcd(a2 * r1**3 - a1 * r2**3, s)
     rhs_bound = (H / (lcm * s) + 1.0) * math.sqrt(s * lcm * g_r * g_s)

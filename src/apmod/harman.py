@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primes import SEGMENT, least_prime_factor_table, primes_in
-from .progressions import SValue, s_values
+from .primes import least_prime_factor_table, primes_in
+from .progressions import SValue, _window_batches, s_values
 
 
 @dataclass
@@ -85,14 +85,6 @@ class SubstitutionFlag:
 
 @dataclass
 class HarmanReport:
-    x: int
-    z1: float
-    z2: float
-    z3: float
-    q1: int
-    q2: int
-    a: int
-    epsilon: float
     flags: list[SubstitutionFlag]
     split_checks: list[tuple[str, bool]]
     root_value: SValue
@@ -113,21 +105,15 @@ def _cofactor_census(x: int, terms) -> tuple[int, ...]:
 
     Returns five counts summed over the windows: m = 1; prime m = z;
     composite m; composite m with a composite cofactor m / P^-(m); composite
-    m with a prime cofactor and P^-(m) = z.  The windows are concatenated and
-    read in batches of at most SEGMENT integers, so memory is O(SEGMENT)
-    beyond the shared LPF table (to 2x) and O(len(terms)).
+    m with a prime cofactor and P^-(m) = z.  The windows are read through
+    progressions._window_batches, so memory is O(SEGMENT) beyond the shared
+    LPF table (to 2x) and O(len(terms)).
     """
     lpf = least_prime_factor_table(2 * x)
     d = np.array([t[0] for t in terms], dtype=np.int64)
     z = np.array([t[1] for t in terms], dtype=np.int64)
-    lo = x // d + 1
-    width = np.maximum((2 * x) // d - lo + 1, 0)
-    ends = np.cumsum(width)
     counts = np.zeros(5, dtype=np.int64)
-    for s in range(0, int(ends[-1]) if len(ends) else 0, SEGMENT):
-        pos = np.arange(s, min(s + SEGMENT, int(ends[-1])))
-        t = np.searchsorted(ends, pos, side="right")
-        m = lo[t] + pos - (ends[t] - width[t])
+    for t, m in _window_batches(x // d + 1, (2 * x) // d):
         pm, zt = lpf[m], z[t]
         rough = pm >= zt
         m, pm, zt = m[rough], pm[rough], zt[rough]
@@ -283,8 +269,7 @@ def harman_tree(
 
     leaves = [leaf.svalue if eff > 0 else -leaf.svalue for leaf, eff in root.leaves()]
     leaf_sum = sum(leaves, SValue.zero(total.phi_q))
-    report = HarmanReport(x, z1, z2, z3, q1, q2, a, epsilon, flags, split_checks,
-                          root.svalue, leaf_sum, len(leaves))
+    report = HarmanReport(flags, split_checks, root.svalue, leaf_sum, len(leaves))
     return root, report
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, mobius
-from .primes import least_prime_factor_table, primes_in, sieve_upto
+from .primes import least_prime_factor_table, primes_in
 from .progressions import SValue, s_values
 from .rng import SplitMix64
 
@@ -115,7 +115,7 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     cut = min(n_max, math.floor(2.0 * x ** (1.0 / k)))
     mu = np.zeros(n_max + 1, dtype=np.int64)
     mu[1 : cut + 1] = 1
-    for p in sieve_upto(cut).tolist():
+    for p in primes_in(0, cut):
         mu[p : cut + 1 : p] *= -1
         mu[p * p : cut + 1 : p * p] = 0
     one = np.ones(n_max + 1, dtype=np.int64)
@@ -186,7 +186,7 @@ def fundamental_lemma_weights(z: float, y: float) -> SieveWeights:
         raise ValueError("z must be >= 2")
     if y < z:
         raise ValueError("level y must be >= z")
-    ps = [int(p) for p in sieve_upto(int(z))][::-1]  # descending
+    ps = primes_in(0, int(z))[::-1]  # descending
 
     def build(parity: int) -> dict[int, int]:
         # parity 1 -> condition at odd depths (lambda+); 0 -> even (lambda-)
@@ -246,7 +246,7 @@ class ReductionSequences:
         lhs = (lpf > self.z1).astype(np.int64)
         lhs[0] = 0
         rhs = np.zeros(n_max + 1, dtype=np.int64)
-        window = [int(p) for p in sieve_upto(int(self.z1)) if p > self.z2]
+        window = [p for p in primes_in(0, int(self.z1)) if p > self.z2]
         # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
         for d, w in self.alpha.items():
             if d > min(self.y, n_max):
@@ -278,7 +278,7 @@ def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
         raise ValueError("needs z2 <= z1")
     if y < 1:
         raise ValueError("needs y >= 1")
-    window = [int(p) for p in sieve_upto(int(z1)) if p > z2]
+    window = [p for p in primes_in(0, int(z1)) if p > z2]
     alpha: dict[int, int] = {1: 1}
     # products of distinct window primes; the identity only reads alpha and
     # beta at d <= y, so the support is capped there

@@ -6,10 +6,12 @@ well under a second.  Constructed tables are immutable; all queries are pure.
 
 One segment loop lists every prime.  ``prime_segments(lo, hi)`` yields the
 primes in [lo, hi] one segment at a time, so a consumer that drops each
-segment holds O(SEGMENT) bytes whatever the width; ``sieve_upto`` and
-``primes_in`` concatenate it.  Prime counts up to x read ``prime_bitmap(x)``,
-a packed odd-only bitmap of about x/16 bytes packed by the same loop, not an
-array of the primes themselves.
+segment holds O(SEGMENT) bytes whatever the width; ``primes_in``, the one
+call that returns a list of primes, concatenates it.  Every segment loop and
+the least-prime-factor table take their base primes up to sqrt(hi) from
+``primes_in`` afresh: nothing caches a list of primes.  Prime counts up to x
+read ``prime_bitmap(x)``, a packed odd-only bitmap of about x/16 bytes packed
+by the same loop, not an array of the primes themselves.
 
 The least-prime-factor table is one process-wide, read-only int64 array that
 only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
@@ -29,7 +31,7 @@ from .arith import FactoredInt, P_MINUS_ONE_SENTINEL, _as_factored
 SEGMENT = 1 << 20
 
 
-def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+def _odd_sieve_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """Boolean primality of odd numbers lo, lo+2, ..., < hi (lo odd, lo >= 1).
 
     ``base`` holds every prime <= isqrt(hi - 1).  With lo = 1 the entry for 1
@@ -38,7 +40,6 @@ def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     size = (hi - lo + 1) // 2
     mask = np.ones(size, dtype=bool)
     for p in base:
-        p = int(p)
         if p == 2:
             continue
         if p * p >= hi:
@@ -57,9 +58,12 @@ def _odd_blocks(lo: int, hi: int):
 
     mask[i] is the primality of start + 2i, sieved by ``_odd_sieve_block``
     from the primes <= isqrt(hi); with lo = 1 the caller clears the entry for
-    1.  One SEGMENT-byte mask is alive at a time.
+    1.  One SEGMENT-byte mask is alive at a time.  The base primes are listed
+    only for a nonempty range, which ends the recursion through primes_in.
     """
-    base = sieve_upto(math.isqrt(max(hi, 0)))
+    if lo > hi:
+        return
+    base = primes_in(0, math.isqrt(hi))
     while lo <= hi:
         top = min(lo + 2 * SEGMENT, hi + 1)
         yield lo, _odd_sieve_block(lo, top, base)
@@ -77,18 +81,6 @@ def prime_segments(lo: int, hi: int):
     yield np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)
     for start, mask in _odd_blocks(max(lo, 3) | 1, hi):
         yield start + 2 * np.flatnonzero(mask)
-
-
-@lru_cache(maxsize=8)
-def sieve_upto(n: int) -> np.ndarray:
-    """Ascending array of all primes <= n.
-
-    Its base primes are sieve_upto(isqrt(n)), so the cache recurses down to
-    n < 2.
-    """
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(list(prime_segments(2, n)))
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -180,8 +172,7 @@ def least_prime_factor_table(limit: int) -> np.ndarray:
         _lpf = np.empty(0, dtype=np.int64)  # drop the old table before building
         lpf = np.arange(limit + 1, dtype=np.int64)  # primes are their own lpf
         # descending, so the smallest prime dividing n writes lpf[n] last
-        for p in sieve_upto(math.isqrt(limit))[::-1]:
-            p = int(p)
+        for p in reversed(primes_in(0, math.isqrt(limit))):
             lpf[p * p :: p] = p
         if limit >= 1:
             lpf[1] = P_MINUS_ONE_SENTINEL

@@ -87,15 +87,14 @@ class DiscrepancyRecord:
 class ModuliFamily:
     """A realized set of moduli to scan, with its construction parameters.
 
-    kind: "box" (pairs (q1, q2) with q1 <= Q1, q2 <= Q2), "divisor-window"
-    (q <= x^(1/2+delta) having a divisor in an exponent window), or "dyadic"
-    (q in [qlo, qhi]).  members holds the realized moduli with multiplicity;
-    for the box kind, pairs holds the (q1, q2) list and members their
-    products q1 * q2 in the same order.
+    Made by bifactor_box_family (pairs (q1, q2) with q1 <= Q1, q2 <= Q2),
+    divisor_window_family (q <= x^(1/2+delta) having a divisor in an
+    exponent window) or dyadic_family (q in [qlo, qhi]).
+    members holds the realized moduli with multiplicity; for the box family,
+    pairs holds the (q1, q2) list and members their products q1 * q2 in the
+    same order.
     """
 
-    kind: str
-    x: int
     a: int
     members: list[int]
     pairs: list[tuple[int, int]] = field(default_factory=list)
@@ -160,6 +159,27 @@ def _least_lpf(z: float, inclusive: bool) -> int | None:
     return bound if bound <= P_MINUS_ONE_SENTINEL else None
 
 
+def _window_batches(lo: np.ndarray, hi: np.ndarray):
+    """(t, n) int64 arrays per batch of the windows [lo[t], hi[t]], end to end.
+
+    The windows are laid out in order, an empty one (hi[t] < lo[t]) taking
+    no room, and cut into batches of at most SEGMENT integers; batch by
+    batch, n runs through every integer of every window and t names its
+    window, so each (t, n) pair comes exactly once, in window order.  Memory:
+    O(SEGMENT) per batch plus O(len(lo)).
+    """
+    widths = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(widths)  # window t holds positions [ends[t] - widths[t], ends[t])
+    shift = lo - (ends - widths)  # n = shift[t] + position
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, SEGMENT):
+        e = min(s + SEGMENT, total)
+        first, last = np.searchsorted(ends, [s, e - 1], side="right")
+        ts = np.arange(first, last + 1)
+        t = np.repeat(ts, np.minimum(ends[ts], e) - np.maximum(ends[ts] - widths[ts], s))
+        yield t, shift[t] + np.arange(s, e)
+
+
 # A window goes to the strided path when each SEGMENT chunk of it holds at
 # least _WIDE + _PER_CLASS * q integers.  A strided chunk costs about 10 us
 # plus 1.3 us per residue class (one count_nonzero each), a gathered integer
@@ -185,13 +205,12 @@ def s_values(
     on the least prime factor (see _least_lpf).  A wide window is read as
     slices of the shared LPF table, one SEGMENT at a time, and its survivors
     are histogrammed by n mod q with strided count_nonzero.  The narrow
-    windows are concatenated and gathered in batches of at most SEGMENT
-    integers; in each batch the survivors with d*n = a mod q, and those with
-    (d*n, q) = 1, are counted per term by bincount.  Memory: the LPF table,
-    grown to the largest window end (8 bytes per entry), plus O(SEGMENT) per
-    chunk or batch and O(len(terms)); the residue tables of the strided path
-    hold q < SEGMENT / _PER_CLASS entries, and are built only when a window
-    takes that path.
+    windows are read through _window_batches; in each batch the survivors
+    with d*n = a mod q, and those with (d*n, q) = 1, are counted per term by
+    bincount.  Memory: the LPF table, grown to the largest window end (8
+    bytes per entry), plus O(SEGMENT) per chunk or batch and O(len(terms));
+    the residue tables of the strided path hold q < SEGMENT / _PER_CLASS
+    entries, and are built only when a window takes that path.
     """
     q = q1 * q2
     if q < 1:
@@ -227,15 +246,7 @@ def s_values(
         coprime[i] = by_n[unit[dn]].sum()
     if narrow:
         idx, ds, los, his, bounds = (np.array(col, dtype=np.int64) for col in zip(*narrow))
-        widths = his - los + 1
-        ends = np.cumsum(widths)  # window t holds positions [ends[t] - widths[t], ends[t])
-        shift = los - (ends - widths)  # n = shift[t] + position
-        for s in range(0, int(ends[-1]), SEGMENT):
-            e = min(s + SEGMENT, int(ends[-1]))
-            first, last = np.searchsorted(ends, [s, e - 1], side="right")
-            ts = np.arange(first, last + 1)
-            t = np.repeat(ts, np.minimum(ends[ts], e) - np.maximum(ends[ts] - widths[ts], s))
-            n = shift[t] + np.arange(s, e)
+        for t, n in _window_batches(los, his):
             keep = lpf[n] >= bounds[t]
             t = t[keep]
             dn = ds[t] * n[keep] % q  # d*n <= 2x
@@ -307,8 +318,6 @@ def bifactor_box_family(
     ]
     members = [q1 * q2 for q1, q2 in pairs]
     return ModuliFamily(
-        kind="box",
-        x=x,
         a=a,
         members=members,
         pairs=pairs,
@@ -325,9 +334,7 @@ def dyadic_family(x: int, q_lo: int, q_hi: int, a: int) -> ModuliFamily:
     if q_lo < 1:
         raise ValueError(f"q_lo must be >= 1, got {q_lo}")
     members = [q for q in range(q_lo, q_hi + 1) if math.gcd(q, a) == 1]
-    return ModuliFamily(
-        kind="dyadic", x=x, a=a, members=members, params={"qlo": q_lo, "qhi": q_hi}
-    )
+    return ModuliFamily(a=a, members=members, params={"qlo": q_lo, "qhi": q_hi})
 
 
 def divisor_window(x: int, delta: float, eta: float) -> tuple[float, float]:
@@ -379,8 +386,6 @@ def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFam
         q_max, lo_narrow, hi_narrow
     )
     return ModuliFamily(
-        kind="divisor-window",
-        x=x,
         a=a,
         members=units[nominal[units]].tolist(),
         params={"delta": delta, "eta": eta, "window": (lo, hi), "q_max": q_max},

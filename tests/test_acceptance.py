@@ -43,8 +43,8 @@ from apmod.identities import (
 )
 from apmod.primes import (
     least_prime_factor_table,
+    primes_in,
     rough_count,
-    sieve_upto,
     von_mangoldt,
 )
 from apmod.rng import SplitMix64
@@ -254,7 +254,7 @@ def test_c12_partition_of_unity():
 
 def test_c13_bv_regression():
     x = 10**6
-    primes = sieve_upto(x)
+    primes = np.array(primes_in(0, x))
     pix = len(primes)
     terms = []
     for q in range(50, 1001):

@@ -8,23 +8,16 @@ from hypothesis import strategies as st
 from apmod.arith import (
     FactoredInt,
     ModFraction,
-    P_MINUS_ONE_SENTINEL,
     bezout_split,
     check_coprime_partition,
     coprime_partition,
     divisors,
     euler_phi,
     factorize,
-    mobius,
     mod_inv,
-    p_minus,
-    p_plus,
     random_coprime_pairs,
-    smooth_part,
-    squarefull_part,
     tau_k,
 )
-from apmod.primes import least_prime_factor_table
 from apmod.rng import SplitMix64
 
 
@@ -188,16 +181,6 @@ class TestMultEval:
         for p in (2, 3, 5):
             assert tau_k(p * p, 3) == 6
 
-    def test_squarefull_smooth(self):
-        assert squarefull_part(12) == 4
-        assert smooth_part(12, 2) == 4
-
-    def test_p_minus_plus(self):
-        assert p_minus(1) == P_MINUS_ONE_SENTINEL
-        assert p_plus(1) == 1
-        assert p_minus(15) == 3
-        assert p_plus(15) == 5
-
     def test_phi_multiplicative_sampled(self):
         rng = SplitMix64(5)
         done = 0
@@ -208,35 +191,6 @@ class TestMultEval:
                 continue
             assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
             done += 1
-
-    def test_squarefull_cofactor_exhaustive(self):
-        lpf = least_prime_factor_table(10**5)
-        for n in range(1, 10**5 + 1):
-            sq = squarefull_part(_factor_via_lpf(n, lpf))
-            cof = n // sq
-            assert sq * cof == n
-            assert mobius(_factor_via_lpf(cof, lpf)) != 0  # cofactor squarefree
-
-    @pytest.mark.parametrize("z", [2, 10, 100])
-    def test_smooth_rough_split_exhaustive(self, z):
-        lpf = least_prime_factor_table(10**5)
-        for n in range(1, 10**5 + 1):
-            f = _factor_via_lpf(n, lpf)
-            sm = smooth_part(f, z)
-            cof = n // sm
-            assert sm * cof == n
-            assert p_plus(_factor_via_lpf(sm, lpf)) <= z or sm == 1
-            assert cof == 1 or p_minus(_factor_via_lpf(cof, lpf)) > z
-
-
-def _factor_via_lpf(n, lpf):
-    fac = {}
-    m = n
-    while m > 1:
-        p = int(lpf[m])
-        fac[p] = fac.get(p, 0) + 1
-        m //= p
-    return FactoredInt(n, tuple(sorted(fac.items())))
 
 
 class TestModFraction:
@@ -260,18 +214,6 @@ class TestModFraction:
         f1, f2 = bezout_split(a, q1, q2)
         total = f1.as_fraction() + f2.as_fraction()
         assert (total - Fraction(a, q1 * q2)) % 1 == 0
-
-    @given(
-        st.integers(min_value=1, max_value=10**9),
-        st.integers(min_value=2, max_value=1000),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_smooth_rough_property(self, n, z):
-        sm = smooth_part(n, z)
-        cof = n // sm
-        assert sm * cof == n
-        assert sm == 1 or p_plus(sm) <= z
-        assert cof == 1 or p_minus(cof) > z
 
 
 class TestCoprimePartition:

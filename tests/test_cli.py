@@ -325,7 +325,7 @@ class TestSizeCaps:
     def test_sweep_product_caps_admit(self, args, tmp_path, monkeypatch):
         # defaults, README examples and the caps' corners pass the product
         # caps; the sweeps themselves are stubbed
-        report = lambda *a, **k: SweepReport(name="stub", tested=1)
+        report = lambda *a, **k: SweepReport(tested=1)
         monkeypatch.setattr(cli, "weil_check", report)
         monkeypatch.setattr(cli, "f_property_check", report)
         assert run_cli(args, tmp_path)[0] == 0

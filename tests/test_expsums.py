@@ -29,7 +29,6 @@ from apmod.expsums import (
     kl3_correlation,
     kl3_full_loop,
     kl3_prime_table,
-    kl3_squarefree,
     kloosterman,
     ramanujan,
     ramanujan_exact,
@@ -141,7 +140,9 @@ class TestKl3:
 
     def test_squarefree_multiplicative_matches_direct(self):
         for a, q in ((1, 15), (2, 21), (4, 35), (1, 30), (7, 33), (11, 105)):
-            assert abs(kl3_squarefree(a, q) - kl3(a, q)) <= 1e-9 * q
+            table = _kl3_squarefree_units(factorize(q))
+            got = table[np.searchsorted(_unit_table(q)[1], a)]
+            assert abs(got - kl3(a, q)) <= 1e-9 * q
 
 
 def _pair_grid(q):
@@ -381,14 +382,18 @@ class TestDeligne:
     def test_q1_bound(self):
         assert abs(kl3(1, 1)) <= tau_k(1, 3)
 
-    def test_unit_vector_matches_scalar_route(self):
+    def test_unit_table_matches_pair_route(self):
+        # the multiplicative table against kl3's sum over unit pairs, at the
+        # least unit, the largest and one drawn unit of every squarefree q
+        rng = SplitMix64(29)
         for q in range(2, 401):
             f = factorize(q)
             if not f.is_squarefree():
                 continue
-            got = _kl3_squarefree_units(f)
-            want = [kl3_squarefree(int(a), f) for a in _unit_table(q)[1]]
-            assert [complex(v) for v in got] == want, q
+            units = _unit_table(q)[1]
+            table = _kl3_squarefree_units(f)
+            for i in (0, len(units) - 1, rng.below(len(units))):
+                assert abs(table[i] - kl3(int(units[i]), q)) <= 1e-9 * q, (q, units[i])
 
 
 class TestCorrelation:

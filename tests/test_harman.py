@@ -60,14 +60,12 @@ class TestHarmanTree:
         # match an independent count of primes in (x, 2x] by residue class
         import numpy as np
 
-        from apmod.primes import sieve_upto
-
         x = 10**6
         root, rep = harman_tree(**spec_params(x), q1=3, q2=1, a=1)
         assert rep.exact
         g3 = next(n for n, _ in root.walk() if n.name == "G3")
         assert g3.svalue.triple() != (0, 0, 2)  # deep group nonempty here
-        ps = sieve_upto(2 * x)
+        ps = np.array(primes_in(0, 2 * x))
         ps = ps[ps > x]
         want = (
             int(np.count_nonzero(ps % 3 == 1)),

@@ -12,7 +12,6 @@ from apmod.primes import (
     pi,
     primes_in,
     rough_count,
-    sieve_upto,
     von_mangoldt,
 )
 from apmod.rng import SplitMix64
@@ -66,11 +65,11 @@ class TestPrimesIn:
             for width in (span - 1, span, span + 1, 2 * span, 2 * span + 1):
                 hi = lo + width
                 assert primes_in(lo, hi) == ref[(ref > lo) & (ref <= hi)].tolist()
-        # sieve_upto's segments start at 3, so one ends at k * span + 1 and
-        # the next starts at k * span + 3
+        # from lo = 0 the odd segments start at 3, so one ends at k * span + 1
+        # and the next starts at k * span + 3
         seams = [k * span + s for k in (1, 2) for s in (1, 2, 3, 4)]
         for n in seams + [span + 725, span + 726, span + 727, span + 728, 3 * span + 1025]:
-            assert np.array_equal(sieve_upto(n), ref[ref <= n])
+            assert primes_in(0, n) == ref[ref <= n].tolist()
 
     def test_exhaustive_vs_trial_division(self):
         got = set(primes_in(0, 10**5))

@@ -11,7 +11,7 @@ from apmod.constants import (
 )
 import apmod.primes
 import apmod.progressions
-from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in, sieve_upto
+from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in
 from apmod.progressions import (
     SValue,
     bifactor_box_family,
@@ -49,7 +49,7 @@ class TestPiAp:
                     pi_ap(x, q, a) for a in range(q) if math.gcd(a, q) == 1
                 )
                 prime_divisors = sum(1 for p in primes_in(0, q) if q % p == 0)
-                assert total == len(sieve_upto(x)) - prime_divisors
+                assert total == len(primes_in(0, x)) - prime_divisors
 
 
 class TestSValue:
@@ -202,6 +202,77 @@ class TestSValuesOracle:
             self.check(x, terms, q1, q2, a)
 
 
+class TestWindowBatches:
+    """_window_batches against the windows laid out one by one."""
+
+    @staticmethod
+    def layout(total):
+        """(lo, hi) of seven windows totalling ``total`` integers: empty ones
+        (hi < lo) first, in the middle and last, and the last nonempty one
+        starting at position SEGMENT - 47, so it straddles the batch edge
+        when total > SEGMENT."""
+        lo = np.array([5, 900, 10, 3, 77, 50, 1])
+        sizes = np.array([-2, -1, SEGMENT - 50, 0, 3, total - SEGMENT + 47, -3])
+        return lo, lo + sizes - 1
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_every_pair_once_in_window_order(self, offset):
+        lo, hi = self.layout(SEGMENT + offset)
+        batches = list(apmod.progressions._window_batches(lo, hi))
+        assert all(0 < len(t) == len(n) <= SEGMENT for t, n in batches)
+        assert len(batches) == (2 if offset > 0 else 1)
+        if offset > 0:  # the window ending the layout straddles the batch edge
+            assert batches[0][0][-1] == batches[1][0][0] == 5
+        widths = np.maximum(hi - lo + 1, 0)
+        assert widths.sum() == SEGMENT + offset
+        want_t = np.repeat(np.arange(len(lo)), widths)
+        want_n = np.concatenate([np.arange(a, b + 1) for a, b in zip(lo, hi)])
+        assert np.array_equal(np.concatenate([t for t, _ in batches]), want_t)
+        assert np.array_equal(np.concatenate([n for _, n in batches]), want_n)
+
+    def test_no_windows(self):
+        empty = np.array([], dtype=np.int64)
+        assert list(apmod.progressions._window_batches(empty, empty)) == []
+
+    def test_readers_match_per_n_loops(self, monkeypatch):
+        # windows (x/d, 2x/d] of 300, 100, 1 (n = 1 alone), 43 and 150
+        # integers around three empty ones; a 593-integer batch cuts the last
+        x = 300
+        ds = [1000, 1, 3, 1000, 400, 7, 2, 1000]
+        zs = [2, 3, 5.5, 7, 2, 2, 151, 3]
+        monkeypatch.setattr(apmod.progressions, "SEGMENT", 593)
+        assert sum(max(2 * x // d - x // d, 0) for d in ds) == 594
+        self.check_s_values(x, [(d, z, i % 2 == 0) for i, (d, z) in enumerate(zip(ds, zs))])
+        self.check_census(x, [(d, z, True) for d, z in zip(ds, zs) if z == int(z)])
+
+    @staticmethod
+    def check_s_values(x, terms):
+        in_class, coprime, _ = s_values(x, terms, 11, 1, 4)
+        want = [_brute_s(x, d, z, inc, 11, 4) for d, z, inc in terms]
+        assert list(zip(in_class.tolist(), coprime.tolist())) == want
+
+    @staticmethod
+    def check_census(x, terms):
+        from apmod.harman import _cofactor_census
+
+        want = [0] * 5
+        for d, z, _ in terms:
+            for m in range(x // d + 1, 2 * x // d + 1):
+                pm = int(TRIAL_LPF[m])
+                if pm < z:
+                    continue
+                if m == 1:
+                    want[0] += 1
+                elif pm == m:
+                    want[1] += m == z
+                else:
+                    cof = m // pm
+                    want[2] += 1
+                    want[3] += TRIAL_LPF[cof] != cof
+                    want[4] += TRIAL_LPF[cof] == cof and pm == z
+        assert _cofactor_census(x, terms) == tuple(want)
+
+
 class TestBvAggregate:
     def test_trivial_family(self):
         fam = dyadic_family(100, 1, 1, 1)
@@ -251,7 +322,7 @@ class TestCountOracle:
 
     @pytest.mark.parametrize("x", SEAMS)
     def test_across_chunk_seams(self, x):
-        primes = sieve_upto(x)
+        primes = np.array(primes_in(0, x))
         for q in (1, 2, 3, 4, 8, 30, 97):
             for a in range(q):  # non-units, a = 0 and a = 2 included
                 assert pi_ap(x, q, a) == np.count_nonzero(primes % q == a), (q, a)
@@ -261,7 +332,7 @@ class TestCountOracle:
 
     @pytest.mark.parametrize("x", SEAMS)
     def test_pi_across_chunk_seams(self, x):
-        assert pi(x) == len(sieve_upto(x))
+        assert pi(x) == len(primes_in(0, x))
 
     def test_counts_never_sieve_above_root(self, monkeypatch):
         # bv_aggregate and pi read the bitmap, which is sieved from the primes
@@ -271,10 +342,10 @@ class TestCountOracle:
         x = 2 * SEGMENT + 3
         calls = []
         for mod in (apmod.primes, apmod.progressions):
-            if hasattr(mod, "sieve_upto"):
-                real = getattr(mod, "sieve_upto")
+            if hasattr(mod, "primes_in"):
+                real = getattr(mod, "primes_in")
                 monkeypatch.setattr(
-                    mod, "sieve_upto", lambda n, real=real: calls.append(n) or real(n)
+                    mod, "primes_in", lambda lo, hi, real=real: calls.append(hi) or real(lo, hi)
                 )
         prime_bitmap.cache_clear()
         bv_aggregate(x, dyadic_family(x, 8, 15, 1))
