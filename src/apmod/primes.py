@@ -96,15 +96,15 @@ def primes_in(lo: int, hi: int) -> list[int]:
 def prime_bitmap(x: int) -> np.ndarray:
     """Packed odd-only primality to x: bit k is set iff 2k + 1 is a prime <= x.
 
-    Bits are little-endian within each uint8 byte (``np.unpackbits(...,
-    bitorder="little")`` restores one bool per odd number), so the read-only
-    result holds (x + 1) // 2 bits in about x/16 bytes.  It is packed one
-    SEGMENT of odd numbers at a time, so no array of the primes <= x is ever
-    made.  The cache keeps the bitmaps of the 8 most recent x: at most
+    Bits are little-endian within each byte, and zero bits pad the bytes to
+    whole 8-byte words, so ``.view("<u8")`` holds bit k as bit k % 64 of word
+    k // 64: (x + 1) // 2 bits in about x/16 read-only bytes.  It is packed
+    one SEGMENT of odd numbers at a time, so no array of the primes <= x is
+    ever made.  The cache keeps the bitmaps of the 8 most recent x: at most
     8 * x/16 bytes, plus one SEGMENT-byte block while a bitmap is built.
     """
     x = max(x, 0)
-    bits = np.zeros(-(-((x + 1) // 2) // 8), dtype=np.uint8)
+    bits = np.zeros(8 * -(-((x + 1) // 2) // 64), dtype=np.uint8)
     for start, block in _odd_blocks(1, x):
         if start == 1:
             block[0] = False  # 1 is not prime
@@ -118,15 +118,16 @@ def prime_bitmap(x: int) -> np.ndarray:
 def pi(x: int) -> int:
     """Number of primes <= x.
 
-    Memory: the cached prime_bitmap(x), x/16 bytes per cached x (8 cached),
-    plus one SEGMENT/8-byte popcount buffer; no array of the primes is made.
+    Popcounts the cached prime_bitmap(x) SEGMENT/8 uint64 words at a time.
+    Memory: the bitmap, x/16 bytes per cached x (8 cached), plus one
+    SEGMENT/8-byte popcount buffer; no array of the primes is made.
     """
     if x < 2:
         return 0
-    bits = prime_bitmap(int(x))
+    words = prime_bitmap(int(x)).view("<u8")
     step = SEGMENT // 8
     return 1 + sum(  # 1 counts the prime 2
-        int(np.bitwise_count(bits[i : i + step]).sum()) for i in range(0, len(bits), step)
+        int(np.bitwise_count(words[i : i + step]).sum()) for i in range(0, len(words), step)
     )
 
 

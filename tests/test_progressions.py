@@ -13,6 +13,9 @@ import apmod.primes
 import apmod.progressions
 from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in
 from apmod.progressions import (
+    _CHUNK,
+    _ROW,
+    _SPARSE,
     SValue,
     bifactor_box_family,
     bv_aggregate,
@@ -275,7 +278,7 @@ class TestWindowBatches:
 
 class TestBvAggregate:
     def test_trivial_family(self):
-        fam = dyadic_family(100, 1, 1, 1)
+        fam = dyadic_family(1, 1, 1)
         total, recs = bv_aggregate(100, fam)
         assert total == 0.0 and len(recs) == 1
 
@@ -297,9 +300,26 @@ class TestBvAggregate:
         assert all(small.params["constraints"].values())
 
     def test_dyadic_regression_1e6(self):
-        fam = dyadic_family(10**6, 100, 200, 1)
+        fam = dyadic_family(100, 200, 1)
         total, _ = bv_aggregate(10**6, fam)
         assert total == pytest.approx(BV_DYADIC_100_200_TOTAL_1E6, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "x, family",
+        [
+            (10**6, dyadic_family(100, 200, 1)),
+            (1000, dyadic_family(1, 3000, 1)),
+            (30_000, dyadic_family(7, 500, 10)),
+            (2 * SEGMENT + 1, bifactor_box_family(2 * SEGMENT + 1, 12, 9, 5)),
+        ],
+    )
+    def test_total_is_the_fraction_sum(self, x, family):
+        total, recs = bv_aggregate(x, family)
+        pix = pi(x)
+        deltas = [abs(r.pi_ap - Fraction(pix, euler_phi(r.q))) for r in recs]
+        assert total == float(sum(deltas, Fraction(0)))
+        assert [r.delta for r in recs] == [float(d) for d in deltas]
+        assert all(r.pi_x == pix and r.phi_q == euler_phi(r.q) for r in recs)
 
     def test_box_family_with_repeated_moduli(self):
         x = 2 * SEGMENT + 1
@@ -312,13 +332,17 @@ class TestBvAggregate:
                 assert r.pi_ap == pi_ap(x, r.q, r.a)
 
 
-# bit k of prime_bitmap(x) stands for 2k + 1, so the SEGMENT-bit chunks the
-# counter unpacks meet at multiples of 2 * SEGMENT
+# bit k of prime_bitmap(x) stands for 2k + 1, so the SEGMENT-bit blocks the
+# bitmap is packed in meet at multiples of 2 * SEGMENT
 SEAMS = [2 * k * SEGMENT + s for k in (1, 2) for s in (-1, 0, 1, 2)]
+# (x + 1) // 2 bits = 64 m + e fill whole 64-bit words (e = 0), miss by one
+# (e = -1) or spill one bit into a new word (e = 1), at both parities of x;
+# e = 20 leaves a last word of 3 bytes
+WORD_SEAMS = [2 * (64 * m + e) - d for m in (1, 300) for e in (-1, 0, 1, 20) for d in (0, 1)]
 
 
 class TestCountOracle:
-    """pi_ap's windowed strided count against the O(pi(x)) residue scan."""
+    """pi_ap's word counter against the O(pi(x)) residue scan."""
 
     @pytest.mark.parametrize("x", SEAMS)
     def test_across_chunk_seams(self, x):
@@ -332,6 +356,27 @@ class TestCountOracle:
 
     @pytest.mark.parametrize("x", SEAMS)
     def test_pi_across_chunk_seams(self, x):
+        assert pi(x) == len(primes_in(0, x))
+
+    @pytest.mark.parametrize("x", WORD_SEAMS + [2 * 64 * _CHUNK + 1001])
+    def test_word_counter_edges(self, x):
+        # strides s = q (odd q) or q/2 (even q, odd a) just below, at and just
+        # above each threshold; powers of two (one-word periods), 2 * odd,
+        # multiples of 128 and q > x; every residue kind, a = 2 and even a
+        primes = np.array(primes_in(0, x))
+        strides = [t + e for t in (_ROW, _SPARSE) for e in (-1, 0, 1)]
+        moduli = {2**k for k in range(13)} | {2 * s for s in strides}
+        moduli |= {s for s in strides if s % 2} | {2 * 97, 3 * 128, 5 * 128, x + 5}
+        for q in sorted(moduli):
+            residues = primes % q
+            for a in sorted({a % q for a in (0, 1, 2, 3, q // 2, q // 2 + 1, q - 1)}):
+                assert pi_ap(x, q, a) == np.count_nonzero(residues == a), (q, a)
+
+    @pytest.mark.parametrize("x", WORD_SEAMS)
+    def test_bitmap_is_whole_words_zero_padded(self, x):
+        bits = prime_bitmap(x)
+        assert len(bits) % 8 == 0 and len(bits) * 8 - (x + 1) // 2 < 64
+        assert not np.unpackbits(bits, bitorder="little")[(x + 1) // 2 :].any()
         assert pi(x) == len(primes_in(0, x))
 
     def test_counts_never_sieve_above_root(self, monkeypatch):
@@ -348,7 +393,7 @@ class TestCountOracle:
                     mod, "primes_in", lambda lo, hi, real=real: calls.append(hi) or real(lo, hi)
                 )
         prime_bitmap.cache_clear()
-        bv_aggregate(x, dyadic_family(x, 8, 15, 1))
+        bv_aggregate(x, dyadic_family(8, 15, 1))
         pi(x)
         assert calls and max(calls) <= math.isqrt(x) + 1
 
