@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .arith import (  # noqa: F401,E402
     FactoredInt,
-    ModFraction,
     bezout_split,
     coprime_partition,
     divisors,

@@ -134,6 +134,26 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     return total
 
 
+def _signed_chains(primes: list[int], admit) -> dict[int, int]:
+    """mu(d) on the products d of distinct ``primes`` that ``admit`` keeps.
+
+    Chains take primes in list order.  ``admit(d, depth, p)`` decides whether
+    the chain d extends to d * p at the given new depth; a rejected p ends
+    that extension only, later primes are still tried.  Walked depth first,
+    so the dict's insertion order is the walk's.
+    """
+    out = {1: 1}
+    stack = [(1, 0, 0)]  # (product, depth, first index into primes)
+    while stack:
+        d, depth, idx = stack.pop()
+        for i in range(idx, len(primes)):
+            p = primes[i]
+            if admit(d, depth + 1, p):
+                out[d * p] = -out[d]
+                stack.append((d * p, depth + 1, i + 1))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fundamental-lemma weights (combinatorial sieve, truncated Buchstab iteration)
 
@@ -188,28 +208,17 @@ def fundamental_lemma_weights(z: float, y: float) -> SieveWeights:
         raise ValueError("level y must be >= z")
     ps = primes_in(0, int(z))[::-1]  # descending
 
-    def build(parity: int) -> dict[int, int]:
-        # parity 1 -> condition at odd depths (lambda+); 0 -> even (lambda-)
-        out: dict[int, int] = {1: 1}
-        stack = [(1, 0, 0)]  # (product, depth, min_index into ps)
-        while stack:
-            d, depth, idx = stack.pop()
-            sign = -1 if (depth + 1) % 2 else 1
-            for i in range(idx, len(ps)):
-                p = ps[i]
-                nd = d * p
-                if (depth + 1) % 2 == parity and d * p**3 > y:
-                    continue  # truncated exit at the conditioned parity
-                if nd > y:
-                    # only reachable at the unconditioned parity; the cube
-                    # cushion makes this impossible, kept as a guard
-                    continue
-                out[nd] = sign
-                stack.append((nd, depth + 1, i + 1))
-        return out
+    def admit(parity: int):
+        # parity 1 conditions odd depths (lambda+), 0 even ones (lambda-): a
+        # chain exits there once d p^3 > y.  The cube cushion keeps every
+        # chain at or below y, so d * p <= y is only a guard.
+        return lambda d, depth, p: d * p <= y and (depth % 2 != parity or d * p**3 <= y)
 
     return SieveWeights(
-        z=z, y=y, lambda_plus=build(1), lambda_minus=build(0)
+        z=z,
+        y=y,
+        lambda_plus=_signed_chains(ps, admit(1)),
+        lambda_minus=_signed_chains(ps, admit(0)),
     )
 
 
@@ -238,7 +247,6 @@ class ReductionSequences:
     z2: float
     y: float
     alpha: dict[int, int]
-    beta: dict[int, int]
 
     def identity_sides(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """(lhs, rhs) of the identity for all 1 <= n <= n_max, exactly."""
@@ -247,15 +255,12 @@ class ReductionSequences:
         lhs[0] = 0
         rhs = np.zeros(n_max + 1, dtype=np.int64)
         window = [p for p in primes_in(0, int(self.z1)) if p > self.z2]
-        # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
         for d, w in self.alpha.items():
             if d > min(self.y, n_max):
-                continue
+                continue  # d > n_max leaves no d*m or d*p <= n_max
+            # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
             rhs[d::d] += w * (lpf[1 : n_max // d + 1] > self.z2)
-        # beta part
-        for d, w in self.beta.items():
-            if d > min(self.y, n_max):
-                continue  # d > n_max leaves no d*p <= n_max
+            # beta part, beta_d = -alpha_d
             pd = min(self.alpha_pminus(d), self.z1 + 1)
             for p in window:
                 if p >= pd:
@@ -263,7 +268,7 @@ class ReductionSequences:
                 dp = d * p
                 if dp <= self.y or dp > n_max:
                     continue
-                rhs[dp::dp] += w * (lpf[1 : n_max // dp + 1] >= p)
+                rhs[dp::dp] -= w * (lpf[1 : n_max // dp + 1] >= p)
         return lhs, rhs
 
     def alpha_pminus(self, d: int) -> float:
@@ -279,22 +284,9 @@ def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
     if y < 1:
         raise ValueError("needs y >= 1")
     window = [p for p in primes_in(0, int(z1)) if p > z2]
-    alpha: dict[int, int] = {1: 1}
-    # products of distinct window primes; the identity only reads alpha and
-    # beta at d <= y, so the support is capped there
-    cap = y
-    stack = [(1, 0, 0)]
-    while stack:
-        d, depth, idx = stack.pop()
-        for i in range(idx, len(window)):
-            p = window[i]
-            nd = d * p
-            if nd > cap:
-                continue
-            alpha[nd] = -1 if (depth + 1) % 2 else 1
-            stack.append((nd, depth + 1, i + 1))
-    beta = {d: -w for d, w in alpha.items()}
-    return ReductionSequences(z1=z1, z2=z2, y=y, alpha=alpha, beta=beta)
+    # the identity only reads alpha at d <= y, so the support is capped there
+    alpha = _signed_chains(window, lambda d, depth, p: d * p <= y)
+    return ReductionSequences(z1=z1, z2=z2, y=y, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

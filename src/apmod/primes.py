@@ -9,7 +9,8 @@ primes in [lo, hi] one segment at a time, so a consumer that drops each
 segment holds O(SEGMENT) bytes whatever the width; ``primes_in``, the one
 call that returns a list of primes, concatenates it.  Every segment loop and
 the least-prime-factor table take their base primes up to sqrt(hi) from
-``primes_in`` afresh: nothing caches a list of primes.  Prime counts up to x
+``primes_in`` afresh: the one cached list of primes is the 168 primes
+below 1e3 that ``arith.factorize`` trial-divides by.  Prime counts up to x
 read ``prime_bitmap(x)``, a packed odd-only bitmap of about x/16 bytes packed
 by the same loop, not an array of the primes themselves.
 

@@ -329,22 +329,22 @@ def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyR
     return float(Fraction(sum(num * (lcm // phi) for phi, num in by_phi.items()), lcm)), records
 
 
-def box_constraints(x: int, q1_max: int, q2_max: int, epsilon: float = 0.0) -> dict[str, bool]:
+def box_constraints(x: int, q1_max: int, q2_max: int) -> dict[str, bool]:
     """The three box-shape constraints, evaluated and reported (not enforced).
 
     They govern when the asymptotic discrepancy bound applies; at desk scale
-    they are pure diagnostics on the (Q1, Q2) exponent geometry.
+    they are pure diagnostics on the (Q1, Q2) exponent geometry.  The names
+    keep the paper's eps, which is 0 here; the float powers of x make a huge x
+    raise OverflowError rather than compare exactly.
     """
     return {
-        "Q1*Q2^2<x^(1-100eps)": q1_max * q2_max**2 < x ** (1 - 100 * epsilon),
-        "Q1^12*Q2^7<x^(4-100eps)": q1_max**12 * q2_max**7 < x ** (4 - 100 * epsilon),
-        "Q1^20*Q2^19<x^(10-100eps)": q1_max**20 * q2_max**19 < x ** (10 - 100 * epsilon),
+        "Q1*Q2^2<x^(1-100eps)": q1_max * q2_max**2 < x**1.0,
+        "Q1^12*Q2^7<x^(4-100eps)": q1_max**12 * q2_max**7 < x**4.0,
+        "Q1^20*Q2^19<x^(10-100eps)": q1_max**20 * q2_max**19 < x**10.0,
     }
 
 
-def bifactor_box_family(
-    x: int, q1_max: int, q2_max: int, a: int, epsilon: float = 0.0
-) -> ModuliFamily:
+def bifactor_box_family(x: int, q1_max: int, q2_max: int, a: int) -> ModuliFamily:
     """All pairs (q1 <= Q1, q2 <= Q2) with (q1, a) = (q2, a) = 1.
 
     The shape constraints relating Q1, Q2 and x are evaluated into
@@ -363,11 +363,7 @@ def bifactor_box_family(
         a=a,
         members=members,
         pairs=pairs,
-        params={
-            "Q1": q1_max,
-            "Q2": q2_max,
-            "constraints": box_constraints(x, q1_max, q2_max, epsilon),
-        },
+        params={"constraints": box_constraints(x, q1_max, q2_max)},
     )
 
 
@@ -376,7 +372,7 @@ def dyadic_family(q_lo: int, q_hi: int, a: int) -> ModuliFamily:
     if q_lo < 1:
         raise ValueError(f"q_lo must be >= 1, got {q_lo}")
     members = [q for q in range(q_lo, q_hi + 1) if math.gcd(q, a) == 1]
-    return ModuliFamily(a=a, members=members, params={"qlo": q_lo, "qhi": q_hi})
+    return ModuliFamily(a=a, members=members)
 
 
 def divisor_window(x: int, delta: float, eta: float) -> tuple[float, float]:
@@ -430,7 +426,7 @@ def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFam
     return ModuliFamily(
         a=a,
         members=units[nominal[units]].tolist(),
-        params={"delta": delta, "eta": eta, "window": (lo, hi), "q_max": q_max},
+        params={"window": (lo, hi), "q_max": q_max},
         flagged=units[borderline[units]].tolist(),
     )
 

@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmod.arith import (
     FactoredInt,
-    ModFraction,
     bezout_split,
     check_coprime_partition,
     coprime_partition,
@@ -78,6 +78,12 @@ class TestFactorizeReference:
         for n in range(1, 20_001):
             assert factorize(n).factors == _trial_factorization(n)
 
+    def test_matches_trial_division_across_bound_squared(self):
+        # 997**2 = 994009: above it a cofactor with no trial prime factor
+        # leaves the trial loop without the p * p > m exit
+        for n in range(993_000, 1_003_000):
+            assert factorize(n).factors == _trial_factorization(n)
+
     @pytest.mark.parametrize(
         "factors",
         [
@@ -87,6 +93,12 @@ class TestFactorizeReference:
             ((2, 1), (2_147_483_647, 2)),
             ((3, 1), (1_000_000_007, 1), (2_000_000_011, 1)),
             ((9_223_372_036_854_775_783, 1),),  # largest prime below 2**63
+            # every prime factor between the trial primes (< 1e3) and 1e6: rho splits
+            ((1_009, 1), (999_983, 1)),
+            ((999_983, 2),),
+            ((1_009, 1), (1_013, 1)),
+            ((997, 1), (1_009, 1), (999_983, 1)),
+            ((2_147_483_647, 1), (2_147_483_659, 1)),  # semiprime just above 2**62
         ],
     )
     def test_large_cofactors(self, factors):
@@ -144,33 +156,52 @@ class TestModInv:
 
 class TestBezout:
     def test_degenerate_modulus(self):
-        f1, f2 = bezout_split(3, 1, 7)
-        assert (f1.as_fraction() + f2.as_fraction() - Fraction(3, 7)) % 1 == 0
+        assert bezout_split(3, 1, 7) == (3, 0)
+        assert bezout_split(3, 7, 1) == (0, 3)
 
     def test_examples(self):
-        f1, f2 = bezout_split(1, 3, 5)
-        assert (str(f1), str(f2)) == ("2/5", "2/3")
-        f1, f2 = bezout_split(2, 3, 5)
-        assert (f1.as_fraction() + f2.as_fraction() - Fraction(2, 15)) % 1 == 0
+        assert bezout_split(1, 3, 5) == (2, 2)  # 1/15 = 2/5 + 2/3 - 1
+        assert bezout_split(2, 3, 5) == (4, 1)  # 2/15 = 4/5 + 1/3 - 1
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             bezout_split(1, 6, 9)
+        with pytest.raises(ValueError):
+            bezout_split(1, 0, 9)
 
     def test_exhaustive_small(self):
-        # exact mod-1 identity in integer arithmetic for all coprime
-        # q1, q2 <= 50 and every residue a
+        # n1*q1 + n2*q2 = a mod q1*q2, with 0 <= n1 < q2 and 0 <= n2 < q1, for
+        # all coprime q1, q2 <= 50 and every residue a, negatives included
         for q1 in range(1, 51):
             for q2 in range(1, 51):
                 if math.gcd(q1, q2) != 1:
                     continue
                 q = q1 * q2
-                for a in range(q):
-                    f1, f2 = bezout_split(a, q1, q2)
-                    num = f1.numerator * (q // f1.denominator) + f2.numerator * (
-                        q // f2.denominator
-                    )
-                    assert (num - a) % q == 0
+                a = np.arange(-q, q)
+                n1, n2 = bezout_split(a, q1, q2)
+                assert ((n1 * q1 + n2 * q2 - a) % q == 0).all()
+                assert (0 <= n1).all() and (n1 < q2).all()
+                assert (0 <= n2).all() and (n2 < q1).all()
+
+    def test_array_matches_scalar(self):
+        a = np.array([-10**12, -7, -1, 0, 1, 6, 10**12 + 3], dtype=np.int64)
+        n1, n2 = bezout_split(a, 77, 90)
+        assert [(int(u), int(v)) for u, v in zip(n1, n2)] == [
+            bezout_split(int(b), 77, 90) for b in a
+        ]
+
+    @given(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bezout_identity_property(self, a, q1, q2):
+        if math.gcd(q1, q2) != 1:
+            return
+        n1, n2 = bezout_split(a, q1, q2)
+        total = Fraction(n1, q2) + Fraction(n2, q1)
+        assert (total - Fraction(a, q1 * q2)) % 1 == 0
 
 
 class TestMultEval:
@@ -191,29 +222,6 @@ class TestMultEval:
                 continue
             assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
             done += 1
-
-
-class TestModFraction:
-    def test_reduction_and_mod1(self):
-        f = ModFraction(16, 15)
-        assert (f.numerator, f.denominator) == (1, 15)
-
-    def test_add(self):
-        s = ModFraction(2, 5) + ModFraction(2, 3)
-        assert (s.numerator, s.denominator) == (1, 15)
-
-    @given(
-        st.integers(min_value=-10**6, max_value=10**6),
-        st.integers(min_value=1, max_value=300),
-        st.integers(min_value=1, max_value=300),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_bezout_identity_property(self, a, q1, q2):
-        if math.gcd(q1, q2) != 1:
-            return
-        f1, f2 = bezout_split(a, q1, q2)
-        total = f1.as_fraction() + f2.as_fraction()
-        assert (total - Fraction(a, q1 * q2)) % 1 == 0
 
 
 class TestCoprimePartition:

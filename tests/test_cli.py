@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from apmod import cli
 from apmod.cli import build_parser, main
 from apmod.expsums import SweepReport
 from apmod.primes import pi, primes_in
+from apmod.progressions import divisor_window_family
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -461,6 +463,30 @@ class TestOutputs:
         lines = strip_comments(text).splitlines()
         qs = [int(r.split(",")[0]) for r in lines[1:]]
         assert all(q % 2 == 0 for q in qs)
+
+    @pytest.mark.parametrize(
+        "eta, n_yes",
+        [("0.02125", 0), ("0.021249999999999995", 12204)],  # lo = 2.0 and 2 - 1 ulp
+    )
+    def test_moduli_set_window_flagged_column(self, eta, n_yes, tmp_path):
+        # 12,204 flagged moduli: scanning that list once per row took 7 s (2-vCPU Xeon)
+        args = ["moduli-set", "--kind", "divisor-window", "--x", "4294967296",
+                "--delta", "0.005", "--eta", eta]
+        t0 = time.perf_counter()
+        code, text = run_cli(args, tmp_path)
+        assert time.perf_counter() - t0 < 3.0
+        assert code == 0
+        fam = divisor_window_family(2**32, 0.005, float(eta), 1)
+        flagged = set(fam.flagged)
+        rows = [r.split(",") for r in strip_comments(text).splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == fam.members
+        assert [r[3] == "yes" for r in rows] == [q in flagged for q in fam.members]
+        assert sum(r[3] == "yes" for r in rows) == n_yes
+
+    def test_verify_bezout(self, tmp_path):
+        code, text = run_cli(["verify", "bezout"], tmp_path)
+        assert code == 0
+        assert strip_comments(text).splitlines() == ["q1_max,checked,ok", "50,984115,pass"]
 
     def test_decomp_exit_reflects_exactness(self, tmp_path):
         code, text = run_cli(["decomp", "--x", "3000", "--q1", "3"], tmp_path)

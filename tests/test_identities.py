@@ -152,14 +152,12 @@ class TestReductionSequences:
         assert rs.alpha[1] == 1
         for p in (7, 11, 13, 17, 19, 23, 29):
             assert rs.alpha[p] == -1
-            assert rs.beta[p] == 1
         assert 5 not in rs.alpha  # below the window
         assert rs.alpha[7 * 11] == 1
 
     def test_one_bounded(self):
         rs = reduction_sequences(50, 7, 1000)
         assert all(v in (-1, 1) for v in rs.alpha.values())
-        assert all(v in (-1, 1) for v in rs.beta.values())
 
     def test_identity_exhaustive_example(self):
         rs = reduction_sequences(30, 5, 100)

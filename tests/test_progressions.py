@@ -382,7 +382,7 @@ class TestCountOracle:
     def test_counts_never_sieve_above_root(self, monkeypatch):
         # bv_aggregate and pi read the bitmap, which is sieved from the primes
         # <= isqrt(x) alone; no array of the primes <= x is built.  euler_phi's
-        # fixed trial-division table (primes <= 1e6, whatever x) is built first.
+        # fixed trial-division table (primes < 1e3, whatever x) is built first.
         _trial_primes()
         x = 2 * SEGMENT + 3
         calls = []
