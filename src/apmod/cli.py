@@ -91,12 +91,20 @@ class Output:
         self.header = f"# apmod {__version__} {argv_desc} seed={seed} generated={stamp}\n"
         self.fh = None
 
-    def row(self, *vals):
+    def _open(self):
         if self.fh is None:
             self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
             self.fh.write(self.header)
             self.writer = csv.writer(self.fh, lineterminator="\n")
+
+    def row(self, *vals):
+        self._open()
         self.writer.writerow([_fmt(v) for v in vals])
+
+    def note(self, text: str):
+        """A ``#`` diagnostic line, outside the CSV body."""
+        self._open()
+        self.fh.write(f"# {text}\n")
 
     def close(self):
         if self.path and self.fh is not None:
@@ -190,7 +198,8 @@ COMMANDS = [
     (("verify", "buchstab"), "exact Buchstab identity", "cmd_verify_buchstab", (
         # configurations draw x from [50, --x] and read the LPF table to 2x
         ("--x", int, 10**5, "max x for configurations", (50, LPF_LIMIT_MAX)),
-        # 1.3 s at the default --x; 7.6 s and 213 MB at --x 1e7
+        # 0.06 s at the defaults, 0.3 s at the cap; at --x 1e7, 3.1 s and 185 MB,
+        # 11.6 s and 186 MB at the cap (2 vCPUs, Intel Xeon)
         ("--trials", int, 200, "number of seeded configurations", (1, 1000)),
         SEED,
     )),
@@ -283,9 +292,9 @@ def cmd_sieve(args, out: Output) -> int:
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    # one record per modulus.  At x = 1000, 1e5 moduli from 1 take 70 MB and 4 s,
-    # 1e5 moduli near 2e9 take 35 s (the exact total over the lcm of their many
-    # distinct phi(q) grows faster than linearly), and 1e6 from 1 422 MB and 56 s
+    # one record per modulus.  At x = 1000, 1e5 moduli from 1 take 69 MB and 2.8 s,
+    # 1e5 moduli near 2e9 79 MB and 7.5 s, and 1e6 from 1 (bv_aggregate alone)
+    # 422 MB and 21 s (2 vCPUs, Intel Xeon)
     _at_most("--qhi minus --qlo", args.qhi - args.qlo, 10**5)
     fam = dyadic_family(args.qlo, args.qhi, args.a)
     total, records = bv_aggregate(args.x, fam)
@@ -316,6 +325,8 @@ def cmd_moduli_set(args, out: Output) -> int:
         fam = divisor_window_family(args.x, args.delta, args.eta, args.a)
         lo, hi = fam.params["window"]
         flagged = set(fam.flagged)
+        hidden = len(flagged) - sum(q in flagged for q in fam.members)
+        out.note(f"flagged non-members (no row): {hidden}")
         out.row("q", "window_lo", "window_hi", "flagged")
         for q in fam.members:
             out.row(q, lo, hi, "yes" if q in flagged else "")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import P_MINUS_ONE_SENTINEL, euler_phi
+from .arith import P_MINUS_ONE_SENTINEL, euler_phi, factorize, mod_inv
 from .primes import SEGMENT, least_prime_factor_table, pi, prime_bitmap
 
 
@@ -221,12 +221,15 @@ def _window_batches(lo: np.ndarray, hi: np.ndarray):
 
 
 # A window goes to the strided path when each SEGMENT chunk of it holds at
-# least _WIDE + _PER_CLASS * q integers.  A strided chunk costs about 10 us
-# plus 1.3 us per residue class (one count_nonzero each), a gathered integer
-# 25 to 40 ns; the measured crossover width runs from about 700 at q = 1 to
-# 4e3 at q = 60 and 3e4 to 6e4 at q = 1000 (2 vCPUs, Intel Xeon).
-_WIDE = 1 << 10
-_PER_CLASS = 48
+# least _WIDE + _PER_CLASS * c integers, c = 1 + 2^omega(q) strided counts.
+# A strided chunk costs about 4 us plus 0.65 us per count (one count_nonzero
+# each), a gathered integer 20 to 30 ns; the measured crossover width runs
+# from about 150 at q = 1 (c = 2) to 400 at q = 30 (c = 9), 1100 at q = 2310
+# (c = 33) and 1600 at q = 30030 (c = 65).  The 101 calls of a
+# sieve-identities round take 77 ms at 256 + 32c, 87 to 95 ms at 1024 + 48c
+# (2 vCPUs, Intel Xeon).
+_WIDE = 1 << 8
+_PER_CLASS = 32
 
 
 def s_values(
@@ -242,57 +245,54 @@ def s_values(
 
     Returns (in_class, coprime, total): int64 arrays with one entry per term
     and their sum as an exact SValue.  The threshold becomes an integer bound
-    on the least prime factor (see _least_lpf).  A wide window is read as
-    slices of the shared LPF table, one SEGMENT at a time, and its survivors
-    are histogrammed by n mod q with strided count_nonzero.  The narrow
-    windows are read through _window_batches; in each batch the survivors
-    with d*n = a mod q, and those with (d*n, q) = 1, are counted per term by
-    bincount.  Memory: the LPF table, grown to the largest window end (8
-    bytes per entry), plus O(SEGMENT) per chunk or batch and O(len(terms));
-    the residue tables of the strided path hold q < SEGMENT / _PER_CLASS
-    entries, and are built only when a window takes that path.
+    on the least prime factor (see _least_lpf).  As (a, q) = 1, a term with
+    (d, q) > 1 counts 0 twice and reads nothing; otherwise d*n = a mod q is
+    n = r := a * inv(d) mod q, and (d*n, q) = 1 is (n, q) = 1.  A wide window
+    is read as slices of the shared LPF table, one SEGMENT at a time: its
+    survivors with n = r mod q are one strided count_nonzero, and those
+    coprime to q are sum mu(e) * #{e | n} over the squarefree divisors e of
+    q, 2^omega(q) more.  The narrow windows are read through _window_batches;
+    in each batch the survivors with n % q == r, and those with gcd(n, q) = 1,
+    are counted per term by bincount.  Memory: the LPF table, grown to the
+    largest window end (8 bytes per entry), plus O(SEGMENT) per chunk or
+    batch and O(len(terms) + 2^omega(q)); nothing is sized by q.
     """
     q = q1 * q2
     if q < 1:
         raise ValueError("moduli must be >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
-    a %= q
+    fq = factorize(q)
+    mu_divs = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of q
+    for p, _ in fq.factors:
+        mu_divs += [(e * p, -m) for e, m in mu_divs]
     in_class = np.zeros(len(terms), dtype=np.int64)
     coprime = np.zeros(len(terms), dtype=np.int64)
-    wide, narrow = [], []  # (term index, d, lo, hi, least allowed P^-(n))
+    wide, narrow = [], []  # (term index, r, lo, hi, least allowed P^-(n))
     top = 0
     for i, (d, z, inclusive) in enumerate(terms):
         if d < 1:
             raise ValueError("d must be >= 1")
         lo, hi = x // d + 1, (2 * x) // d
         bound = _least_lpf(z, inclusive)
-        if hi >= lo and bound is not None:
-            is_wide = min(hi - lo + 1, SEGMENT) >= _WIDE + _PER_CLASS * q
-            (wide if is_wide else narrow).append((i, d, lo, hi, bound))
+        if hi >= lo and bound is not None and math.gcd(d, q) == 1:
+            is_wide = min(hi - lo + 1, SEGMENT) >= _WIDE + _PER_CLASS * (1 + len(mu_divs))
+            (wide if is_wide else narrow).append((i, a * mod_inv(d, q) % q, lo, hi, bound))
             top = max(top, hi)
     lpf = least_prime_factor_table(top)
-    if wide:
-        residues = np.arange(q)
-        unit = np.gcd(residues, q) == 1
-    for i, d, lo, hi, bound in wide:
-        by_n = np.zeros(q, dtype=np.int64)  # survivors by n mod q
+    for i, r, lo, hi, bound in wide:
         for k in range(lo, hi + 1, SEGMENT):
             rough = lpf[k : min(k + SEGMENT, hi + 1)] >= bound
-            for j in range(q):
-                by_n[(k + j) % q] += np.count_nonzero(rough[j::q])
-        dn = d * residues % q
-        in_class[i] = by_n[dn == a].sum()
-        coprime[i] = by_n[unit[dn]].sum()
+            in_class[i] += np.count_nonzero(rough[(r - k) % q :: q])
+            coprime[i] += sum(m * np.count_nonzero(rough[-k % e :: e]) for e, m in mu_divs)
     if narrow:
-        idx, ds, los, his, bounds = (np.array(col, dtype=np.int64) for col in zip(*narrow))
+        idx, rs, los, his, bounds = (np.array(col, dtype=np.int64) for col in zip(*narrow))
         for t, n in _window_batches(los, his):
             keep = lpf[n] >= bounds[t]
-            t = t[keep]
-            dn = ds[t] * n[keep] % q  # d*n <= 2x
-            in_class[idx] += np.bincount(t[dn == a], minlength=len(idx))
-            coprime[idx] += np.bincount(t[np.gcd(dn, q) == 1], minlength=len(idx))
-    total = SValue(int(in_class.sum()), int(coprime.sum()), euler_phi(q))
+            t, n = t[keep], n[keep]
+            in_class[idx] += np.bincount(t[n % q == rs[t]], minlength=len(idx))
+            coprime[idx] += np.bincount(t[np.gcd(n, q) == 1], minlength=len(idx))
+    total = SValue(int(in_class.sum()), int(coprime.sum()), euler_phi(fq))
     return in_class, coprime, total
 
 
@@ -308,9 +308,10 @@ def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyR
 
     Each |delta| is |cnt * phi(q) - pi(x)| / phi(q), phi(q) factorized once
     per member; the total sums those integer numerators per distinct phi(q)
-    and puts them over the lcm of the phi(q) in one Fraction: the exact sum
-    of the deltas, with no common denominator grown step by step.  Records
-    are sorted by modulus.  pi(x) and every count read the cached
+    and adds the Fractions num / phi(q) in a balanced pairwise tree: the exact
+    sum of the deltas, each partial sum over the lcm of its subtree's phi(q)
+    only, so it stays near linear where nearly every phi(q) is distinct.
+    Records are sorted by modulus.  pi(x) and every count read the cached
     prime_bitmap(x), x/16 bytes per cached x (8 cached), plus one
     SEGMENT-byte buffer.
     """
@@ -325,8 +326,10 @@ def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyR
             DiscrepancyRecord(x=x, q=q, a=a, pi_ap=cnt, pi_x=pix, phi_q=phi, delta=num / phi)
         )
     records.sort(key=lambda r: (r.q, r.a))
-    lcm = math.lcm(*by_phi)
-    return float(Fraction(sum(num * (lcm // phi) for phi, num in by_phi.items()), lcm)), records
+    total = [Fraction(num, phi) for phi, num in by_phi.items()] or [Fraction(0)]
+    while len(total) > 1:
+        total = [sum(total[i : i + 2]) for i in range(0, len(total), 2)]
+    return float(total[0]), records
 
 
 def box_constraints(x: int, q1_max: int, q2_max: int) -> dict[str, bool]:

@@ -482,6 +482,10 @@ class TestOutputs:
         assert [int(r[0]) for r in rows] == fam.members
         assert [r[3] == "yes" for r in rows] == [q in flagged for q in fam.members]
         assert sum(r[3] == "yes" for r in rows) == n_yes
+        # at lo = 2.0 all 12,204 flagged moduli are non-members and get no row
+        hidden = len(flagged - set(fam.members))
+        assert hidden == (12204 if n_yes == 0 else 0)
+        assert f"# flagged non-members (no row): {hidden}" in text.splitlines()
 
     def test_verify_bezout(self, tmp_path):
         code, text = run_cli(["verify", "bezout"], tmp_path)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apmod.arith import _trial_primes, euler_phi
+from apmod.arith import _trial_primes, euler_phi, factorize
 from apmod.constants import (
     BV_DYADIC_100_200_TOTAL_1E6,
     EXCEPTIONAL_FRACTION_Q512,
@@ -127,6 +127,13 @@ def _brute_s(x, d, z, inclusive, q, a):
     return in_class, coprime
 
 
+def _is_wide(x, d, q):
+    """Whether s_values reads the window (x/d, 2x/d] on its strided path."""
+    progs = apmod.progressions
+    counts = 1 + 2 ** len(factorize(q).factors)
+    return min(2 * x // d - x // d, SEGMENT) >= progs._WIDE + progs._PER_CLASS * counts
+
+
 class TestSValuesOracle:
     """s_values against _brute_s, per term."""
 
@@ -164,17 +171,51 @@ class TestSValuesOracle:
                        for inc in (False, True)], 5, 1, 2)
 
     def test_huge_modulus(self):
-        # nothing on the gathered path is sized by q, and no window here is
-        # wide enough for the strided path's q-entry tables
-        self.check(1000, [(1, 3, False), (3, 2, True), (1, 1e9, False)], 10**6, 10**6 + 1, 7)
+        # nothing on either path is sized by q = 2^6 5^6 101 9901: the d = 1
+        # windows are read by 1 + 2^4 strided counts, the d = 3 one gathered,
+        # by n % q and gcd(n, q); the prime 1009 is in the d = 1 windows
+        terms = [(1, 3, False), (3, 2, True), (1, 1e9, False)]
+        assert [_is_wide(1000, d, 10**6 * (10**6 + 1)) for d, _, _ in terms] == [True, False, True]
+        for a in (7, 1009):
+            self.check(1000, terms, 10**6, 10**6 + 1, a)
+
+    @pytest.mark.parametrize("q1, q2", [(30, 1), (7, 12), (9, 10)])
+    def test_three_prime_factors(self, q1, q2):
+        # 8 squarefree divisors in the coprime count; d = 1, 2 read wide
+        # windows, the rest narrow ones, and d sharing a prime with q adds 0
+        x, q = 3000, q1 * q2
+        ds = (1, 2, 7, 11, 13, 40, 300)
+        assert [_is_wide(x, d, q) for d in ds] == [True, True] + [False] * 5
+        for a in (1, 11, q - 1):
+            self.check(x, [(d, z, inc) for d in ds for z, inc in ((2, False), (5, True))],
+                       q1, q2, a)
+
+    def test_d_sharing_a_prime_with_q_on_a_wide_window(self):
+        # d*n = a mod q and (d*n, q) = 1 both need (d, q) = 1
+        x, q1, q2 = 20_000, 6, 5
+        terms = [(d, z, inc) for d in (2, 3, 5, 6, 10) for z, inc in ((1, False), (7, True))]
+        assert all(_is_wide(x, d, q1 * q2) for d, _, _ in terms)
+        in_class, coprime, total = s_values(x, terms, q1, q2, 7)
+        assert not in_class.any() and not coprime.any()
+        assert total.triple() == (0, 0, 8)
+        self.check(x, terms + [(7, 3, False)], q1, q2, 7)
+
+    @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (2, 1, 1)])
+    def test_tiny_moduli_on_the_wide_path(self, q1, q2, a):
+        x = 2000
+        terms = [(d, z, inc) for d in (1, 2, 3, 5) for z, inc in ((1, False), (3, True), (11, False))]
+        assert all(_is_wide(x, d, q1 * q2) for d, _, _ in terms)
+        self.check(x, terms, q1, q2, a)
 
     @pytest.mark.parametrize("width_offset", [-1, 0, 1])
-    @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (3, 1, 2), (12, 8, 35)])
+    @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (3, 1, 2), (12, 8, 35), (30, 7, 11)])
     def test_wide_cutoff_seam(self, width_offset, q1, q2, a):
         # the window (x, 2x] holds x integers, on the strided path from
-        # _WIDE + _PER_CLASS * q on
+        # _WIDE + _PER_CLASS * (1 + 2^omega(q)) on
         progs = apmod.progressions
-        x = progs._WIDE + progs._PER_CLASS * q1 * q2 + width_offset
+        x = progs._WIDE + progs._PER_CLASS * (1 + 2 ** len(factorize(q1 * q2).factors))
+        x += width_offset
+        assert _is_wide(x, 1, q1 * q2) == (width_offset >= 0)
         self.check(x, [(1, 3, False), (1, 5, True), (2, 7, False)], q1, q2, a)
 
     def test_batches_cross_segment(self):
