@@ -60,9 +60,12 @@ from .identities import (
 )
 from .primes import least_prime_factor_table, prime_segments, von_mangoldt
 from .progressions import (
+    Q_MAX,
     bifactor_box_family,
+    box_constraints,
     bv_aggregate,
     check_window_params,
+    divisor_window,
     divisor_window_family,
     dyadic_family,
 )
@@ -111,6 +114,16 @@ class Output:
             self.fh.close()
 
 
+def _rows(*cols: np.ndarray):
+    """Rows of Python scalars across equal-length columns, 2^16 at a time.
+
+    Converting a chunk, not a whole column, keeps the Python objects of a
+    family of FAMILY_MAX moduli from being held at once.
+    """
+    for i in range(0, len(cols[0]), 1 << 16):
+        yield from zip(*(c[i : i + (1 << 16)].tolist() for c in cols))
+
+
 def _at_most(label: str, value, hi) -> None:
     """Reject a size worked out from flags above hi; the error names it."""
     if value > hi:
@@ -127,8 +140,13 @@ LPF_LIMIT_MAX = 10**7
 N_MAX = ("--n-max", int, 10**5, "exhaustive bound on n", (1, LPF_LIMIT_MAX))
 Q_ARRAYS = ("--q", int, REQUIRED, "modulus", (-INF, 10**6))  # O(q) arrays: 85 MB at the cap
 Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))  # phi(q)^2 phases: 16 s at the cap
+# bv-scan and moduli-set hold their moduli in int64 columns, and bv-scan
+# counts each up to Q_MAX (progressions); --qhi = --qlo - 1 is an empty
+# range.  The residue meets the moduli in np.gcd, so it fits int64 too.
+RESIDUE = ("--a", int, 1, "residue class", (-(2**63 - 1), 2**63 - 1))
 # each moduli-set family (dyadic qhi - qlo, divisor-window x^(1/2+delta),
-# box q1 * q2) peaks at 68, 80 and 159 MB at this many moduli
+# box q1 * q2) peaks at 47, 50 and 61 MB at this many moduli, in 1.7 to 2.1,
+# 3.7 to 4.1 and 2.3 to 4.0 s (2 vCPUs, Intel Xeon)
 FAMILY_MAX = 10**6
 # verify weil sums about 0.3 * c-max^2 * trials Kloosterman terms at about
 # 20 ns each, in one kloosterman call per modulus: at this cap 3.6 s and
@@ -155,20 +173,20 @@ COMMANDS = [
         # norm_delta divides by pi(x); the cached prime bitmap takes x/16
         # bytes, 125 MB at the cap (94 MB peak at x = 1e9)
         ("--x", int, REQUIRED, "count primes up to x", (2, 2 * 10**9)),
-        ("--qlo", int, REQUIRED, "lowest modulus"),
-        ("--qhi", int, REQUIRED, "highest modulus"),
-        ("--a", int, 1, "residue class"),
+        ("--qlo", int, REQUIRED, "lowest modulus", (1, Q_MAX)),
+        ("--qhi", int, REQUIRED, "highest modulus", (0, Q_MAX)),
+        RESIDUE,
     )),
     (("moduli-set",), "realize a moduli family", "cmd_moduli_set", (
         ("--kind", ("box", "divisor-window", "dyadic"), REQUIRED, "family to realize"),
         ("--x", int, REQUIRED, "scale parameter x", (0, INF)),
-        ("--a", int, 1, "residue class"),
+        RESIDUE,
         ("--q1", int, 10, "box kind: largest q1"),
         ("--q2", int, 10, "box kind: largest q2"),
         ("--delta", float, 0.01, "divisor-window exponent delta"),
         ("--eta", float, 0.01, "divisor-window exponent eta"),
-        ("--qlo", int, 100, "dyadic kind: lowest modulus"),
-        ("--qhi", int, 200, "dyadic kind: highest modulus"),
+        ("--qlo", int, 100, "dyadic kind: lowest modulus", (1, Q_MAX)),
+        ("--qhi", int, 200, "dyadic kind: highest modulus", (0, Q_MAX)),
     )),
     (("expsum", "ramanujan"), "Ramanujan sum c_q(n)", "cmd_expsum_ramanujan", (
         Q_ARRAYS,
@@ -292,50 +310,51 @@ def cmd_sieve(args, out: Output) -> int:
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    # one record per modulus.  At x = 1000, 1e5 moduli from 1 take 69 MB and 2.8 s,
-    # 1e5 moduli near 2e9 79 MB and 7.5 s, and 1e6 from 1 (bv_aggregate alone)
-    # 422 MB and 21 s (2 vCPUs, Intel Xeon)
+    # one row per modulus.  At x = 1000, 1e5 moduli from 1 take 44 MB and 2.2
+    # to 3.2 s, 1e5 moduli near 2e9 60 MB and 6.7 to 7.7 s, and 1e6 from 1
+    # (bv_aggregate alone) 162 MB and 18 s (2 vCPUs, Intel Xeon)
     _at_most("--qhi minus --qlo", args.qhi - args.qlo, 10**5)
-    fam = dyadic_family(args.qlo, args.qhi, args.a)
-    total, records = bv_aggregate(args.x, fam)
+    qs = dyadic_family(args.qlo, args.qhi, args.a)
+    pix, counts, phis, total = bv_aggregate(args.x, args.a, qs)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
     norm = []
-    for r in records:
-        nd = r.delta * r.phi_q / r.pi_x
-        norm.append(nd)
-        out.row(r.x, r.q, r.a, r.pi_ap, r.expected, r.delta, nd)
-    out.row("total", total, "", "", "", "", "")
+    for q, cnt, phi in _rows(qs, counts, phis):
+        delta = abs(cnt * phi - pix) / phi
+        norm.append(delta * phi / pix)
+        out.row(args.x, q, args.a % q, cnt, Fraction(pix, phi), delta, norm[-1])
+    out.row("total", float(total), "", "", "", "", "")
     if norm:
         out.row("mean_norm_delta", math.fsum(norm) / len(norm), "", "", "", "", "")
     return 0
 
 
 def cmd_moduli_set(args, out: Output) -> int:
+    # each kind builds (or refuses) its family before the first row
     if args.kind == "box":
         _at_most("--q1 times --q2", max(args.q1, 0) * max(args.q2, 0), FAMILY_MAX)
-        fam = bifactor_box_family(args.x, args.q1, args.q2, args.a)
+        q1, q2 = bifactor_box_family(args.q1, args.q2, args.a)
+        constraints = box_constraints(args.x, args.q1, args.q2)
         out.row("q1", "q2", "q")
-        for name, ok in fam.params["constraints"].items():
+        for name, ok in constraints.items():
             out.row("constraint", name, "holds" if ok else "violated")
-        for q1, q2 in fam.pairs:
-            out.row(q1, q2, q1 * q2)
+        for row in _rows(q1, q2, q1 * q2):
+            out.row(*row)
     elif args.kind == "divisor-window":
         check_window_params(args.delta, args.eta)  # before x^(1/2+delta) is formed
         _at_most("x^(1/2+delta)", int(args.x ** (0.5 + args.delta)), FAMILY_MAX)
-        fam = divisor_window_family(args.x, args.delta, args.eta, args.a)
-        lo, hi = fam.params["window"]
-        flagged = set(fam.flagged)
-        hidden = len(flagged) - sum(q in flagged for q in fam.members)
-        out.note(f"flagged non-members (no row): {hidden}")
+        members, flagged = divisor_window_family(args.x, args.delta, args.eta, args.a)
+        lo, hi = divisor_window(args.x, args.delta, args.eta)
+        is_flagged = np.isin(members, flagged)
+        out.note(f"flagged non-members (no row): {len(flagged) - np.count_nonzero(is_flagged)}")
         out.row("q", "window_lo", "window_hi", "flagged")
-        for q in fam.members:
-            out.row(q, lo, hi, "yes" if q in flagged else "")
+        for q, f in _rows(members, is_flagged):
+            out.row(q, lo, hi, "yes" if f else "")
     else:
         _at_most("--qhi minus --qlo", args.qhi - args.qlo, FAMILY_MAX)
-        fam = dyadic_family(args.qlo, args.qhi, args.a)
+        qs = dyadic_family(args.qlo, args.qhi, args.a)
         out.row("q")
-        for q in fam.members:
-            out.row(q)
+        for row in _rows(qs):
+            out.row(*row)
     return 0
 
 

@@ -9,7 +9,7 @@ sieve identities downstream can be checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,48 +65,6 @@ class SValue:
         return (self.in_class, self.coprime, self.phi_q)
 
 
-@dataclass(frozen=True)
-class DiscrepancyRecord:
-    """One modulus of a discrepancy scan: pi(x; q, a) against pi(x)/phi(q)."""
-
-    x: int
-    q: int
-    a: int
-    pi_ap: int
-    pi_x: int
-    phi_q: int
-    delta: float
-
-    def __post_init__(self):
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError(f"residue {self.a} not coprime to modulus {self.q}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-
-    @property
-    def expected(self) -> Fraction:
-        return Fraction(self.pi_x, self.phi_q)
-
-
-@dataclass
-class ModuliFamily:
-    """A realized set of moduli to scan, with its construction parameters.
-
-    Made by bifactor_box_family (pairs (q1, q2) with q1 <= Q1, q2 <= Q2),
-    divisor_window_family (q <= x^(1/2+delta) having a divisor in an
-    exponent window) or dyadic_family (q in [qlo, qhi]).
-    members holds the realized moduli with multiplicity; for the box family,
-    pairs holds the (q1, q2) list and members their products q1 * q2 in the
-    same order.
-    """
-
-    a: int
-    members: list[int]
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    flagged: list[int] = field(default_factory=list)
-
-
 # A class of odd-index stride s < _SPARSE is popcounted on whole words under
 # its mask, a sparser one (at most one member per word) gathers those words:
 # at x = 1e8 a masked pass costs 1.4 to 1.7 ms per class whatever s, a gather
@@ -118,6 +76,10 @@ _SPARSE = 128
 # take 1.34 ms at width 64 and 1.42 ms at 256.
 _ROW = 64
 _CHUNK = SEGMENT // 8  # words per numpy call: one SEGMENT-byte temporary
+# _count_in_classes indexes the bits below 64 * s, s <= q, in uint64, so a
+# modulus up to Q_MAX keeps them below 2^64; at q = 2^59 + 1 they wrapped and
+# miscounted.
+Q_MAX = 1 << 58
 
 
 def _popcount(words: np.ndarray) -> np.integer:
@@ -178,8 +140,8 @@ def pi_ap(x: int, q: int, a: int) -> int:
     Memory: the cached prime_bitmap(x), x/16 bytes per cached x (8 cached),
     plus one SEGMENT-byte buffer.
     """
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
+    if not 1 <= q <= Q_MAX:
+        raise ValueError(f"modulus must be in [1, {Q_MAX}]")
     if not 0 <= a < q:
         raise ValueError(f"residue {a} outside [0, {q})")
     return _count_in_classes(x, [(q, a)])[0]
@@ -303,33 +265,40 @@ def s_value(
     return s_values(x, [(d, z, inclusive)], q1, q2, a)[2]
 
 
-def bv_aggregate(x: int, family: ModuliFamily) -> tuple[float, list[DiscrepancyRecord]]:
-    """Total discrepancy sum(|pi(x;q,a) - pi(x)/phi(q)|) over family members.
+def bv_aggregate(
+    x: int, a: int, moduli: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, Fraction]:
+    """pi(x), then pi(x; q, a) and phi(q) per modulus, and the total discrepancy.
 
-    Each |delta| is |cnt * phi(q) - pi(x)| / phi(q), phi(q) factorized once
-    per member; the total sums those integer numerators per distinct phi(q)
-    and adds the Fractions num / phi(q) in a balanced pairwise tree: the exact
-    sum of the deltas, each partial sum over the lcm of its subtree's phi(q)
-    only, so it stays near linear where nearly every phi(q) is distinct.
-    Records are sorted by modulus.  pi(x) and every count read the cached
+    Returns (pi(x), counts, phis, total): int64 columns in the order of
+    ``moduli``, a repeated modulus counted once per entry, and the exact
+    total = sum |cnt - pi(x)/phi(q)|.  Each term is |cnt * phi(q) - pi(x)| /
+    phi(q); int64 holds that numerator, as cnt * phi(q) <= (x/q + 1) * q =
+    x + q.  The total sums the numerators per distinct phi(q) and adds the
+    Fractions num / phi(q) in a balanced pairwise tree, each partial sum over
+    the lcm of its subtree's phi(q) only, so it stays near linear where
+    nearly every phi(q) is distinct.  A modulus outside [1, Q_MAX] or not
+    coprime to a is refused.  pi(x) and every count read the cached
     prime_bitmap(x), x/16 bytes per cached x (8 cached), plus one
     SEGMENT-byte buffer.
     """
+    moduli = np.asarray(moduli, dtype=np.int64)
+    if np.any((moduli < 1) | (moduli > Q_MAX)):
+        raise ValueError(f"moduli must be in [1, {Q_MAX}]")
+    shared = moduli[np.gcd(moduli, a) != 1]
+    if len(shared):
+        raise ValueError(f"residue {a} not coprime to modulus {shared[0]}")
     pix = pi(x)
-    classes = [(q, family.a % q) for q in family.members]
-    records, by_phi = [], {}  # phi(q) -> sum of |cnt * phi(q) - pi(x)|
-    for (q, a), cnt in zip(classes, _count_in_classes(x, classes)):
-        phi = euler_phi(q)
-        num = abs(cnt * phi - pix)
+    qs = moduli.tolist()
+    counts = np.array(_count_in_classes(x, [(q, a % q) for q in qs]), dtype=np.int64)
+    phis = np.array([euler_phi(q) for q in qs], dtype=np.int64)
+    by_phi = {}  # phi(q) -> sum of |cnt * phi(q) - pi(x)|
+    for phi, num in zip(phis.tolist(), np.abs(counts * phis - pix).tolist()):
         by_phi[phi] = by_phi.get(phi, 0) + num
-        records.append(
-            DiscrepancyRecord(x=x, q=q, a=a, pi_ap=cnt, pi_x=pix, phi_q=phi, delta=num / phi)
-        )
-    records.sort(key=lambda r: (r.q, r.a))
     total = [Fraction(num, phi) for phi, num in by_phi.items()] or [Fraction(0)]
     while len(total) > 1:
         total = [sum(total[i : i + 2]) for i in range(0, len(total), 2)]
-    return float(total[0]), records
+    return pix, counts, phis, total[0]
 
 
 def box_constraints(x: int, q1_max: int, q2_max: int) -> dict[str, bool]:
@@ -347,35 +316,28 @@ def box_constraints(x: int, q1_max: int, q2_max: int) -> dict[str, bool]:
     }
 
 
-def bifactor_box_family(x: int, q1_max: int, q2_max: int, a: int) -> ModuliFamily:
+def _units(q_lo: int, q_hi: int, a: int) -> np.ndarray:
+    """The q in [q_lo, q_hi] with (q, a) = 1, ascending, as int64."""
+    qs = np.arange(q_lo, q_hi + 1, dtype=np.int64)
+    return qs[np.gcd(qs, a) == 1]
+
+
+def bifactor_box_family(q1_max: int, q2_max: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (q1 <= Q1, q2 <= Q2) with (q1, a) = (q2, a) = 1.
 
-    The shape constraints relating Q1, Q2 and x are evaluated into
-    params["constraints"] for reporting; violating them never filters the
-    family.
+    Returns the int64 columns q1 and q2, q1-major; the moduli q1 * q2 repeat
+    (2 * 3 and 3 * 2).  box_constraints reports the shape constraints on Q1,
+    Q2 and x; violating them never filters the family.
     """
-    pairs = [
-        (q1, q2)
-        for q1 in range(1, q1_max + 1)
-        if math.gcd(q1, a) == 1
-        for q2 in range(1, q2_max + 1)
-        if math.gcd(q2, a) == 1
-    ]
-    members = [q1 * q2 for q1, q2 in pairs]
-    return ModuliFamily(
-        a=a,
-        members=members,
-        pairs=pairs,
-        params={"constraints": box_constraints(x, q1_max, q2_max)},
-    )
+    q1, q2 = _units(1, q1_max, a), _units(1, q2_max, a)
+    return np.repeat(q1, len(q2)), np.tile(q2, len(q1))
 
 
-def dyadic_family(q_lo: int, q_hi: int, a: int) -> ModuliFamily:
-    """All q in [q_lo, q_hi] with (q, a) = 1; q_lo must be >= 1."""
+def dyadic_family(q_lo: int, q_hi: int, a: int) -> np.ndarray:
+    """All q in [q_lo, q_hi] with (q, a) = 1, ascending int64; q_lo must be >= 1."""
     if q_lo < 1:
         raise ValueError(f"q_lo must be >= 1, got {q_lo}")
-    members = [q for q in range(q_lo, q_hi + 1) if math.gcd(q, a) == 1]
-    return ModuliFamily(a=a, members=members)
+    return _units(q_lo, q_hi, a)
 
 
 def divisor_window(x: int, delta: float, eta: float) -> tuple[float, float]:
@@ -393,45 +355,43 @@ def check_window_params(delta: float, eta: float) -> None:
         raise ValueError(f"eta = {eta} outside (0, (1-42*delta)/4)")
 
 
-def _window_divisor_mask(n: int, lo: float, hi: float) -> np.ndarray:
-    """mask[q] for 0 <= q <= n: whether q has a divisor d with lo < d < hi.
+def _window_units(
+    q_lo: int, q_hi: int, a: int, windows: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """_units(q_lo, q_hi, a), and per open window (lo, hi) which have a divisor in it.
 
-    One multiples sieve, mask[d::d] = True per integer d in the open window,
-    so it costs O(n log(hi/lo)) and n + 1 bytes.
+    One multiples sieve per window, mask[d::d] = True per integer d with
+    lo < d < hi, so each costs O(q_hi log(hi/lo)) and q_hi + 1 bytes.
     """
-    mask = np.zeros(n + 1, dtype=bool)
-    for d in range(max(math.floor(lo) + 1, 1), min(math.ceil(hi) - 1, n) + 1):
-        mask[d::d] = True
-    return mask
+    units = _units(q_lo, q_hi, a)
+    n = max(q_hi, 0)
+    masks = []
+    for lo, hi in windows:
+        mask = np.zeros(n + 1, dtype=bool)
+        for d in range(max(math.floor(lo) + 1, 1), min(math.ceil(hi) - 1, n) + 1):
+            mask[d::d] = True
+        masks.append(mask[units])
+    return units, masks
 
 
-def divisor_window_family(x: int, delta: float, eta: float, a: int) -> ModuliFamily:
-    """All q <= x^(1/2+delta), (q, a) = 1, with a divisor in the open window.
+def divisor_window_family(
+    x: int, delta: float, eta: float, a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All q <= x^(1/2+delta), (q, a) = 1, with a divisor in divisor_window.
 
-    Window endpoints are floats; divisor testing is exact integer comparison
-    against them.  A modulus whose membership flips when the endpoints are
-    widened by one ulp on each side is recorded in ``flagged`` (borderline)
-    rather than silently misclassified.
+    Returns the ascending int64 columns members and flagged.  Window endpoints
+    are floats; divisor testing is exact integer comparison against them.  A
+    unit whose membership flips when the endpoints are widened by one ulp on
+    each side is flagged (borderline), member or not, rather than silently
+    misclassified.
     """
     check_window_params(delta, eta)
     lo, hi = divisor_window(x, delta, eta)
-    lo_wide = math.nextafter(lo, -math.inf)
-    hi_wide = math.nextafter(hi, math.inf)
-    lo_narrow = math.nextafter(lo, math.inf)
-    hi_narrow = math.nextafter(hi, -math.inf)
+    wide = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+    narrow = (math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf))
     q_max = int(x ** (0.5 + delta))
-    qs = np.arange(1, q_max + 1)
-    units = qs[np.gcd(qs, a) == 1]
-    nominal = _window_divisor_mask(q_max, lo, hi)
-    borderline = _window_divisor_mask(q_max, lo_wide, hi_wide) != _window_divisor_mask(
-        q_max, lo_narrow, hi_narrow
-    )
-    return ModuliFamily(
-        a=a,
-        members=units[nominal[units]].tolist(),
-        params={"window": (lo, hi), "q_max": q_max},
-        flagged=units[borderline[units]].tolist(),
-    )
+    units, (nominal, in_wide, in_narrow) = _window_units(1, q_max, a, [(lo, hi), wide, narrow])
+    return units[nominal], units[in_wide != in_narrow]
 
 
 def exceptional_fraction(
@@ -443,11 +403,9 @@ def exceptional_fraction(
     diagnostic; the bound is not asserted.
     """
     check_window_params(delta, eta)
-    lo, hi = divisor_window(x, delta, eta)
-    qs = np.arange(Q, 2 * Q + 1)
-    units = qs[np.gcd(qs, a) == 1]
+    units, (inside,) = _window_units(Q, 2 * Q, a, [divisor_window(x, delta, eta)])
     total = len(units)
-    exceptional = int(np.count_nonzero(~_window_divisor_mask(max(2 * Q, 0), lo, hi)[units]))
+    exceptional = total - int(np.count_nonzero(inside))
     frac = exceptional / total if total else 0.0
     bound = 18 * delta * euler_phi(a) / a
     return {

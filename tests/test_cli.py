@@ -101,8 +101,8 @@ class TestExitCodes:
             (["verify", "reduction", "--n-max", "-5"], "--n-max"),
             (["verify", "fundlemma", "--n-max", "-5"], "--n-max"),
             (["bv-scan", "--x", "-5", "--qlo", "3", "--qhi", "6"], "--x"),
-            (["bv-scan", "--x", "1000", "--qlo", "0", "--qhi", "6"], "q_lo"),
-            (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "0"], "q_lo"),
+            (["bv-scan", "--x", "1000", "--qlo", "0", "--qhi", "6"], "--qlo"),
+            (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "0"], "--qlo"),
             (["sieve", "--lo", "-5", "--hi", "1"], "--lo"),
             (["sieve", "--lo", "-5", "--hi", "10"], "--lo"),
             (["moduli-set", "--kind", "divisor-window", "--x", "-100"], "--x"),
@@ -126,6 +126,8 @@ class TestExitCodes:
             ["completion-demo", "--q", "0"],
             ["verify", "fsum", "--q-max", "201"],
             ["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
+            # the box constraints overflow a float: refused before the first row
+            ["moduli-set", "--kind", "box", "--x", str(10**400)],
         ],
     )
     def test_parameter_error_leaves_out_untouched(self, args, tmp_path, capsys):
@@ -297,6 +299,43 @@ class TestSizeCaps:
         assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
         assert msg in err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args, msg",
+        [
+            (["bv-scan", "--x", "1000", "--qlo", str(2**60 + 1), "--qhi", str(2**60 + 4)],
+             f"--qlo must be <= {2**58},"),
+            (["bv-scan", "--x", "1000", "--qlo", str(10**20), "--qhi", str(10**20)],
+             f"--qlo must be <= {2**58},"),
+            (["bv-scan", "--x", "1000", "--qlo", str(2**58 - 3), "--qhi", str(2**58 + 1)],
+             f"--qhi must be <= {2**58},"),
+            (["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "1", "--qhi", "-1"],
+             "--qhi must be >= 0,"),
+            (["bv-scan", "--x", "1000", "--qlo", "3", "--qhi", "6", "--a", str(2**70)],
+             f"--a must be <= {2**63 - 1},"),
+            (["bv-scan", "--x", "1000", "--qlo", "3", "--qhi", "6", "--a", str(-(2**63))],
+             f"--a must be >= {-(2**63 - 1)},"),
+            (["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
+             f"--a must be <= {2**63 - 1},"),
+        ],
+    )
+    def test_modulus_and_residue_ranges_name_the_flag(self, args, msg, tmp_path, capsys):
+        # _count_in_classes indexes bits below 64 * q in uint64: q <= 2^58
+        path = tmp_path / "out.csv"
+        assert main(args + ["--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("apmod: parameter error: ") and err.count("\n") == 1
+        assert msg in err
+        assert not path.exists()
+
+    def test_modulus_at_the_range_cap_is_counted(self, tmp_path):
+        q_max = 2**58
+        code, text = run_cli(["bv-scan", "--x", "1000", "--qlo", str(q_max - 3),
+                              "--qhi", str(q_max), "--a", "997"], tmp_path)
+        assert code == 0
+        rows = [r.split(",") for r in strip_comments(text).splitlines()[1:-2]]
+        assert [int(r[1]) for r in rows] == list(range(q_max - 3, q_max + 1))
+        assert [r[3] for r in rows] == ["1"] * 4  # the one prime 997 = a mod q
 
     @pytest.mark.parametrize(
         "args",
@@ -476,16 +515,39 @@ class TestOutputs:
         code, text = run_cli(args, tmp_path)
         assert time.perf_counter() - t0 < 3.0
         assert code == 0
-        fam = divisor_window_family(2**32, 0.005, float(eta), 1)
-        flagged = set(fam.flagged)
+        members, flagged = divisor_window_family(2**32, 0.005, float(eta), 1)
+        members, flagged = members.tolist(), set(flagged.tolist())
         rows = [r.split(",") for r in strip_comments(text).splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == fam.members
-        assert [r[3] == "yes" for r in rows] == [q in flagged for q in fam.members]
+        assert [int(r[0]) for r in rows] == members
+        assert [r[3] == "yes" for r in rows] == [q in flagged for q in members]
         assert sum(r[3] == "yes" for r in rows) == n_yes
         # at lo = 2.0 all 12,204 flagged moduli are non-members and get no row
-        hidden = len(flagged - set(fam.members))
+        hidden = len(flagged - set(members))
         assert hidden == (12204 if n_yes == 0 else 0)
         assert f"# flagged non-members (no row): {hidden}" in text.splitlines()
+
+    def test_moduli_set_box_body(self, tmp_path):
+        code, text = run_cli(
+            ["moduli-set", "--kind", "box", "--x", "1000", "--q1", "4", "--q2", "6", "--a", "5"],
+            tmp_path,
+        )
+        assert code == 0
+        pairs = [(q1, q2) for q1 in (1, 2, 3, 4) for q2 in (1, 2, 3, 4, 6)]  # q1-major
+        assert strip_comments(text).splitlines() == [
+            "q1,q2,q",
+            "constraint,Q1*Q2^2<x^(1-100eps),holds",
+            "constraint,Q1^12*Q2^7<x^(4-100eps),violated",
+            "constraint,Q1^20*Q2^19<x^(10-100eps),holds",
+        ] + [f"{q1},{q2},{q1 * q2}" for q1, q2 in pairs]
+
+    def test_moduli_set_dyadic_body(self, tmp_path):
+        code, text = run_cli(
+            ["moduli-set", "--kind", "dyadic", "--x", "1000", "--qlo", "10", "--qhi", "30",
+             "--a", "6"],
+            tmp_path,
+        )
+        assert code == 0
+        assert strip_comments(text).splitlines() == ["q", "11", "13", "17", "19", "23", "25", "29"]
 
     def test_verify_bezout(self, tmp_path):
         code, text = run_cli(["verify", "bezout"], tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,10 @@ from apmod.progressions import (
     _CHUNK,
     _ROW,
     _SPARSE,
+    Q_MAX,
     SValue,
     bifactor_box_family,
+    box_constraints,
     bv_aggregate,
     divisor_window,
     divisor_window_family,
@@ -41,6 +44,12 @@ class TestPiAp:
 
     def test_non_unit_residue_allowed(self):
         assert pi_ap(100, 10, 5) == 1  # only p = 5
+
+    def test_up_to_q_max(self):
+        # q > x: the class of a holds the one prime a, or nothing
+        assert pi_ap(1000, Q_MAX - 1, 997) == 1 and pi_ap(1000, Q_MAX - 1, 999) == 0
+        with pytest.raises(ValueError, match="modulus must be in"):
+            pi_ap(1000, Q_MAX + 1, 3)
 
     def test_unit_sum_identity(self):
         # sum over units a of pi(x; q, a) = pi(x) - #{p | q}, for x >= q^2
@@ -319,58 +328,80 @@ class TestWindowBatches:
 
 class TestBvAggregate:
     def test_trivial_family(self):
-        fam = dyadic_family(1, 1, 1)
-        total, recs = bv_aggregate(100, fam)
-        assert total == 0.0 and len(recs) == 1
+        pix, counts, phis, total = bv_aggregate(100, 1, dyadic_family(1, 1, 1))
+        assert total == 0 and pix == 25
+        assert counts.tolist() == [25] and phis.tolist() == [1]
 
     def test_box_example(self):
-        fam = bifactor_box_family(100, 1, 3, 1)
-        total, recs = bv_aggregate(100, fam)
-        assert total == pytest.approx(2.5, abs=0)
-        by_q = {r.q: r for r in recs}
-        assert by_q[2].pi_ap == 24 and by_q[2].expected == Fraction(25)
-        assert by_q[3].pi_ap == 11 and by_q[3].expected == Fraction(25, 2)
+        q1, q2 = bifactor_box_family(1, 3, 1)
+        pix, counts, phis, total = bv_aggregate(100, 1, q1 * q2)
+        assert total == Fraction(5, 2)
+        assert (q1 * q2).tolist() == [1, 2, 3]
+        assert counts.tolist() == [25, 24, 11] and phis.tolist() == [1, 1, 2]
 
     def test_box_constraints_reported_not_enforced(self):
-        fam = bifactor_box_family(100, 50, 50, 1)
-        cons = fam.params["constraints"]
+        cons = box_constraints(100, 50, 50)
         assert set(len(k.split("<")) for k in cons) == {2}
         assert any(not ok for ok in cons.values())  # violated at this shape
-        assert len(fam.pairs) == 50 * 50  # but the family is still realized
-        small = bifactor_box_family(10**6, 2, 3, 1)
-        assert all(small.params["constraints"].values())
+        q1, q2 = bifactor_box_family(50, 50, 1)
+        assert len(q1) == len(q2) == 50 * 50  # but the family is still realized
+        assert all(box_constraints(10**6, 2, 3).values())
+
+    def test_box_family_is_q1_major(self):
+        q1, q2 = bifactor_box_family(4, 6, 5)
+        assert q1.dtype == q2.dtype == np.int64
+        want = [(a, b) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4, 6)]
+        assert list(zip(q1.tolist(), q2.tolist())) == want
 
     def test_dyadic_regression_1e6(self):
-        fam = dyadic_family(100, 200, 1)
-        total, _ = bv_aggregate(10**6, fam)
-        assert total == pytest.approx(BV_DYADIC_100_200_TOTAL_1E6, abs=1e-9)
+        _, _, _, total = bv_aggregate(10**6, 1, dyadic_family(100, 200, 1))
+        assert float(total) == pytest.approx(BV_DYADIC_100_200_TOTAL_1E6, abs=1e-9)
 
     @pytest.mark.parametrize(
         "x, family",
         [
-            (10**6, dyadic_family(100, 200, 1)),
-            (1000, dyadic_family(1, 3000, 1)),
-            (30_000, dyadic_family(7, 500, 10)),
-            (2 * SEGMENT + 1, bifactor_box_family(2 * SEGMENT + 1, 12, 9, 5)),
+            (10**6, (1, dyadic_family(100, 200, 1))),
+            (1000, (1, dyadic_family(1, 3000, 1))),
+            (30_000, (10, dyadic_family(7, 500, 10))),
+            (2 * SEGMENT + 1, (5, np.prod(bifactor_box_family(12, 9, 5), axis=0))),
         ],
     )
     def test_total_is_the_fraction_sum(self, x, family):
-        total, recs = bv_aggregate(x, family)
-        pix = pi(x)
-        deltas = [abs(r.pi_ap - Fraction(pix, euler_phi(r.q))) for r in recs]
-        assert total == float(sum(deltas, Fraction(0)))
-        assert [r.delta for r in recs] == [float(d) for d in deltas]
-        assert all(r.pi_x == pix and r.phi_q == euler_phi(r.q) for r in recs)
+        a, moduli = family
+        pix, counts, phis, total = bv_aggregate(x, a, moduli)
+        assert pix == pi(x)
+        assert phis.tolist() == [euler_phi(q) for q in moduli.tolist()]
+        deltas = [abs(c - Fraction(pix, f)) for c, f in zip(counts.tolist(), phis.tolist())]
+        assert total == sum(deltas, Fraction(0))
 
     def test_box_family_with_repeated_moduli(self):
         x = 2 * SEGMENT + 1
         for a in (1, 5):
-            fam = bifactor_box_family(x, 6, 6, a)
-            _, recs = bv_aggregate(x, fam)
-            assert len(recs) == len(fam.pairs)
-            assert len({r.q for r in recs}) < len(recs)  # e.g. 2*3 and 3*2
-            for r in recs:
-                assert r.pi_ap == pi_ap(x, r.q, r.a)
+            q1, q2 = bifactor_box_family(6, 6, a)
+            qs = q1 * q2
+            _, counts, _, _ = bv_aggregate(x, a, qs)
+            assert len(counts) == len(qs) > len(set(qs.tolist()))  # e.g. 2*3 and 3*2
+            assert counts.tolist() == [pi_ap(x, q, a % q) for q in qs.tolist()]
+
+    @pytest.mark.parametrize(
+        "moduli, a, msg",
+        [
+            ([3, 0, 5], 1, "moduli must be in [1,"),
+            ([-4], 1, "moduli must be in [1,"),
+            ([1, Q_MAX + 1], 1, "moduli must be in [1,"),
+            ([5, 7, 9, 4], 6, "residue 6 not coprime to modulus 9"),
+            ([10], -4, "residue -4 not coprime to modulus 10"),
+        ],
+    )
+    def test_refuses_bad_moduli(self, moduli, a, msg):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            bv_aggregate(1000, a, moduli)
+
+    def test_moduli_in_input_order(self):
+        qs = [9, 4, 9, 1, 4, 7]
+        _, counts, phis, _ = bv_aggregate(1000, 5, qs)
+        assert counts.tolist() == [pi_ap(1000, q, 5 % q) for q in qs]
+        assert phis.tolist() == [6, 2, 6, 1, 2, 6]
 
 
 # bit k of prime_bitmap(x) stands for 2k + 1, so the SEGMENT-bit blocks the
@@ -434,7 +465,7 @@ class TestCountOracle:
                     mod, "primes_in", lambda lo, hi, real=real: calls.append(hi) or real(lo, hi)
                 )
         prime_bitmap.cache_clear()
-        bv_aggregate(x, dyadic_family(8, 15, 1))
+        bv_aggregate(x, 1, dyadic_family(8, 15, 1))
         pi(x)
         assert calls and max(calls) <= math.isqrt(x) + 1
 
@@ -464,13 +495,13 @@ class TestDivisorWindowSieve:
     @pytest.mark.parametrize("x, delta, eta", WINDOW_GRID)
     def test_family_matches_trial_division(self, x, delta, eta):
         for a in (1, 2, 3, 6):
-            fam = divisor_window_family(x, delta, eta, a)
-            lo, hi = fam.params["window"]
+            members, flagged = divisor_window_family(x, delta, eta, a)
+            lo, hi = divisor_window(x, delta, eta)
             wide = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
             narrow = (math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf))
-            units = [q for q in range(1, fam.params["q_max"] + 1) if math.gcd(q, a) == 1]
-            assert fam.members == [q for q in units if _trial_window_divisor(q, lo, hi)]
-            assert fam.flagged == [
+            units = [q for q in range(1, int(x ** (0.5 + delta)) + 1) if math.gcd(q, a) == 1]
+            assert members.tolist() == [q for q in units if _trial_window_divisor(q, lo, hi)]
+            assert flagged.tolist() == [
                 q
                 for q in units
                 if _trial_window_divisor(q, *wide) != _trial_window_divisor(q, *narrow)
@@ -478,7 +509,8 @@ class TestDivisorWindowSieve:
 
     def test_grid_has_flagged_and_empty_cases(self):
         fams = [divisor_window_family(x, d, e, 1) for x, d, e in WINDOW_GRID]
-        assert any(f.flagged for f in fams) and not all(f.members for f in fams)
+        assert any(len(flagged) for _, flagged in fams)
+        assert not all(len(members) for members, _ in fams)
 
     @pytest.mark.parametrize("x, delta, eta", WINDOW_GRID[::3])
     def test_exceptional_fraction_matches_trial_division(self, x, delta, eta):
@@ -495,15 +527,15 @@ class TestDivisorWindowSieve:
 
 class TestDivisorWindow:
     def test_even_family_example(self):
-        fam = divisor_window_family(10**6, 0.01, 0.01, 1)
-        lo, hi = fam.params["window"]
+        members, _ = divisor_window_family(10**6, 0.01, 0.01, 1)
+        lo, hi = divisor_window(10**6, 0.01, 0.01)
         assert 1.51 < lo < 1.52 and 2.85 < hi < 2.86
-        assert fam.members == list(range(2, fam.params["q_max"] + 1, 2))
+        assert members.tolist() == list(range(2, int((10**6) ** 0.51) + 1, 2))
 
     def test_members_recheck(self):
-        fam = divisor_window_family(10**6, 0.01, 0.01, 1)
-        lo, hi = fam.params["window"]
-        for q in fam.members[:200]:
+        members, _ = divisor_window_family(10**6, 0.01, 0.01, 1)
+        lo, hi = divisor_window(10**6, 0.01, 0.01)
+        for q in members[:200].tolist():
             assert any(lo < d < hi for d in range(1, q + 1) if q % d == 0)
 
     def test_param_validation(self):
@@ -514,12 +546,12 @@ class TestDivisorWindow:
 
     def test_empty_window(self):
         # push eta near its cap so the min-exponent goes tiny
-        fam = divisor_window_family(10**4, 0.0001, 0.24, 1)
-        lo, hi = fam.params["window"]
+        members, _ = divisor_window_family(10**4, 0.0001, 0.24, 1)
+        lo, hi = divisor_window(10**4, 0.0001, 0.24)
         if hi <= lo:
-            assert fam.members == []
+            assert len(members) == 0
         else:
-            assert all(q >= 2 for q in fam.members)
+            assert all(members >= 2)
 
 
 class TestExceptionalFraction:
