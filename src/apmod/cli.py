@@ -139,7 +139,8 @@ TOLERANCE = (0, sys.float_info.max)  # finite; 0 demands an exact match
 LPF_LIMIT_MAX = 10**7
 N_MAX = ("--n-max", int, 10**5, "exhaustive bound on n", (1, LPF_LIMIT_MAX))
 Q_ARRAYS = ("--q", int, REQUIRED, "modulus", (-INF, 10**6))  # O(q) arrays: 85 MB at the cap
-Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))  # phi(q)^2 phases: 16 s at the cap
+# phi(q)^2 phases: 11 s at the cap, 94 s at the prime 99991 (2 vCPUs, Intel Xeon)
+Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))
 # bv-scan and moduli-set hold their moduli in int64 columns, and bv-scan
 # counts each up to Q_MAX (progressions); --qhi = --qlo - 1 is an empty
 # range.  The residue meets the moduli in np.gcd, so it fits int64 too.
@@ -179,7 +180,8 @@ COMMANDS = [
     )),
     (("moduli-set",), "realize a moduli family", "cmd_moduli_set", (
         ("--kind", ("box", "divisor-window", "dyadic"), REQUIRED, "family to realize"),
-        ("--x", int, REQUIRED, "scale parameter x", (0, INF)),
+        # box_constraints forms x^10 as a float, finite below about 1.3e30
+        ("--x", int, REQUIRED, "scale parameter x", (0, 10**30)),
         RESIDUE,
         ("--q1", int, 10, "box kind: largest q1"),
         ("--q2", int, 10, "box kind: largest q2"),
@@ -266,7 +268,9 @@ COMMANDS = [
         SEED,
     )),
     (("completion-demo",), "completion-of-sums reports", "cmd_completion_demo", (
-        ("--M", float, 100.0, "length scale of the smoothed sum"),
+        # psi0(m/M) lives on M/2 < m < 5M/2: from M = 1 it weighs m = 1 and 2;
+        # the enumeration refuses M above 1e6, and a subnormal M overflows m/M
+        ("--M", float, 100.0, "length scale of the smoothed sum", (1, 10**6)),
         ("--q", int, 7, "modulus"),
         ("--a", int, 3, "residue of the progression sum"),
         ("--d", int, 3, "modulus of the inverse-sum congruence"),

@@ -15,9 +15,11 @@ time proportional to phi(q)^2 phases per row, but never holds the pair
 grid: phases are generated and summed in leaves of at most _LEAF values per
 row, in chunks of at most _CHUNK phases over all rows, so one call
 allocates O(_CHUNK + q) memory at a time besides its results, whatever q
-is, and nothing of size phi(q)^2 is retained.  The leaves are cut where
-numpy's pairwise summation cuts the whole row (_tree_sum), so every sum is
-bit-identical to summing that row's whole grid at once.
+is, and nothing of size phi(q)^2 is retained.  Phases are built in int32
+while they fit (q <= 26,755), else in int64, and reduced mod q by one
+floor division by the scalar q.  The leaves are cut where numpy's pairwise
+summation cuts the whole row (_tree_sum), so every sum is bit-identical to
+summing that row's whole grid at once.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # q = 2027; 2^18 gains about 10% for 16x the memory.
 _LEAF = 1 << 14
 # _pair_sums evaluates its rows in chunks of at most this many phases at once
-# (one int64 phase and one complex root per phase: 3 MB).
+# (at most 24 bytes per phase: 3 MB; an intp index and a complex root, or
+# while a phase is built, the phase and two temporaries of its dtype).
 _CHUNK = 8 * _LEAF
 
 # The largest sweeps the checks accept: f_property_check's q_max (O(q^2) per
@@ -77,7 +80,7 @@ DELIGNE_P_MAX = 500
 def _pair_phases(q: int, coeffs):
     """phases(lo, hi): for each triple (c1, c2, c3) of ``coeffs``, one row of
     (c1*b1 + c2*b2 + c3*inv(b1*b2)) mod q at flat positions lo..hi-1 of the
-    b1-major grid of unit pairs (b1, b2) mod q; a C-contiguous int64 array of
+    b1-major grid of unit pairs (b1, b2) mod q; a C-contiguous intp array of
     shape (len(coeffs), hi - lo).
 
     The per-unit rows c1*b, c2*b and (c3*inv(b) mod q), with every c
@@ -85,15 +88,18 @@ def _pair_phases(q: int, coeffs):
     three row blocks (the tail of a row, whole rows, the head of a row),
     each filled in place by one broadcast of those rows; writing
     inv(b1*b2) = inv(b1)*inv(b2) keeps every product below q^2, so every
-    phase stays below 3q^2 until its one reduction mod q.
+    phase stays below 3q^2 until its one reduction mod q: in int32 when
+    3(q-1)^2 < 2^31, else in int64.
     """
     _, u, iu = _unit_table(q)
     n = len(u)
-    c = np.array([[v % q for v in row] for row in coeffs], dtype=np.int64)
+    dt = np.int32 if 3 * (q - 1) ** 2 < 2**31 else np.int64
+    u, iu = u.astype(dt), iu.astype(dt)
+    c = np.array([[v % q for v in row] for row in coeffs], dtype=dt)
     row1, col2, row3 = c[:, :1] * u, c[:, 1:2] * u, c[:, 2:] * iu % q
 
     def phases(lo: int, hi: int) -> np.ndarray:
-        out = np.empty((len(c), hi - lo), dtype=np.int64)
+        out = np.empty((len(c), hi - lo), dtype=dt)
         pos = lo
         while pos < hi:
             r, j = divmod(pos, n)
@@ -109,8 +115,8 @@ def _pair_phases(q: int, coeffs):
             blk += row1[:, rows, None]
             blk += col2[:, None, cols]
             pos += nr * (end - j)
-        out %= q
-        return out
+        out -= out // q * q  # one scalar divisor: numpy's fast integer divide
+        return out.astype(np.intp, copy=False)  # an intp index gathers twice as fast
 
     return phases
 

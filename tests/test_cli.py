@@ -69,6 +69,18 @@ class TestCrossProcessDeterminism:
         assert outs[0] == outs[1]
 
 
+def test_cli_import_loads_no_heavy_module():
+    # start-up is import time: scipy alone costs about 300 ms, and numpy.fft
+    # is loaded by kl3_prime_table on its first call, not at import
+    code = (
+        "import sys, apmod.cli; "
+        "print(*[m for m in ('scipy', 'mpmath', 'numpy.fft') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         proc = subprocess.run(
@@ -126,7 +138,7 @@ class TestExitCodes:
             ["completion-demo", "--q", "0"],
             ["verify", "fsum", "--q-max", "201"],
             ["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
-            # the box constraints overflow a float: refused before the first row
+            # --x past its range: refused before the first row
             ["moduli-set", "--kind", "box", "--x", str(10**400)],
         ],
     )
@@ -226,6 +238,8 @@ class TestExitCodes:
             (["moduli-set", "--kind", "divisor-window", "--x", "0", "--delta", "-1"],
              "delta = -1.0 outside (0, 1/42)"),
             (["completion-demo", "--q", "1", "--d", "0"], "d must be >= 1, got 0"),
+            # a subnormal M overflows m/M to inf
+            (["completion-demo", "--M", "5e-324"], "--M must be >= 1, got 5e-324"),
         ],
     )
     def test_vacuous_or_unbounded_input_is_2(self, args, msg, tmp_path, capsys):
@@ -317,6 +331,12 @@ class TestSizeCaps:
              f"--a must be >= {-(2**63 - 1)},"),
             (["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
              f"--a must be <= {2**63 - 1},"),
+            # box_constraints forms x^10 as a float, which overflows past the range
+            (["moduli-set", "--kind", "box", "--x", str(10**400)], f"--x must be <= {10**30},"),
+            (["moduli-set", "--kind", "box", "--x", str(10**30 + 1)],
+             f"--x must be <= {10**30},"),
+            (["moduli-set", "--kind", "divisor-window", "--x", str(10**400)],
+             f"--x must be <= {10**30},"),
         ],
     )
     def test_modulus_and_residue_ranges_name_the_flag(self, args, msg, tmp_path, capsys):
@@ -436,6 +456,15 @@ class TestSizeCaps:
         assert procs[1].stderr == (
             "apmod: parameter error: --x must be <= 10000000, got 100000000\n"
         )
+
+    def test_box_at_the_x_cap_is_accepted(self, tmp_path):
+        code, text = run_cli(["moduli-set", "--kind", "box", "--x", str(10**30)], tmp_path)
+        assert code == 0
+        assert strip_comments(text).splitlines()[1:4] == [
+            f"constraint,{name},holds"
+            for name in ("Q1*Q2^2<x^(1-100eps)", "Q1^12*Q2^7<x^(4-100eps)",
+                         "Q1^20*Q2^19<x^(10-100eps)")
+        ]
 
     def test_decomp_modulus_is_uncapped(self):
         # the S-value kernel holds nothing sized by q on narrow windows, so a

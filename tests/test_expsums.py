@@ -292,6 +292,28 @@ class TestStreamedPairSums:
         assert abs(v - kl3_prime_table(4999)[1]) <= 1e-12
 
 
+class TestPairPhaseSeam:
+    """_pair_phases builds phases in int32 up to q = 26,755, the last q with
+    3(q-1)^2 < 2^31, and in int64 from q = 26,756 on."""
+
+    @pytest.mark.parametrize("q", [26755, 26756])
+    def test_phases_at_the_end_of_the_grid(self, q):
+        u = _unit_table(q)[1]
+        n = len(u) ** 2
+        # (q-1, q-1, 1) reaches the phase bound 3(q-1)^2 at the last pair,
+        # b1 = b2 = q-1; past 2^31 at q = 26,756
+        coeffs = [(q - 1, q - 1, q - 1), (-1, -1, -1), (q - 1, q - 1, 1)]
+        got = _pair_phases(q, coeffs)(n - 100, n)
+        assert got.shape == (3, 100)
+        for row, (c1, c2, c3) in zip(got.tolist(), coeffs):
+            want = []
+            for k in range(n - 100, n):
+                b1, b2 = int(u[k // len(u)]), int(u[k % len(u)])
+                want.append((c1 * b1 + c2 * b2 + c3 * pow(b1 * b2, -1, q)) % q)
+            assert row == want
+            assert all(0 <= v < q for v in row)
+
+
 class TestFSum:
     def test_q_one(self):
         assert f_sum(FSumKey(5, -2, 9, 4, 1)) == 1 + 0j
