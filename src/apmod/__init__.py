@@ -22,7 +22,6 @@ from .arith import (  # noqa: F401,E402
 )
 from .buchstab import buchstab_omega  # noqa: F401,E402
 from .completion import (  # noqa: F401,E402
-    PSI0,
     completed_ap_sum,
     completed_inverse_sum,
     coprime_smooth_sum,

@@ -2,14 +2,16 @@
 
 omega(u) solves the delay differential equation (u*omega(u))' = omega(u-1)
 with omega(u) = 1/u on [1, 2].  We integrate W(u) := u*omega(u) on a uniform
-grid: W' depends only on the already-computed history (delay 1 >> step), so
-each step is a Simpson update with linear interpolation into the history.
+grid: each step is a Simpson update of W' = W(t-1)/(t-1), read from the
+history by linear interpolation.  A step from u reads the grid no further
+than u - 1 + 2*STEP, so a run of 1/STEP - 2 steps never reads a value it
+writes itself: each run is one array of Simpson increments, added up in step
+order, which gives the bits of one step at a time.
 The grid on [1, U_MAX] is solved once and cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,51 +20,35 @@ U_MAX = 20.0
 STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class BuchstabSolution:
-    """Uniform-grid samples of (u, omega(u)) on [1, u_max]."""
-
-    grid: np.ndarray  # W(u) = u * omega(u) at u = 1 + k*step
-    step: float
-    u_max: float
-
-    def _w_at(self, u) -> np.ndarray:
-        idx = (np.asarray(u, dtype=float) - 1.0) / self.step
-        k = np.clip(idx.astype(np.int64), 0, len(self.grid) - 2)
-        frac = idx - k
-        return (1 - frac) * self.grid[k] + frac * self.grid[k + 1]
-
-    def omega(self, u: float) -> float:
-        if not (1.0 <= u <= self.u_max):
-            raise ValueError(f"u = {u} outside [1, {self.u_max}]")
-        return float(self._w_at(u)) / u
+def _w_hist(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation of the grid w at the points t."""
+    idx = (t - 1.0) / STEP
+    k = idx.astype(np.int64)
+    frac = idx - k
+    return (1 - frac) * w[k] + frac * w[k + 1]
 
 
 @lru_cache(maxsize=1)
-def solve_buchstab() -> BuchstabSolution:
+def solve_buchstab() -> np.ndarray:
+    """W(u) = u * omega(u) at u = 1 + k*STEP, k = 0 .. (U_MAX - 1)/STEP."""
     n = round((U_MAX - 1.0) / STEP)
-    w = np.empty(n + 1)
+    w = np.full(n + 1, np.nan)  # a read before its write shows as NaN
     per_unit = round(1.0 / STEP)
     # W = 1 exactly on [1, 2]
     w[: per_unit + 1] = 1.0
 
     u = 1.0 + np.arange(n + 1) * STEP
-
-    def w_hist(t: float, upto: int) -> float:
-        # linear interpolation into grid prefix w[:upto+1]
-        idx = (t - 1.0) / STEP
-        k = min(int(idx), upto - 1)
-        frac = idx - k
-        return (1 - frac) * w[k] + frac * w[k + 1]
-
-    for k in range(per_unit, n):
-        uk = u[k]
-        # rhs g(t) = W(t-1)/(t-1); Simpson over [uk, uk+STEP]
-        g0 = w_hist(uk - 1.0, k) / (uk - 1.0)
-        gm = w_hist(uk - 1.0 + STEP / 2, k) / (uk - 1.0 + STEP / 2)
-        g1 = w_hist(uk - 1.0 + STEP, k) / (uk - 1.0 + STEP)
-        w[k + 1] = w[k] + STEP / 6.0 * (g0 + 4.0 * gm + g1)
-    return BuchstabSolution(grid=w, step=STEP, u_max=U_MAX)
+    for s in range(per_unit, n, per_unit - 2):
+        e = min(s + per_unit - 2, n)
+        # rhs g(t) = W(t-1)/(t-1); Simpson over [u_k, u_k + STEP], k in [s, e)
+        t0 = u[s:e] - 1.0
+        g0 = _w_hist(w, t0) / t0
+        gm = _w_hist(w, t0 + STEP / 2) / (t0 + STEP / 2)
+        g1 = _w_hist(w, t0 + STEP) / (t0 + STEP)
+        inc = STEP / 6.0 * (g0 + 4.0 * gm + g1)
+        # sequential sums, as one step at a time: w[k+1] = w[k] + inc[k-s]
+        w[s + 1 : e + 1] = np.add.accumulate(np.concatenate(([w[s]], inc)))[1:]
+    return w
 
 
 def buchstab_omega(u: float) -> float:
@@ -71,4 +57,8 @@ def buchstab_omega(u: float) -> float:
         raise ValueError(f"u = {u} outside [1, {U_MAX}]")
     if u <= 2.0:
         return 1.0 / u
-    return solve_buchstab().omega(u)
+    w = solve_buchstab()
+    idx = (u - 1.0) / STEP
+    k = min(int(idx), len(w) - 2)
+    frac = idx - k
+    return float((1 - frac) * w[k] + frac * w[k + 1]) / u

@@ -31,10 +31,11 @@ from .arith import (
     bezout_split,
     check_coprime_partition,
     coprime_partition,
+    euler_phi,
     random_coprime_pairs,
 )
 from .buchstab import U_MAX, buchstab_omega
-from .completion import PSI0, completed_ap_sum, completed_inverse_sum, coprime_smooth_sum
+from .completion import completed_ap_sum, completed_inverse_sum, coprime_smooth_sum
 from .dispersion import dispersion_expand, fixed_seed_instances
 from .expsums import (
     DELIGNE_P_MAX,
@@ -139,8 +140,11 @@ TOLERANCE = (0, sys.float_info.max)  # finite; 0 demands an exact match
 LPF_LIMIT_MAX = 10**7
 N_MAX = ("--n-max", int, 10**5, "exhaustive bound on n", (1, LPF_LIMIT_MAX))
 Q_ARRAYS = ("--q", int, REQUIRED, "modulus", (-INF, 10**6))  # O(q) arrays: 85 MB at the cap
-# phi(q)^2 phases: 11 s at the cap, 94 s at the prime 99991 (2 vCPUs, Intel Xeon)
+# Kl3 and F-sums stream phi(q)^2 phases, capped in the subcommand at
+# PAIRS_MAX = phi(1e5)^2: 11 s at q = 1e5 (2 vCPUs, Intel Xeon).  The --q
+# cap alone admits the prime 99991, 1e10 phases and 94 s.
 Q_PAIRS = ("--q", int, REQUIRED, "modulus", (-INF, 10**5))
+PAIRS_MAX = 40_000**2
 # bv-scan and moduli-set hold their moduli in int64 columns, and bv-scan
 # counts each up to Q_MAX (progressions); --qhi = --qlo - 1 is an empty
 # range.  The residue meets the moduli in np.gcd, so it fits int64 too.
@@ -376,7 +380,15 @@ def cmd_expsum_kloosterman(args, out: Output) -> int:
     return 0
 
 
+def _pairs_at_most(q: int) -> None:
+    """Refuse a modulus with more than PAIRS_MAX unit pairs; the library
+    refuses q < 1 itself."""
+    if q >= 1:
+        _at_most("phi(--q) squared", euler_phi(q) ** 2, PAIRS_MAX)
+
+
 def cmd_expsum_kl3(args, out: Output) -> int:
+    _pairs_at_most(args.q)
     v = kl3(args.a, args.q)
     out.row("kind", "a", "q", "value_re", "value_im", "abs")
     out.row("kl3", args.a, args.q, v.real, v.imag, abs(v))
@@ -384,6 +396,7 @@ def cmd_expsum_kl3(args, out: Output) -> int:
 
 
 def cmd_expsum_fsum(args, out: Output) -> int:
+    _pairs_at_most(args.q)
     v = f_sum(FSumKey(args.h1, args.h2, args.h3, args.a, args.q))
     out.row("kind", "h1", "h2", "h3", "a", "q", "value_re", "value_im", "abs")
     out.row("fsum", args.h1, args.h2, args.h3, args.a, args.q, v.real, v.imag, abs(v))
@@ -546,9 +559,9 @@ def cmd_dispersion_demo(args, out: Output) -> int:
 
 
 def cmd_completion_demo(args, out: Output) -> int:
-    r1 = completed_ap_sum(PSI0, args.M, args.q, args.a, args.H)
-    r2 = completed_inverse_sum(PSI0, args.M, args.q, args.d, args.n0, args.b, args.H)
-    r3 = coprime_smooth_sum(PSI0, args.M, args.q)
+    r1 = completed_ap_sum(args.M, args.q, args.a, args.H)
+    r2 = completed_inverse_sum(args.M, args.q, args.d, args.n0, args.b, args.H)
+    r3 = coprime_smooth_sum(args.M, args.q)
     out.row("kind", "params", "exact", "truncated", "error", "H")
     out.row("ap", f"M={args.M} q={args.q} a={args.a}", r1.exact, r1.truncated, r1.error, r1.H_used)
     out.row(

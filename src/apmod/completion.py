@@ -1,16 +1,19 @@
 """Smooth bump psi0, partitions of unity, and completion-of-sums evaluators.
 
 The bump is the exp(-1/u) smoothstep: supported on [1/2, 5/2], identically 1
-on [1, 2], C-infinity, strictly monotone on each ramp.  Its Fourier transform
-is computed by composite Gauss-Kronrod quadrature on the ramps plus a closed
-form on the plateau, and memoized.  The three completion evaluators compare
-an exactly enumerated sum against its truncated dual form and report the
+on [1, 2], C-infinity, strictly monotone on each ramp.  It is the one weight
+the evaluators use: psi0_deriv_vec gives it and its derivatives on arrays
+through jet arithmetic, and psi0_hat its Fourier transform, by composite
+Gauss-Kronrod quadrature on the two ramps plus a closed form on the plateau,
+memoized per frequency.  The three completion evaluators compare an exactly
+enumerated sum of psi0 against its truncated dual form and report the
 measured error; the asymptotic tail bounds are replaced by these explicit
 measurements at desk scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -85,24 +88,25 @@ def psi0_eval(t: float) -> float:
 
 
 def psi0_deriv_vec(ts, order: int) -> np.ndarray:
-    """order-th derivative of psi0 on an array of points (analytic, jets)."""
+    """order-th derivative of psi0 on an array of points (analytic, jets).
+
+    Order 0 is psi0 itself: exactly 1 on [1, 2], exactly 0 off (1/2, 5/2).
+    """
     arr = np.asarray(ts, dtype=float)
     out = np.zeros_like(arr)
     if order == 0:
-        return _psi0_vec(arr)
-    k = order + 1
-    up = (arr > 0.5) & (arr < 1.0)
-    if up.any():
-        u = [2.0 * arr[up] - 1.0, np.full(up.sum(), 2.0)] + [
-            np.zeros(up.sum()) for _ in range(k - 2)
-        ]
-        out[up] = _smoothstep_jet(u)[order]
-    dn = (arr > 2.0) & (arr < 2.5)
-    if dn.any():
-        u = [5.0 - 2.0 * arr[dn], np.full(dn.sum(), -2.0)] + [
-            np.zeros(dn.sum()) for _ in range(k - 2)
-        ]
-        out[dn] = _smoothstep_jet(u)[order]
+        out[(arr >= 1.0) & (arr <= 2.0)] = 1.0
+    # smoothstep argument u = 2t - 1 on the up-ramp and 5 - 2t on the down-ramp
+    for ramp, slope, offset in (
+        ((arr > 0.5) & (arr < 1.0), 2.0, -1.0),
+        ((arr > 2.0) & (arr < 2.5), -2.0, 5.0),
+    ):
+        if ramp.any():
+            u = slope * arr[ramp] + offset
+            jet = [u]
+            if order:
+                jet += [np.full_like(u, slope)] + [np.zeros_like(u)] * (order - 1)
+            out[ramp] = _smoothstep_jet(jet)[order]
     return out
 
 
@@ -176,136 +180,45 @@ def quad_oscillatory(f, a: float, b: float, freq: float) -> complex:
 
 
 XI_BYPARTS = 400.0  # consider the certified tail cutoff only above this
+_RAMPS = ((0.5, 1.0), (2.0, 2.5))  # psi0 rises, then falls; 1 on [1, 2] between
 
 
-class SmoothBump:
-    """A smooth compactly-supported weight with a memoized Fourier transform.
-
-    ``fn`` must be vectorized over numpy arrays and exactly zero outside
-    [support_lo, support_hi].  hat(xi) = integral of fn(t) e(-xi t) dt.
-
-    When a high derivative is supplied (``high_deriv`` of order
-    ``high_order``), k-fold integration by parts certifies the bound
-    |hat(xi)| <= ||f^(k)||_1 / (2 pi xi)^k; frequencies where that bound
-    falls below 1e-22 return exactly 0 instead of burning quadrature panels
-    on a value that is unrepresentably small.
-    """
-
-    def __init__(
-        self,
-        fn,
-        support_lo: float,
-        support_hi: float,
-        *,
-        plateau=None,
-        high_deriv=None,
-        high_order: int = 0,
-    ):
-        self.fn = fn
-        self.support = (support_lo, support_hi)
-        self.plateau = plateau  # optional exact-1 interval (a, b)
-        self.high_deriv = high_deriv
-        self.high_order = high_order
-        self._hat_cache: dict[float, complex] = {}
-        self._hd_norm: float | None = None
-
-    def __call__(self, t):
-        return self.fn(t)
-
-    def _ramp_pieces(self):
-        lo, hi = self.support
-        if self.plateau is not None:
-            a, b = self.plateau
-            return [(lo, a), (b, hi)]
-        return [(lo, hi)]
-
-    def high_deriv_norm(self) -> float:
-        """L1 norm of the supplied high derivative (cached)."""
-        if self._hd_norm is None:
-            total = 0.0
-            for a, b in self._ramp_pieces():
-                v, _ = _composite_gk(lambda t: np.abs(self.high_deriv(t)), a, b, 128)
-                total += v.real
-            self._hd_norm = total
-        return self._hd_norm
-
-    def tail_bound(self, xi: float) -> float:
-        """Certified |hat(xi)| bound from k-fold integration by parts."""
-        if self.high_deriv is None or xi == 0.0:
-            return math.inf
-        return self.high_deriv_norm() / (2.0 * math.pi * abs(xi)) ** self.high_order
-
-    def hat(self, xi: float) -> complex:
-        """Fourier transform integral over the support, to absolute error QUAD_TOL per ramp."""
-        xi = float(xi)
-        got = self._hat_cache.get(xi)
-        if got is not None:
-            return got
-        if xi < 0.0:
-            # real weights: hat(-xi) = conj(hat(xi))
-            val = self.hat(-xi).conjugate()
-            self._hat_cache[xi] = val
-            return val
-        if abs(xi) > XI_BYPARTS and self.tail_bound(xi) < 1e-22:
-            # certified negligible by k-fold integration by parts
-            val = 0j
-        else:
-            if self.plateau is not None:
-                a, b = self.plateau
-                if xi == 0.0:
-                    plateau_val = complex(b - a)
-                else:
-                    c = -2j * math.pi * xi
-                    plateau_val = (np.exp(c * b) - np.exp(c * a)) / c
-            else:
-                plateau_val = 0j
-
-            def integrand(t):
-                return np.asarray(self.fn(t)) * np.exp(-2j * np.pi * xi * t)
-
-            val = plateau_val + sum(
-                quad_oscillatory(integrand, a, b, xi)
-                for a, b in self._ramp_pieces()
-                if b > a
-            )
-        self._hat_cache[xi] = val
-        return val
+@functools.lru_cache(maxsize=1)
+def _high_deriv_norm() -> float:
+    """L1 norm of psi0^(8), one 128-panel G7K15 pass per ramp."""
+    total = 0.0
+    for a, b in _RAMPS:
+        v, _ = _composite_gk(lambda t: np.abs(psi0_deriv_vec(t, 8)), a, b, 128)
+        total += v.real
+    return total
 
 
-def _psi0_vec(t):
-    arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(arr)
-    ramp_up = (arr > 0.5) & (arr < 1.0)
-    ramp_dn = (arr > 2.0) & (arr < 2.5)
-    out[(arr >= 1.0) & (arr <= 2.0)] = 1.0
-    if ramp_up.any():
-        u = 2.0 * arr[ramp_up] - 1.0
-        out[ramp_up] = _smoothstep_vec(u)
-    if ramp_dn.any():
-        u = 5.0 - 2.0 * arr[ramp_dn]
-        out[ramp_dn] = _smoothstep_vec(u)
-    return out
-
-
-def _smoothstep_vec(u):
-    g = np.exp(-1.0 / u)
-    h = np.exp(-1.0 / (1.0 - u))
-    return g / (g + h)
-
-
-PSI0 = SmoothBump(
-    _psi0_vec,
-    0.5,
-    2.5,
-    plateau=(1.0, 2.0),
-    high_deriv=lambda t: psi0_deriv_vec(t, 8),
-    high_order=8,
-)
-
-
+@functools.lru_cache(maxsize=None)
 def psi0_hat(xi: float) -> complex:
-    """Fourier transform of psi0 at xi (quadrature on the ramps, memoized)."""
-    return PSI0.hat(xi)
+    """Fourier transform of psi0, integral of psi0(t) e(-xi t) dt (memoized).
+
+    The plateau [1, 2] is integrated in closed form and each ramp by
+    quad_oscillatory, to absolute error QUAD_TOL per ramp.  Above XI_BYPARTS,
+    8-fold integration by parts certifies |hat(xi)| <= ||psi0^(8)||_1 /
+    (2 pi xi)^8; where that bound falls below 1e-22 the value is exactly 0
+    instead of quadrature panels spent on an unrepresentably small number.
+    """
+    xi = float(xi)
+    if xi < 0.0:
+        # real weight: hat(-xi) = conj(hat(xi))
+        return psi0_hat(-xi).conjugate()
+    if xi > XI_BYPARTS and _high_deriv_norm() / (2.0 * math.pi * xi) ** 8 < 1e-22:
+        return 0j
+    if xi == 0.0:
+        plateau_val = complex(1.0)
+    else:
+        c = -2j * math.pi * xi
+        plateau_val = (np.exp(c * 2.0) - np.exp(c * 1.0)) / c
+
+    def integrand(t):
+        return psi0_deriv_vec(t, 0) * np.exp(-2j * np.pi * xi * t)
+
+    return plateau_val + sum(quad_oscillatory(integrand, a, b, xi) for a, b in _RAMPS)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +234,8 @@ class PartitionPiece:
     up_start: float  # ramp rises on [up_start, up_start + 1/2]
     plateau_end: float  # value 1 on [up_start + 1/2, plateau_end]
 
-    def _eval_u(self, u: float) -> float:
+    def __call__(self, t: float) -> float:
+        u = (float(t) - 1.0) * self.scale
         if u <= self.up_start or u >= self.plateau_end + 0.5:
             return 0.0
         if u < self.up_start + 0.5:
@@ -329,17 +243,6 @@ class PartitionPiece:
         if u <= self.plateau_end:
             return 1.0
         return 1.0 - smoothstep(2.0 * (u - self.plateau_end))
-
-    def __call__(self, t):
-        if np.isscalar(t):
-            return self._eval_u((float(t) - 1.0) * self.scale)
-        arr = np.asarray(t, dtype=float)
-        return np.array([self._eval_u((v - 1.0) * self.scale) for v in arr])
-
-    def as_bump(self) -> SmoothBump:
-        lo = 1.0 + self.up_start / self.scale
-        hi = 1.0 + (self.plateau_end + 0.5) / self.scale
-        return SmoothBump(self, lo, hi)
 
 
 def partition_of_unity(C: float, x: float) -> list[PartitionPiece]:
@@ -383,18 +286,19 @@ class CompletionReport:
     H_used: int
 
 
-def _support_range(f: SmoothBump, scale: float) -> range:
-    lo, hi = f.support
-    start = max(1, math.floor(lo * scale))
-    stop = math.ceil(hi * scale) + 1
+def _support_range(scale: float) -> range:
+    """The integers m with psi0(m/scale) possibly nonzero (support [1/2, 5/2])."""
+    start = max(1, math.floor(0.5 * scale))
+    stop = math.ceil(2.5 * scale) + 1
     return range(start, stop)
 
 
-def completed_ap_sum(f: SmoothBump, M: float, q: int, a: int, H: int) -> CompletionReport:
-    """Progression sum of f(m/M) against its truncated Fourier dual.
+def completed_ap_sum(M: float, q: int, a: int, H: int) -> CompletionReport:
+    """Progression sum of psi0(m/M) against its truncated Fourier dual.
 
-    exact     = sum over m = a (mod q) of f(m/M)
-    truncated = (M/q) fhat(0) + (M/q) sum_{1 <= |h| <= H} fhat(hM/q) e(ah/q)
+    exact     = sum over m = a (mod q) of psi0(m/M)
+    truncated = (M/q) psi0hat(0)
+              + (M/q) sum_{1 <= |h| <= H} psi0hat(hM/q) e(ah/q)
 
     The error |exact - truncated| is the measured tail; it is reported, never
     assumed.  The exact side uses compensated summation so the report
@@ -404,14 +308,14 @@ def completed_ap_sum(f: SmoothBump, M: float, q: int, a: int, H: int) -> Complet
         raise ValueError("modulus must be >= 1")
     if M > 10**6 or q > 10**6:
         raise ValueError("M, q above 1e6 are out of contract for direct enumeration")
-    ms = np.array(_support_range(f, M), dtype=np.int64)
+    ms = np.array(_support_range(M), dtype=np.int64)
     ms = ms[ms % q == a % q]
-    exact = math.fsum(np.asarray(f(ms / M), dtype=float).tolist())
-    main = (M / q) * f.hat(0.0)
+    exact = math.fsum(psi0_deriv_vec(ms / M, 0).tolist())
+    main = (M / q) * psi0_hat(0.0)
     tail = 0j
     for h in range(1, H + 1):
         ph = np.exp(2j * np.pi * ((a * h) % q) / q)
-        tail += f.hat(h * M / q) * ph + f.hat(-h * M / q) * np.conj(ph)
+        tail += psi0_hat(h * M / q) * ph + psi0_hat(-h * M / q) * np.conj(ph)
     truncated = main + (M / q) * tail
     return CompletionReport(
         exact=exact,
@@ -423,14 +327,14 @@ def completed_ap_sum(f: SmoothBump, M: float, q: int, a: int, H: int) -> Complet
 
 
 def completed_inverse_sum(
-    f: SmoothBump, N: float, q: int, d: int, n0: int, b: int, H: int
+    N: float, q: int, d: int, n0: int, b: int, H: int
 ) -> CompletionReport:
-    """Sum of f(n/N) e(b inv(n)/q) over n = n0 (mod d), (n, q) = 1, against
+    """Sum of psi0(n/N) e(b inv(n)/q) over n = n0 (mod d), (n, q) = 1, against
     its completed form: a Ramanujan main term plus a Kloosterman-type h-sum.
 
-    truncated = (N fhat(0) / (d q)) c_q(b)
-              + (N/(d q)) sum_{1<=|h|<=H} fhat(hN/(dq)) e(n0 inv(q) h / d)
-                                          S(h, b inv(d); q)
+    truncated = (N psi0hat(0) / (d q)) c_q(b)
+              + (N/(d q)) sum_{1<=|h|<=H} psi0hat(hN/(dq)) e(n0 inv(q) h / d)
+                                             S(h, b inv(d); q)
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -440,14 +344,14 @@ def completed_inverse_sum(
         raise ValueError("N*d*q above 1e7 is out of contract for direct enumeration")
     re_parts: list[float] = []
     im_parts: list[float] = []
-    for n in _support_range(f, N):
+    for n in _support_range(N):
         if n % d == n0 % d and math.gcd(n, q) == 1:
             nbar = mod_inv(n, q)
-            term = float(f(n / N)) * np.exp(2j * np.pi * ((b * nbar) % q) / q)
+            term = float(psi0_deriv_vec(n / N, 0)) * np.exp(2j * np.pi * ((b * nbar) % q) / q)
             re_parts.append(term.real)
             im_parts.append(term.imag)
     exact = complex(math.fsum(re_parts), math.fsum(im_parts))
-    main = (N * f.hat(0.0) / (d * q)) * ramanujan(q, b)
+    main = (N * psi0_hat(0.0) / (d * q)) * ramanujan(q, b)
     qbar_d = mod_inv(q, d) if d > 1 else 0
     dbar_q = mod_inv(d, q) if q > 1 else 0
     tail = 0j
@@ -455,7 +359,7 @@ def completed_inverse_sum(
         if h == 0:
             continue
         phase = np.exp(2j * np.pi * ((n0 * qbar_d * h) % d) / d) if d > 1 else 1.0
-        tail += f.hat(h * N / (d * q)) * phase * kloosterman(h, b * dbar_q, q)
+        tail += psi0_hat(h * N / (d * q)) * phase * kloosterman(h, b * dbar_q, q)
     truncated = main + (N / (d * q)) * tail
     return CompletionReport(
         exact=complex(exact),
@@ -466,20 +370,20 @@ def completed_inverse_sum(
     )
 
 
-def coprime_smooth_sum(f: SmoothBump, M: float, q: int) -> CompletionReport:
-    """Sum of f(m/M) over (m, q) = 1 against the density main term.
+def coprime_smooth_sum(M: float, q: int) -> CompletionReport:
+    """Sum of psi0(m/M) over (m, q) = 1 against the density main term.
 
-    main_term = (phi(q)/q) M fhat(0); the deviation is reported as a
+    main_term = (phi(q)/q) M psi0hat(0); the deviation is reported as a
     diagnostic against the tau(q) * polylog shape, not asserted.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if M * q > 10**7:
         raise ValueError("M*q above 1e7 is out of contract for direct enumeration")
-    ms = np.array(_support_range(f, M), dtype=np.int64)
+    ms = np.array(_support_range(M), dtype=np.int64)
     ms = ms[np.gcd(ms, q) == 1]
-    exact = math.fsum(np.asarray(f(ms / M), dtype=float).tolist())
-    main = (euler_phi(q) / q) * M * f.hat(0.0)
+    exact = math.fsum(psi0_deriv_vec(ms / M, 0).tolist())
+    main = (euler_phi(q) / q) * M * psi0_hat(0.0)
     return CompletionReport(
         exact=exact,
         main_term=complex(main),

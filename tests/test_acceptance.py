@@ -19,7 +19,6 @@ from apmod.arith import (
 )
 from apmod.buchstab import buchstab_omega
 from apmod.completion import (
-    PSI0,
     completed_ap_sum,
     completed_inverse_sum,
     partition_of_unity,
@@ -183,7 +182,7 @@ def test_c10_completion_suites():
     for M in (100.0, 1000.0, 10000.0):
         for q in (3, 7, 30, 210):
             H = math.ceil(10 * q * math.log(M) ** 2 / M)
-            worst_ap = max(worst_ap, completed_ap_sum(PSI0, M, q, 2 % q, H).error)
+            worst_ap = max(worst_ap, completed_ap_sum(M, q, 2 % q, H).error)
     rng = SplitMix64(5 * 613 + 5)
     insts = []
     while len(insts) < 20:
@@ -196,7 +195,7 @@ def test_c10_completion_suites():
         b = rng.in_range(1, q - 1)
         insts.append((N, q, d, n0, b, max(20, math.ceil(60.0 * d * q / N))))
     worst_inv = max(
-        completed_inverse_sum(PSI0, *inst).error for inst in insts
+        completed_inverse_sum(*inst).error for inst in insts
     )
     slack = COMPLETION_THRESHOLDS["h_monotone_slack"]
     monotone = True
@@ -204,7 +203,7 @@ def test_c10_completion_suites():
         prev = None
         h = 2
         for _ in range(6):
-            err = completed_inverse_sum(PSI0, N, q, d, n0, b, h).error
+            err = completed_inverse_sum(N, q, d, n0, b, h).error
             if prev is not None and err > prev + slack:
                 monotone = False
             prev = err

@@ -304,6 +304,11 @@ class TestSizeCaps:
             (["decomp", "--x", "10000001", "--z1", "2", "--z2", "3", "--z3", "4"],
              "--x must be <= 10000000,"),
             (["verify", "heathbrown", "--n-max", "100001"], "--n-max must be <= 100000,"),
+            # phi(99991)^2 = 9,998,000,100 phases took 94 s; the cap refuses at once
+            (["expsum", "kl3", "--a", "1", "--q", "99991"],
+             "phi(--q) squared must be <= 1600000000, got 9998000100"),
+            (["expsum", "fsum", "--h1", "1", "--h2", "1", "--h3", "1", "--a", "1",
+              "--q", "99991"], "phi(--q) squared must be <= 1600000000, got 9998000100"),
         ],
     )
     def test_over_cap_is_2(self, args, msg, tmp_path, capsys):
@@ -520,6 +525,23 @@ class TestOutputs:
         lines = strip_comments(text).splitlines()
         assert lines[0] == "kind,params,exact,truncated,error,H"
         assert float(lines[1].split(",")[4]) < 1e-6
+
+    def test_completion_demo_body(self, tmp_path):
+        # the error column prints the quadrature's bits to 12 digits
+        code, text = run_cli(["completion-demo", "--M", "100", "--q", "7", "--H", "50"], tmp_path)
+        assert code == 0
+        assert strip_comments(text).splitlines() == [
+            "kind,params,exact,truncated,error,H",
+            "ap,M=100.0 q=7 a=3,21.4273876943,21.4273876943+0j,9.66338120634e-13,50",
+            "inverse,N=100.0 q=7 d=3 n0=1 b=2,-7.16354812711+0.011001280375j,"
+            "-7.16354812711+0.011001280375j,3.7985373628e-13,50",
+            "coprime,M=100.0 q=7,128.570352285,128.571428571+0j,0.00107628667115,0",
+        ]
+
+    def test_omega_body(self, tmp_path):
+        code, text = run_cli(["omega", "--u", "4.5"], tmp_path)
+        assert code == 0
+        assert strip_comments(text).splitlines() == ["u,omega", "4.5,0.561489551995"]
 
     def test_moduli_set_window(self, tmp_path):
         code, text = run_cli(

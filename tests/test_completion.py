@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from apmod.completion import (
-    PSI0,
+    QUAD_TOL,
     completed_ap_sum,
     completed_inverse_sum,
     coprime_smooth_sum,
@@ -91,6 +92,31 @@ class TestPsi0Hat:
         assert max(vals) < 10.0
 
 
+def _mp_psi0_hat(xi):
+    """psi0hat(xi) by mpmath quadrature at 30 digits, independent of apmod."""
+    with mp.workdps(30):
+        xi = mp.mpf(xi)
+
+        def s(u):
+            g, h = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+            return g / (g + h)
+
+        def e(t):
+            return mp.expjpi(-2 * xi * t)
+
+        plateau = mp.quad(e, [1, 2])
+        up = mp.quad(lambda t: s(2 * t - 1) * e(t), mp.linspace(0.5, 1, 5))
+        down = mp.quad(lambda t: s(5 - 2 * t) * e(t), mp.linspace(2, 2.5, 5))
+        return complex(plateau + up + down)
+
+
+class TestPsi0HatOracle:
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 2.5, 7.0, 20.0])
+    def test_matches_mpmath(self, xi):
+        # QUAD_TOL per ramp; measured 1.6e-15 at xi = 0
+        assert abs(psi0_hat(xi) - _mp_psi0_hat(xi)) <= 2 * QUAD_TOL
+
+
 class TestPartitionOfUnity:
     def test_sum_is_one_on_core(self):
         pieces = partition_of_unity(3.0, 50.0)
@@ -126,11 +152,11 @@ class TestPartitionOfUnity:
 
 class TestCompletedApSum:
     def test_q1_small_error(self):
-        r = completed_ap_sum(PSI0, 100.0, 1, 0, 5)
+        r = completed_ap_sum(100.0, 1, 0, 5)
         assert r.error < 1e-6
 
     def test_example(self):
-        r = completed_ap_sum(PSI0, 100.0, 7, 3, 100)
+        r = completed_ap_sum(100.0, 7, 3, 100)
         assert r.error < 1e-6
 
     def test_error_nonincreasing_in_h(self):
@@ -139,7 +165,7 @@ class TestCompletedApSum:
         prev = None
         h = h0
         for _ in range(6):
-            err = completed_ap_sum(PSI0, M, q, a, h).error
+            err = completed_ap_sum(M, q, a, h).error
             if prev is not None:
                 assert err <= prev + 1e-9
             prev = err
@@ -149,7 +175,7 @@ class TestCompletedApSum:
         for M in (100.0, 1000.0, 10000.0):
             for q in (3, 7, 30, 210):
                 H = math.ceil(10 * q * math.log(M) ** 2 / M)
-                r = completed_ap_sum(PSI0, M, q, 2 % q, H)
+                r = completed_ap_sum(M, q, 2 % q, H)
                 assert r.error < 1e-8, (M, q, H, r.error)
 
 
@@ -172,21 +198,21 @@ def _inverse_instances(count=20, seed=0):
 class TestCompletedInverseSum:
     def test_degenerate_phase(self):
         # b = 0 mod q: the exponential is 1
-        r = completed_inverse_sum(PSI0, 150.0, 5, 2, 1, 0, 60)
+        r = completed_inverse_sum(150.0, 5, 2, 1, 0, 60)
         assert r.error < 1e-6
 
     def test_example(self):
-        r = completed_inverse_sum(PSI0, 200.0, 5, 3, 1, 2, 100)
+        r = completed_inverse_sum(200.0, 5, 3, 1, 2, 100)
         assert r.error < 1e-6
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
-            completed_inverse_sum(PSI0, 100.0, 6, 3, 1, 1, 10)
+            completed_inverse_sum(100.0, 6, 3, 1, 1, 10)
 
     def test_twenty_instances(self):
         for inst in _inverse_instances():
             N, q, d, n0, b, H = inst
-            r = completed_inverse_sum(PSI0, N, q, d, n0, b, H)
+            r = completed_inverse_sum(N, q, d, n0, b, H)
             assert r.error < 1e-6, inst
 
     def test_monotone_in_h(self):
@@ -195,22 +221,22 @@ class TestCompletedInverseSum:
             prev = None
             h = 2
             for _ in range(7):
-                err = completed_inverse_sum(PSI0, N, q, d, n0, b, h).error
+                err = completed_inverse_sum(N, q, d, n0, b, h).error
                 if prev is not None:
                     assert err <= prev + 1e-9, (inst, h)
                 prev = err
                 h *= 2
 
     def test_h0_vs_h100(self):
-        r0 = completed_inverse_sum(PSI0, 200.0, 13, 7, 1, 2, 0)
-        r100 = completed_inverse_sum(PSI0, 200.0, 13, 7, 1, 2, 100)
+        r0 = completed_inverse_sum(200.0, 13, 7, 1, 2, 0)
+        r100 = completed_inverse_sum(200.0, 13, 7, 1, 2, 100)
         assert r0.error > r100.error
 
     def test_exact_matches_direct_enumeration(self):
         from apmod.arith import mod_inv
 
         for N, q, b in ((150.0, 11, 3), (200.0, 12, 5), (120.0, 17, 0)):
-            r = completed_inverse_sum(PSI0, N, q, 1, 0, b, 12)
+            r = completed_inverse_sum(N, q, 1, 0, b, 12)
             direct = 0j
             for n in range(1, math.ceil(2.5 * N) + 1):
                 if math.gcd(n, q) != 1:
@@ -224,32 +250,13 @@ class TestCompletedInverseSum:
 
 class TestCoprimeSmoothSum:
     def test_q1(self):
-        r = coprime_smooth_sum(PSI0, 10**4, 1)
+        r = coprime_smooth_sum(10**4, 1)
         assert r.error < 1e-3
 
     def test_q6_envelope(self):
-        r = coprime_smooth_sum(PSI0, 1000.0, 6)
+        r = coprime_smooth_sum(1000.0, 6)
         assert r.error <= 16.0  # 4 * tau(6), generous explicit envelope
 
     def test_empty_support(self):
-        r = coprime_smooth_sum(PSI0, 0.3, 5)
+        r = coprime_smooth_sum(0.3, 5)
         assert r.exact == 0.0
-
-
-class TestSmoothBumpReuse:
-    def test_partition_piece_as_bump(self):
-        piece = partition_of_unity(3.0, 10.0)[0]
-        bump = piece.as_bump()
-        v = bump.hat(0.0)
-        lo, hi = bump.support
-        assert 0.0 < v.real <= hi - lo
-
-    def test_generic_bump_through_ap_sum(self):
-        # a bump without a registered high derivative still completes; only
-        # the certified large-frequency cutoff is unavailable
-        piece = partition_of_unity(3.0, 10.0)[0]
-        bump = piece.as_bump()
-        r = completed_ap_sum(bump, 500.0, 3, 1, 30)
-        assert math.isfinite(r.error)
-        assert abs(r.exact - r.main_term.real) < 500.0  # sane scale
-        assert bump.tail_bound(100.0) == math.inf

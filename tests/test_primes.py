@@ -1,11 +1,12 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from apmod.arith import P_MINUS_ONE_SENTINEL
-from apmod.buchstab import buchstab_omega, solve_buchstab
+from apmod.buchstab import STEP, buchstab_omega, solve_buchstab
 from apmod.primes import (
     SEGMENT,
     least_prime_factor_table,
@@ -230,6 +231,40 @@ class TestRoughCount:
             prev = c
 
 
+def _buchstab_step_loop(u_max):
+    """W = u * omega on the solver's grid up to u_max, one Simpson step at a
+    time: the slow route the run-at-a-time solver must reproduce."""
+    n = round((u_max - 1.0) / STEP)
+    w = np.empty(n + 1)
+    per_unit = round(1.0 / STEP)
+    w[: per_unit + 1] = 1.0
+    u = 1.0 + np.arange(n + 1) * STEP
+
+    def w_hist(t, upto):
+        idx = (t - 1.0) / STEP
+        k = min(int(idx), upto - 1)
+        frac = idx - k
+        return (1 - frac) * w[k] + frac * w[k + 1]
+
+    for k in range(per_unit, n):
+        uk = u[k]
+        g0 = w_hist(uk - 1.0, k) / (uk - 1.0)
+        gm = w_hist(uk - 1.0 + STEP / 2, k) / (uk - 1.0 + STEP / 2)
+        g1 = w_hist(uk - 1.0 + STEP, k) / (uk - 1.0 + STEP)
+        w[k + 1] = w[k] + STEP / 6.0 * (g0 + 4.0 * gm + g1)
+    return w
+
+
+def _mp_omega(u):
+    """omega(u) for u in [2, 4] in closed form, by mpmath at 30 digits."""
+    with mp.workdps(30):
+        u = mp.mpf(u)
+        if u <= 3:
+            return float((1 + mp.log(u - 1)) / u)
+        integral = mp.quad(lambda t: (1 + mp.log(t - 2)) / (t - 1), [3, u])
+        return float((1 + mp.log(2) + integral) / u)
+
+
 class TestBuchstabOmega:
     def test_closed_form_first_interval(self):
         for u in np.linspace(1.0, 2.0, 101):
@@ -253,9 +288,19 @@ class TestBuchstabOmega:
             buchstab_omega(21.0)
 
     def test_grid_continuity(self):
-        sol = solve_buchstab()
-        w = sol.grid / (1.0 + np.arange(len(sol.grid)) * sol.step)
+        grid = solve_buchstab()
+        w = grid / (1.0 + np.arange(len(grid)) * STEP)
         assert np.all(np.abs(np.diff(w)) < 1e-3)
+
+    def test_runs_equal_the_step_loop(self):
+        # four run seams below u = 6; the grid is bit-for-bit the loop's
+        want = _buchstab_step_loop(6.0)
+        assert np.array_equal(solve_buchstab()[: len(want)], want)
+
+    def test_matches_mpmath_on_two_to_four(self):
+        # the 1e-6 contract; measured 4.4e-11
+        for u in np.linspace(2.0, 4.0, 81):
+            assert abs(buchstab_omega(float(u)) - _mp_omega(float(u))) < 1e-6, u
 
     def test_limit_value_far_out(self):
         assert abs(buchstab_omega(20.0) - math.exp(-EULER_GAMMA)) < 1e-9
