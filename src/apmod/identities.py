@@ -11,6 +11,10 @@ terms carry the inclusive roughness condition P^-(m) >= p (the cofactor may
 still be divisible by p).  Displays that use the strict condition on both
 sides differ from the exact identity on terms divisible by p^2, which are
 invisible asymptotically but not at desk scale.
+
+Sieve-weight sums are held in the narrowest signed type holding the sum of |term|
+over the terms added, so no partial sum overflows: int8, n_max + 1 bytes per array,
+for every table the CLI checks.  ``_dirichlet`` holds one DIRICHLET_CHUNK (~2 MB).
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .arith import divisors, mobius
 from .primes import least_prime_factor_table, primes_in
 from .progressions import SValue, s_values
 from .rng import SplitMix64
+
+DIRICHLET_CHUNK = 1 << 15  # (d, e) pairs per np.add.at; 2^15 ran 1.7x faster than 2^18
+PERIOD = 30030  # 2*3*5*7*11*13: the d | PERIOD fill one period of sums_over_range, tiled
 
 # ---------------------------------------------------------------------------
 # Heath-Brown identity
@@ -88,14 +95,21 @@ def heath_brown_decompose(n: int, k: int, x: int) -> float:
 def _dirichlet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a * b)(n) = sum over d e = n of a(d) b(e), for 1 <= n < len(a); index 0 unused.
 
-    The terms of each n are added over ascending d, the order of the per-n
-    divisor lattice in heath_brown_decompose, so float results agree with it
-    bit for bit.
+    Pairs (d, e), a(d) != 0, go by ascending d, then e, DIRICHLET_CHUNK at a time
+    to np.add.at, which adds in input order: each n adds its terms over ascending
+    d, as the per-n lattice of heath_brown_decompose does, so floats agree bit for bit.
     """
     n_max = len(a) - 1
     out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
-    for d in np.flatnonzero(a[1:]) + 1:
-        out[d::d] += a[d] * b[1 : n_max // d + 1]
+    ds = np.flatnonzero(a[1:]) + 1
+    starts = np.concatenate(([0], np.cumsum(n_max // ds)))  # d's pairs: [starts[i], starts[i+1])
+    for lo in range(0, int(starts[-1]), DIRICHLET_CHUNK):
+        hi = min(lo + DIRICHLET_CHUNK, int(starts[-1]))
+        i0, i1 = np.searchsorted(starts, [lo, hi - 1], side="right")  # runs i0-1 .. i1-1
+        runs = np.diff(np.clip(starts[i0 - 1 : i1 + 1], lo, hi))  # pairs of each d in [lo, hi)
+        d = np.repeat(ds[i0 - 1 : i1], runs)
+        e = np.arange(lo + 1, hi + 1) - np.repeat(starts[i0 - 1 : i1], runs)
+        np.add.at(out, d * e, a[d] * b[e])
     return out
 
 
@@ -105,8 +119,8 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     Index n of the result holds the value at n (index 0 is unused).  The same
     expansion over whole-range arrays: mu cut at 2 x^(1/k), tau_{j-1} and log,
     combined by Dirichlet convolutions over ascending d, so every value equals
-    the per-n one exactly.  Memory: a few arrays of n_max + 1 entries; time
-    O(k n_max log n_max).
+    the per-n one exactly.  Memory: a few arrays of n_max + 1 entries plus
+    one _dirichlet chunk; time O(k n_max log n_max).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4 at desk scale")
@@ -118,7 +132,6 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     for p in primes_in(0, cut):
         mu[p : cut + 1 : p] *= -1
         mu[p * p : cut + 1 : p * p] = 0
-    one = np.ones(n_max + 1, dtype=np.int64)
     logv = np.zeros(n_max + 1)
     logv[1:] = np.log(np.arange(1, n_max + 1, dtype=float))
     tau_prev = np.zeros(n_max + 1, dtype=np.int64)
@@ -128,7 +141,7 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
     for j in range(1, k + 1):
         if j > 1:
             mu_pow = _dirichlet(mu_pow, mu)
-            tau_prev = _dirichlet(tau_prev, one)
+            tau_prev = _dirichlet(tau_prev, np.ones_like(tau_prev))
         term = _dirichlet(mu_pow, _dirichlet(logv, tau_prev))
         total += (-1) ** (j - 1) * math.comb(k, j) * term
     return total
@@ -182,14 +195,18 @@ class SieveWeights:
         return total
 
     def sums_over_range(self, n_max: int, side: str) -> np.ndarray:
-        """sum_{d|n} lambda_d for all n <= n_max at once."""
+        """sum_{d|n} lambda_d for all n <= n_max, in the narrowest type holding sum |lambda_d|."""
         table = self.lambda_plus if side == "+" else self.lambda_minus
-        out = np.zeros(n_max + 1, dtype=np.int64)
+        period = np.zeros(PERIOD, dtype=np.min_scalar_type(-1 - sum(map(abs, table.values()))))
         for d, w in table.items():
-            if d <= n_max:
+            if PERIOD % d == 0:
+                period[::d] += w
+        out = np.resize(period, n_max + 1)
+        out[0] = 0
+        for d, w in table.items():
+            if PERIOD % d and d <= n_max:
                 out[d::d] += w
         return out
-
 
 
 def fundamental_lemma_weights(z: float, y: float) -> SieveWeights:
@@ -249,27 +266,40 @@ class ReductionSequences:
     alpha: dict[int, int]
 
     def identity_sides(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lhs, rhs) of the identity for all 1 <= n <= n_max, exactly."""
+        """(lhs, rhs) of the identity for all 1 <= n <= n_max, exactly, in the
+        narrowest type holding sum |alpha_d| plus the number of (d, p) pairs."""
         lpf = least_prime_factor_table(n_max)
-        lhs = (lpf > self.z1).astype(np.int64)
-        lhs[0] = 0
-        rhs = np.zeros(n_max + 1, dtype=np.int64)
         window = [p for p in primes_in(0, int(self.z1)) if p > self.z2]
-        for d, w in self.alpha.items():
-            if d > min(self.y, n_max):
-                continue  # d > n_max leaves no d*m or d*p <= n_max
+        # (d, alpha_d, the (d p, p) of its beta part); lpf[d] = P^-(d), a sentinel at d = 1
+        terms = [
+            (d, w, [(d * p, p) for p in window if p < lpf[d] and self.y < d * p <= n_max])
+            for d, w in self.alpha.items() if d <= min(self.y, n_max)
+        ]
+        dt = np.min_scalar_type(-1 - sum(abs(w) + len(dps) for _, w, dps in terms))
+        lhs = (lpf > self.z1).astype(dt)
+        lhs[0] = 0
+        rhs = np.zeros(n_max + 1, dtype=dt)
+        rough = (lpf > self.z2).view(np.int8)
+        for d, w, dps in terms:
+            add, sub = (np.add, np.subtract) if w > 0 else (np.subtract, np.add)
             # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
-            rhs[d::d] += w * (lpf[1 : n_max // d + 1] > self.z2)
-            # beta part, beta_d = -alpha_d
-            pd = min(self.alpha_pminus(d), self.z1 + 1)
-            for p in window:
-                if p >= pd:
-                    break
-                dp = d * p
-                if dp <= self.y or dp > n_max:
-                    continue
-                rhs[dp::dp] -= w * (lpf[1 : n_max // dp + 1] >= p)
+            add(rhs[d::d], rough[1 : n_max // d + 1], out=rhs[d::d])
+            for dp, p in dps:  # beta part, beta_d = -alpha_d
+                sub(rhs[dp::dp], (lpf[1 : n_max // dp + 1] >= p).view(np.int8), out=rhs[dp::dp])
         return lhs, rhs
+
+    def rhs_at(self, n: int) -> int:
+        """The right side at one n, term by term from the display: identity_sides' reference."""
+        lpf = least_prime_factor_table(n)  # lpf[1] is the P^-(1) sentinel
+        window = primes_in(math.floor(self.z2), math.floor(self.z1))
+        total = 0
+        for d, w in self.alpha.items():
+            if d <= self.y and n % d == 0:
+                total += w * (lpf[n // d] > self.z2)
+                for p in window:
+                    if self.alpha_pminus(d) > p and d * p > self.y and n % (d * p) == 0:
+                        total -= w * (lpf[n // (d * p)] >= p)
+        return int(total)
 
     def alpha_pminus(self, d: int) -> float:
         """P^-(d), read from the shared least-prime-factor table (grown to d)."""

@@ -140,6 +140,16 @@ def von_mangoldt(n: int | FactoredInt) -> float:
     return math.log(f.factors[0][0])
 
 
+def von_mangoldt_upto(n_max: int) -> list[float]:
+    """von_mangoldt(n) at each index n <= n_max (0.0 at 0): log p at each power of p."""
+    out = [0.0] * (n_max + 1)
+    for p in primes_in(0, n_max):
+        pk = p
+        while pk <= n_max:
+            out[pk], pk = math.log(p), pk * p
+    return out
+
+
 def rough_count(t: int, z: int) -> int:
     """#{n <= t : P^-(n) >= z}; n = 1 always counts (P^-(1) = +infinity).
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import math
 import os
 import resource
@@ -542,6 +543,18 @@ class TestOutputs:
         code, text = run_cli(["omega", "--u", "4.5"], tmp_path)
         assert code == 0
         assert strip_comments(text).splitlines() == ["u,omega", "4.5,0.561489551995"]
+
+    @pytest.mark.parametrize("args,digest", [
+        (["--n-max", "600"], "fcef1f74c351151546c390b01c53e47ec0f27fbd0e0c287986c08d4b59338ff8"),
+        (["--n-max", "600", "--verbose"],
+         "9c77393308c609decf35445aff928fa12fbf89ec6b7241059ea8ac3e7eb44028"),
+    ])
+    def test_verify_heathbrown_body(self, args, digest, tmp_path):
+        # SHA-256 of the body, one row per (n, k) with --verbose: the value,
+        # lambda and deviation columns pin their floats to 12 digits
+        code, text = run_cli(["verify", "heathbrown", *args], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
 
     def test_moduli_set_window(self, tmp_path):
         code, text = run_cli(

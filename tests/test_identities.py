@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from apmod import identities
 from apmod.identities import (
+    DIRICHLET_CHUNK,
+    PERIOD,
     buchstab_terms,
     fundamental_lemma_weights,
     heath_brown_decompose,
@@ -14,6 +17,29 @@ from apmod.identities import (
 )
 from apmod.primes import least_prime_factor_table, von_mangoldt
 from apmod.progressions import s_value
+
+# the (z1, z2, y) triples of `verify reduction`, and edge triples: y = 1 (pure
+# one-step split), near-empty and empty windows
+REDUCTION_TRIPLES = [(30, 5, 100), (20, 3, 50), (50, 7, 1000), (15, 2, 30), (40, 11, 400)]
+EDGE_TRIPLES = [(30, 2, 1), (7, 6, 50), (100, 3, 300), (11, 11, 100)]
+
+
+def _dirichlet_loop(a, b):
+    """The strided form of _dirichlet: one strided add per d, ascending d."""
+    n_max = len(a) - 1
+    out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
+    for d in np.flatnonzero(a[1:]) + 1:
+        out[d::d] += a[d] * b[1 : n_max // d + 1]
+    return out
+
+
+def _sums_by_strides(table, n_max):
+    """sum_{d|n} lambda_d in int64, one strided add per d."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    for d, w in table.items():
+        if d <= n_max:
+            out[d::d] += w
+    return out
 
 
 class TestHeathBrown:
@@ -60,6 +86,16 @@ class TestHeathBrownRange:
         # the same float operations in the same order: equal, not close
         values = heath_brown_range(600, k, x)
         assert values.tolist()[1:] == [heath_brown_decompose(n, k, x) for n in range(1, 601)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_chunks_equal_the_strided_loop(self, k, monkeypatch):
+        # at 30,000 the pairs of a dense convolution cross the chunk seam
+        n_max = 30_000
+        assert sum(n_max // d for d in range(1, n_max + 1)) > DIRICHLET_CHUNK
+        fast = heath_brown_range(n_max, k, n_max)
+        monkeypatch.setattr(identities, "_dirichlet", _dirichlet_loop)
+        slow = heath_brown_range(n_max, k, n_max)
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
     def test_reaches_2x(self):
         values = heath_brown_range(200, 3, 100)
@@ -139,6 +175,27 @@ class TestFundamentalLemma:
         fast = w.sums_over_range(n_max, side)
         assert fast.tolist()[1:] == [w.divisor_sum(n, side) for n in range(1, n_max + 1)]
 
+    @pytest.mark.parametrize(
+        "z,y,dtype", [(20, 100, np.int8), (30, 1000, np.int8), (100, 10**5, np.int16)]
+    )
+    @pytest.mark.parametrize("n_max", [1, 13, PERIOD - 1, PERIOD, PERIOD + 1, 2 * PERIOD + 1])
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_sums_over_range_type_seams(self, z, y, dtype, n_max, side):
+        # two bench tables (int8) and a 516/660-weight one (int16), on both
+        # sides of each seam of the tiled PERIOD.  lambda- of (20, 100) sums
+        # to -1 over the divisors of PERIOD, so its period is nonzero at 0
+        w = fundamental_lemma_weights(z, y)
+        fast = w.sums_over_range(n_max, side)
+        assert fast.dtype == dtype
+        assert fast[0] == 0  # the tiled period writes index 0 before it is zeroed
+        table = w.lambda_plus if side == "+" else w.lambda_minus
+        assert np.array_equal(fast, _sums_by_strides(table, n_max))
+        probe = sorted(
+            {n for c in range(0, n_max + 1, PERIOD) for n in range(c - 20, c + 21) if 1 <= n <= n_max}
+            | set(range(max(1, n_max - 20), n_max + 1))
+        )
+        assert fast[probe].tolist() == [w.divisor_sum(n, side) for n in probe]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fundamental_lemma_weights(1, 100)
@@ -164,15 +221,18 @@ class TestReductionSequences:
         lhs, rhs = rs.identity_sides(10**5)
         assert np.array_equal(lhs[1:], rhs[1:])
 
-    @pytest.mark.parametrize(
-        "z1,z2,y",
-        [(30, 2, 1), (7, 6, 50), (100, 3, 300), (11, 11, 100)],
-    )
+    @pytest.mark.parametrize("z1,z2,y", EDGE_TRIPLES)
     def test_edge_triples(self, z1, z2, y):
-        # y = 1 (pure one-step split), near-empty and empty windows
         rs = reduction_sequences(z1, z2, y)
         lhs, rhs = rs.identity_sides(3 * 10**4)
         assert np.array_equal(lhs[1:], rhs[1:])
+
+    @pytest.mark.parametrize("z1,z2,y", REDUCTION_TRIPLES + EDGE_TRIPLES)
+    def test_rhs_equals_per_n(self, z1, z2, y):
+        # rhs_at is the displayed identity term by term: the per-n reference
+        rs = reduction_sequences(z1, z2, y)
+        _, rhs = rs.identity_sides(3000)
+        assert rhs.tolist()[1:] == [rs.rhs_at(n) for n in range(1, 3001)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

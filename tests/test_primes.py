@@ -14,6 +14,7 @@ from apmod.primes import (
     primes_in,
     rough_count,
     von_mangoldt,
+    von_mangoldt_upto,
 )
 from apmod.rng import SplitMix64
 
@@ -197,6 +198,11 @@ class TestVonMangoldt:
         assert von_mangoldt(8) == pytest.approx(math.log(2))
         assert von_mangoldt(97) == pytest.approx(math.log(97))
         assert von_mangoldt(1) == 0.0
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 4, 10**4])
+    def test_upto_equals_per_n(self, n_max):
+        # the one-pass table is the per-n value, bit for bit
+        assert von_mangoldt_upto(n_max) == [0.0] + [von_mangoldt(n) for n in range(1, n_max + 1)]
 
 
 class TestRoughCount:
