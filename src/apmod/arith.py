@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-# P^-(1) sentinel: "+infinity" as the largest representable threshold, so the
-# roughness condition P^-(n) > z includes n = 1 for every finite z.
-P_MINUS_ONE_SENTINEL = (1 << 63) - 1
-
 # Trial division stops below 1e3; rho splits the cofactor.  Per n on a 2-vCPU
 # Xeon, limits 1e6 / 1e4 / 1e3: near 1e12 1010 / 126 / 100 us, near 1e15
 # 2932 / 287 / 261 us, from 2**62 5971 / 733 / 689 us, below 1e6 within

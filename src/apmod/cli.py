@@ -135,8 +135,8 @@ REQUIRED = ...  # a flag default: the flag must be given
 INF = math.inf
 SEED = ("--seed", int, 0, "deterministic sampling seed")
 TOLERANCE = (0, sys.float_info.max)  # finite; 0 demands an exact match
-# The sieve identities read the shared LPF table, 8 * (limit + 1) bytes:
-# limit = --n-max <= 1e7 is 80 MB, limit = 2 * --x <= 2e7 is 160 MB.
+# The sieve identities read the shared LPF table, 4 * (limit + 1) bytes:
+# limit = --n-max <= 1e7 is 40 MB, limit = 2 * --x <= 2e7 is 80 MB.
 LPF_LIMIT_MAX = 10**7
 N_MAX = ("--n-max", int, 10**5, "exhaustive bound on n", (1, LPF_LIMIT_MAX))
 Q_ARRAYS = ("--q", int, REQUIRED, "modulus", (-INF, 10**6))  # O(q) arrays: 85 MB at the cap
@@ -184,7 +184,7 @@ COMMANDS = [
     )),
     (("moduli-set",), "realize a moduli family", "cmd_moduli_set", (
         ("--kind", ("box", "divisor-window", "dyadic"), REQUIRED, "family to realize"),
-        # box_constraints forms x^10 as a float, finite below about 1.3e30
+        # refused before the divisor-window kind forms x^(1/2+delta) as a float
         ("--x", int, REQUIRED, "scale parameter x", (0, 10**30)),
         RESIDUE,
         ("--q1", int, 10, "box kind: largest q1"),
@@ -222,8 +222,8 @@ COMMANDS = [
     (("verify", "buchstab"), "exact Buchstab identity", "cmd_verify_buchstab", (
         # configurations draw x from [50, --x] and read the LPF table to 2x
         ("--x", int, 10**5, "max x for configurations", (50, LPF_LIMIT_MAX)),
-        # 0.06 s at the defaults, 0.3 s at the cap; at --x 1e7, 3.1 s and 185 MB,
-        # 11.6 s and 186 MB at the cap (2 vCPUs, Intel Xeon)
+        # 0.3 to 0.4 s and 31 MB at the defaults, 0.4 s at the cap; at --x 1e7,
+        # 2.0 to 2.2 s and 108 MB, 6.9 to 8.1 s and 109 MB at the cap (2 vCPUs, Intel Xeon)
         ("--trials", int, 200, "number of seeded configurations", (1, 1000)),
         SEED,
     )),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, mobius
-from .primes import least_prime_factor_table, primes_in
+from .primes import least_prime_factor_table, lpf_bound, primes_in
 from .progressions import SValue, s_values
 from .rng import SplitMix64
 
@@ -269,17 +269,17 @@ class ReductionSequences:
         """(lhs, rhs) of the identity for all 1 <= n <= n_max, exactly, in the
         narrowest type holding sum |alpha_d| plus the number of (d, p) pairs."""
         lpf = least_prime_factor_table(n_max)
-        window = [p for p in primes_in(0, int(self.z1)) if p > self.z2]
-        # (d, alpha_d, the (d p, p) of its beta part); lpf[d] = P^-(d), a sentinel at d = 1
+        window = [p for p in primes_in(0, int(min(self.z1, n_max))) if p > self.z2]
+        # (d, alpha_d, the (d p, p) of its beta part); lpf[d] = P^-(d), above every p at d = 1
         terms = [
             (d, w, [(d * p, p) for p in window if p < lpf[d] and self.y < d * p <= n_max])
             for d, w in self.alpha.items() if d <= min(self.y, n_max)
         ]
         dt = np.min_scalar_type(-1 - sum(abs(w) + len(dps) for _, w, dps in terms))
-        lhs = (lpf > self.z1).astype(dt)
+        lhs = (lpf >= lpf_bound(self.z1)).astype(dt)
         lhs[0] = 0
         rhs = np.zeros(n_max + 1, dtype=dt)
-        rough = (lpf > self.z2).view(np.int8)
+        rough = (lpf >= lpf_bound(self.z2)).view(np.int8)
         for d, w, dps in terms:
             add, sub = (np.add, np.subtract) if w > 0 else (np.subtract, np.add)
             # alpha part: rhs[d*m] for m = 1 .. n_max // d is the stride-d view
@@ -290,22 +290,17 @@ class ReductionSequences:
 
     def rhs_at(self, n: int) -> int:
         """The right side at one n, term by term from the display: identity_sides' reference."""
-        lpf = least_prime_factor_table(n)  # lpf[1] is the P^-(1) sentinel
-        window = primes_in(math.floor(self.z2), math.floor(self.z1))
+        lpf = least_prime_factor_table(n)  # lpf[d] = P^-(d), above every p at d = 1
+        # a p dividing n is at most n, which bounds the window when z1 is huge
+        window = primes_in(math.floor(min(self.z2, n)), math.floor(min(self.z1, n)))
         total = 0
         for d, w in self.alpha.items():
             if d <= self.y and n % d == 0:
-                total += w * (lpf[n // d] > self.z2)
+                total += w * (lpf[n // d] >= lpf_bound(self.z2))
                 for p in window:
-                    if self.alpha_pminus(d) > p and d * p > self.y and n % (d * p) == 0:
+                    if lpf[d] > p and d * p > self.y and n % (d * p) == 0:
                         total -= w * (lpf[n // (d * p)] >= p)
         return int(total)
-
-    def alpha_pminus(self, d: int) -> float:
-        """P^-(d), read from the shared least-prime-factor table (grown to d)."""
-        if d == 1:
-            return math.inf
-        return int(least_prime_factor_table(d)[d])
 
 
 def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:

@@ -14,10 +14,12 @@ below 1e3 that ``arith.factorize`` trial-divides by.  Prime counts up to x
 read ``prime_bitmap(x)``, a packed odd-only bitmap of about x/16 bytes packed
 by the same loop, not an array of the primes themselves.
 
-The least-prime-factor table is one process-wide, read-only int64 array that
+The least-prime-factor table is one process-wide, read-only int32 array that
 only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
-it.  It holds 8 bytes x (largest limit requested + 1) for the life of the
-process.
+it.  It holds 4 bytes x (largest limit requested + 1) for the life of the
+process.  Its format stays here: P^-(1) = +inf is stored as LPF_SENTINEL,
+above every other entry, and ``lpf_bound`` turns a threshold z into the
+integer bound that every roughness test compares the table with.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FactoredInt, P_MINUS_ONE_SENTINEL, _as_factored
+from .arith import FactoredInt, _as_factored
 
 SEGMENT = 1 << 20
+# lpf[1], standing for P^-(1) = +inf: every other entry is at most the
+# table's limit, which stays below it
+LPF_SENTINEL = 2**31 - 1
 
 
 def _odd_sieve_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
@@ -150,44 +155,59 @@ def von_mangoldt_upto(n_max: int) -> list[float]:
     return out
 
 
-def rough_count(t: int, z: int) -> int:
-    """#{n <= t : P^-(n) >= z}; n = 1 always counts (P^-(1) = +infinity).
+def rough_count(t: int, z: float) -> int:
+    """#{n <= t : P^-(n) >= z}; n = 1 counts, as P^-(1) = +infinity >= z.
 
     Reads the shared least-prime-factor table, so a t above every earlier
-    request grows that table to 8 * (t + 1) bytes, held for the life of the
+    request grows that table to 4 * (t + 1) bytes, held for the life of the
     process.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if z < 2:
         raise ValueError("z must be >= 2")
-    return int(np.count_nonzero(least_prime_factor_table(t)[1:] >= z))
+    return int(np.count_nonzero(least_prime_factor_table(t)[1:] >= lpf_bound(z, True)))
 
 
-_lpf = np.empty(0, dtype=np.int64)
+def lpf_bound(z: float, inclusive: bool = False) -> int:
+    """The bound b with lpf[n] >= b exactly when P^-(n) > z (>= z when inclusive).
+
+    The one threshold rule: an entry k < LPF_SENTINEL passes when k > z
+    (k >= z), and n = 1 exactly when math.inf > z (math.inf >= z).  So b,
+    floor(z) + 1 (ceil(z) when inclusive) raised to 0, is clamped to
+    LPF_SENTINEL, or is LPF_SENTINEL + 1, above every entry, when not even
+    n = 1 passes (z = +inf when strict, or nan).
+    """
+    if not (z <= math.inf if inclusive else z < math.inf):
+        return LPF_SENTINEL + 1
+    z = min(max(z, 0), LPF_SENTINEL)
+    return min(math.ceil(z) if inclusive else math.floor(z) + 1, LPF_SENTINEL)
+
+
+_lpf = np.empty(0, dtype=np.int32)
 
 
 def least_prime_factor_table(limit: int) -> np.ndarray:
-    """lpf[n] for 0 <= n <= limit; lpf[0] = 0 and lpf[1] is the P^-(1) sentinel.
+    """lpf[n] for 0 <= n <= limit; lpf[0] = 0 and lpf[1] = LPF_SENTINEL.
 
-    A read-only view of one process-wide table.  The table is rebuilt, to
-    exactly ``limit``, only when ``limit`` exceeds every limit requested so
-    far, so it holds 8 bytes x (largest limit requested + 1) for the life of
-    the process.  The old table is released before the new one is built, so
+    A read-only int32 view of one process-wide table; a limit at or above
+    LPF_SENTINEL raises ValueError.  The table is rebuilt, to exactly
+    ``limit``, only when ``limit`` exceeds every limit requested so far, so
+    it holds 4 bytes x (largest limit requested + 1) for the life of the
+    process.  The old table is released before the new one is built, so
     growth too holds at most that many bytes, unless a caller still keeps a
     slice of the old table.
     """
     global _lpf
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    if not 0 <= limit < LPF_SENTINEL:
+        raise ValueError(f"limit must be in [0, {LPF_SENTINEL}), got {limit}")
     if limit >= len(_lpf):
-        _lpf = np.empty(0, dtype=np.int64)  # drop the old table before building
-        lpf = np.arange(limit + 1, dtype=np.int64)  # primes are their own lpf
+        _lpf = np.empty(0, dtype=np.int32)  # drop the old table before building
+        lpf = np.arange(limit + 1, dtype=np.int32)  # primes are their own lpf
         # descending, so the smallest prime dividing n writes lpf[n] last
         for p in reversed(primes_in(0, math.isqrt(limit))):
             lpf[p * p :: p] = p
-        if limit >= 1:
-            lpf[1] = P_MINUS_ONE_SENTINEL
+        lpf[1:2] = LPF_SENTINEL
         lpf.flags.writeable = False
         _lpf = lpf
     return _lpf[: limit + 1]

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import P_MINUS_ONE_SENTINEL, euler_phi, factorize, mod_inv
-from .primes import SEGMENT, least_prime_factor_table, pi, prime_bitmap
+from .arith import euler_phi, factorize, mod_inv
+from .primes import SEGMENT, least_prime_factor_table, lpf_bound, pi, prime_bitmap
 
 
 @dataclass(frozen=True)
@@ -147,20 +147,6 @@ def pi_ap(x: int, q: int, a: int) -> int:
     return _count_in_classes(x, [(q, a)])[0]
 
 
-def _least_lpf(z: float, inclusive: bool) -> int | None:
-    """Least P^-(n) that P^-(n) > z (>= z when inclusive) admits, or None.
-
-    An integer bound, ceil(z) (inclusive) or floor(z) + 1 (strict), raised to
-    0; None when it passes the P^-(1) sentinel, the largest LPF-table entry,
-    so no n qualifies (z = +inf or nan too, as their float comparisons say).
-    """
-    if not z < math.inf:
-        return None
-    z = max(z, 0.0)
-    bound = math.ceil(z) if inclusive else math.floor(z) + 1
-    return bound if bound <= P_MINUS_ONE_SENTINEL else None
-
-
 def _window_batches(lo: np.ndarray, hi: np.ndarray):
     """(t, n) int64 arrays per batch of the windows [lo[t], hi[t]], end to end.
 
@@ -207,7 +193,7 @@ def s_values(
 
     Returns (in_class, coprime, total): int64 arrays with one entry per term
     and their sum as an exact SValue.  The threshold becomes an integer bound
-    on the least prime factor (see _least_lpf).  As (a, q) = 1, a term with
+    on the least prime factor by lpf_bound.  As (a, q) = 1, a term with
     (d, q) > 1 counts 0 twice and reads nothing; otherwise d*n = a mod q is
     n = r := a * inv(d) mod q, and (d*n, q) = 1 is (n, q) = 1.  A wide window
     is read as slices of the shared LPF table, one SEGMENT at a time: its
@@ -216,7 +202,7 @@ def s_values(
     q, 2^omega(q) more.  The narrow windows are read through _window_batches;
     in each batch the survivors with n % q == r, and those with gcd(n, q) = 1,
     are counted per term by bincount.  Memory: the LPF table, grown to the
-    largest window end (8 bytes per entry), plus O(SEGMENT) per chunk or
+    largest window end (4 bytes per entry), plus O(SEGMENT) per chunk or
     batch and O(len(terms) + 2^omega(q)); nothing is sized by q.
     """
     q = q1 * q2
@@ -236,8 +222,8 @@ def s_values(
         if d < 1:
             raise ValueError("d must be >= 1")
         lo, hi = x // d + 1, (2 * x) // d
-        bound = _least_lpf(z, inclusive)
-        if hi >= lo and bound is not None and math.gcd(d, q) == 1:
+        bound = lpf_bound(z, inclusive)
+        if hi >= lo and math.gcd(d, q) == 1:
             is_wide = min(hi - lo + 1, SEGMENT) >= _WIDE + _PER_CLASS * (1 + len(mu_divs))
             (wide if is_wide else narrow).append((i, a * mod_inv(d, q) % q, lo, hi, bound))
             top = max(top, hi)
@@ -306,13 +292,13 @@ def box_constraints(x: int, q1_max: int, q2_max: int) -> dict[str, bool]:
 
     They govern when the asymptotic discrepancy bound applies; at desk scale
     they are pure diagnostics on the (Q1, Q2) exponent geometry.  The names
-    keep the paper's eps, which is 0 here; the float powers of x make a huge x
-    raise OverflowError rather than compare exactly.
+    keep the paper's eps, which is 0 here, so each is compared exactly, in
+    Python integers.
     """
     return {
-        "Q1*Q2^2<x^(1-100eps)": q1_max * q2_max**2 < x**1.0,
-        "Q1^12*Q2^7<x^(4-100eps)": q1_max**12 * q2_max**7 < x**4.0,
-        "Q1^20*Q2^19<x^(10-100eps)": q1_max**20 * q2_max**19 < x**10.0,
+        "Q1*Q2^2<x^(1-100eps)": q1_max * q2_max**2 < x,
+        "Q1^12*Q2^7<x^(4-100eps)": q1_max**12 * q2_max**7 < x**4,
+        "Q1^20*Q2^19<x^(10-100eps)": q1_max**20 * q2_max**19 < x**10,
     }
 
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from apmod import primes
@@ -7,4 +6,4 @@ from apmod import primes
 @pytest.fixture
 def fresh_lpf_table(monkeypatch):
     """Empty the process-wide least-prime-factor table for one test, then restore it."""
-    monkeypatch.setattr(primes, "_lpf", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_lpf", primes._lpf[:0])

@@ -337,7 +337,7 @@ class TestSizeCaps:
              f"--a must be >= {-(2**63 - 1)},"),
             (["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
              f"--a must be <= {2**63 - 1},"),
-            # box_constraints forms x^10 as a float, which overflows past the range
+            # refused before the divisor-window kind forms x^(1/2+delta) as a float
             (["moduli-set", "--kind", "box", "--x", str(10**400)], f"--x must be <= {10**30},"),
             (["moduli-set", "--kind", "box", "--x", str(10**30 + 1)],
              f"--x must be <= {10**30},"),
@@ -603,6 +603,19 @@ class TestOutputs:
             "constraint,Q1^12*Q2^7<x^(4-100eps),violated",
             "constraint,Q1^20*Q2^19<x^(10-100eps),holds",
         ] + [f"{q1},{q2},{q1 * q2}" for q1, q2 in pairs]
+
+    def test_moduli_set_box_constraint_at_equality(self, tmp_path):
+        # 5^12 * 81^7 = 273375^4 exactly, so the strict constraint fails
+        code, text = run_cli(
+            ["moduli-set", "--kind", "box", "--x", "273375", "--q1", "5", "--q2", "81", "--a", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        assert strip_comments(text).splitlines()[1:4] == [
+            "constraint,Q1*Q2^2<x^(1-100eps),holds",
+            "constraint,Q1^12*Q2^7<x^(4-100eps),violated",
+            "constraint,Q1^20*Q2^19<x^(10-100eps),holds",
+        ]
 
     def test_moduli_set_dyadic_body(self, tmp_path):
         code, text = run_cli(

@@ -5,9 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from apmod.arith import P_MINUS_ONE_SENTINEL
 from apmod.buchstab import STEP, buchstab_omega, solve_buchstab
 from apmod.primes import (
+    LPF_SENTINEL,
     SEGMENT,
     least_prime_factor_table,
     pi,
@@ -137,9 +137,10 @@ class TestPi:
             assert pi(hi) >= pi(lo)
 
 
-def _trial_lpf(n: int) -> int:
+def _trial_lpf(n: int) -> float:
+    """P^-(n) by trial division; P^-(1) = +inf, and 0 at n = 0."""
     if n < 2:
-        return P_MINUS_ONE_SENTINEL if n == 1 else 0
+        return math.inf if n == 1 else 0
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -149,7 +150,9 @@ def _trial_lpf(n: int) -> int:
 
 
 LPF_LIMITS = [0, 1, 2, 3, 4, 25, 97, 1000, 4096, 20000]
-TRIAL_LPF = np.array([_trial_lpf(k) for k in range(max(LPF_LIMITS) + 1)], dtype=np.int64)
+TRIAL_LPF = np.array([_trial_lpf(k) for k in range(max(LPF_LIMITS) + 1)])
+# the table stores P^-(1) = +inf as LPF_SENTINEL
+TABLE_LPF = np.where(np.isinf(TRIAL_LPF), LPF_SENTINEL, TRIAL_LPF)
 
 
 class TestLeastPrimeFactorTable:
@@ -159,9 +162,25 @@ class TestLeastPrimeFactorTable:
         if order == "shuffled":
             limits = [limits[i] for i in (5, 9, 0, 7, 2, 8, 1, 6, 4, 3)]
         for n in limits:
-            assert np.array_equal(least_prime_factor_table(n), TRIAL_LPF[: n + 1])
+            assert np.array_equal(least_prime_factor_table(n), TABLE_LPF[: n + 1])
         for n in LPF_LIMITS:
-            assert np.array_equal(least_prime_factor_table(n), TRIAL_LPF[: n + 1])
+            assert np.array_equal(least_prime_factor_table(n), TABLE_LPF[: n + 1])
+
+    @pytest.mark.parametrize("limit", [0, 1, 1000])
+    def test_four_bytes_per_entry(self, limit, fresh_lpf_table):
+        lpf = least_prime_factor_table(limit)
+        assert lpf.dtype == np.int32
+        assert lpf.nbytes == 4 * (limit + 1)
+
+    def test_limit_at_the_sentinel_refused_before_allocating(self, fresh_lpf_table):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit must be in"):
+                least_prime_factor_table(2**31 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_read_only(self):
         lpf = least_prime_factor_table(100)
@@ -208,6 +227,7 @@ class TestVonMangoldt:
 class TestRoughCount:
     def test_trivia(self):
         assert rough_count(10, 11) == 1  # only n = 1
+        assert rough_count(10, 10**19) == 1  # P^-(1) = +inf, past any table entry
         assert rough_count(57, 2) == 57
 
     def test_example(self):

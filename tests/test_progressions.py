@@ -12,7 +12,8 @@ from apmod.constants import (
 )
 import apmod.primes
 import apmod.progressions
-from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in
+from apmod.identities import ReductionSequences
+from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in, rough_count
 from apmod.progressions import (
     _CHUNK,
     _ROW,
@@ -129,7 +130,7 @@ def _brute_s(x, d, z, inclusive, q, a):
     """(in_class, coprime) of S_d(z) by a per-n loop over the trial-division LPF."""
     in_class = coprime = 0
     for n in range(x // d + 1, 2 * x // d + 1):
-        p = int(TRIAL_LPF[n])
+        p = TRIAL_LPF[n]  # P^-(1) = +inf
         if p >= z if inclusive else p > z:
             in_class += d * n % q == a % q
             coprime += math.gcd(d * n, q) == 1
@@ -311,7 +312,7 @@ class TestWindowBatches:
         want = [0] * 5
         for d, z, _ in terms:
             for m in range(x // d + 1, 2 * x // d + 1):
-                pm = int(TRIAL_LPF[m])
+                pm = TRIAL_LPF[m]
                 if pm < z:
                     continue
                 if m == 1:
@@ -319,11 +320,30 @@ class TestWindowBatches:
                 elif pm == m:
                     want[1] += m == z
                 else:
-                    cof = m // pm
+                    cof = m // int(pm)
                     want[2] += 1
                     want[3] += TRIAL_LPF[cof] != cof
                     want[4] += TRIAL_LPF[cof] == cof and pm == z
         assert _cofactor_census(x, terms) == tuple(want)
+
+
+@pytest.mark.parametrize("inclusive", [False, True])
+@pytest.mark.parametrize("z", [2**31 - 2, 2**31 - 1, 2**31, 3e9, 1e30, 2.0**63, math.inf])
+def test_pminus_one_across_the_sentinel(z, inclusive):
+    """n = 1 passes z exactly when math.inf does, on every route that reads it."""
+    want = math.inf >= z if inclusive else math.inf > z
+    x = 300
+    # d in (x, 2x] leaves the window {1}
+    in_class, coprime, _ = s_values(x, [(x + 1, z, inclusive), (2 * x, z, inclusive)], 1, 1, 0)
+    assert in_class.tolist() == coprime.tolist() == [want, want]
+    if inclusive:
+        assert rough_count(10, z) == want
+    else:
+        # the sequences reduction_sequences(z, z, 1) gives, without sieving to z
+        rs = ReductionSequences(z1=z, z2=z, y=1, alpha={1: 1})
+        lhs, rhs = rs.identity_sides(10)
+        assert lhs[1] == rhs[1] == rs.rhs_at(1) == want
+        assert not rhs[2:].any()
 
 
 class TestBvAggregate:
@@ -346,6 +366,23 @@ class TestBvAggregate:
         q1, q2 = bifactor_box_family(50, 50, 1)
         assert len(q1) == len(q2) == 50 * 50  # but the family is still realized
         assert all(box_constraints(10**6, 2, 3).values())
+
+    @pytest.mark.parametrize(
+        "name, x, q1, q2",
+        [
+            ("Q1*Q2^2<x^(1-100eps)", 5 * 81**2, 5, 81),
+            ("Q1^12*Q2^7<x^(4-100eps)", 273375, 5, 81),  # 5^12 81^7 = 273375^4
+            ("Q1^20*Q2^19<x^(10-100eps)", 3**21, 3, 3**10),  # the 11/21 vertex
+        ],
+    )
+    def test_box_constraints_exact_at_equality(self, name, x, q1, q2):
+        # each constraint is strict: false at equality, true with x one above
+        assert box_constraints(x, q1, q2)[name] is False
+        assert box_constraints(x + 1, q1, q2)[name] is True
+
+    def test_box_constraints_past_float_precision(self):
+        # 2^53 + 1 rounds to the float 2^53, so a float x would fail this one
+        assert box_constraints(2**53 + 1, 2**53, 1)["Q1*Q2^2<x^(1-100eps)"] is True
 
     def test_box_family_is_q1_major(self):
         q1, q2 = bifactor_box_family(4, 6, 5)
