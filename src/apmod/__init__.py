@@ -31,7 +31,6 @@ from .completion import (  # noqa: F401,E402
 )
 from .dispersion import DispersionInstance, dispersion_expand  # noqa: F401,E402
 from .expsums import (  # noqa: F401,E402
-    FSumKey,
     deligne_check,
     f_property_check,
     f_sum,

@@ -41,7 +41,6 @@ from .expsums import (
     DELIGNE_P_MAX,
     F_Q_MAX,
     WEIL_C_MAX,
-    FSumKey,
     deligne_check,
     f_property_check,
     f_sum,
@@ -184,8 +183,8 @@ COMMANDS = [
     )),
     (("moduli-set",), "realize a moduli family", "cmd_moduli_set", (
         ("--kind", ("box", "divisor-window", "dyadic"), REQUIRED, "family to realize"),
-        # refused before the divisor-window kind forms x^(1/2+delta) as a float
-        ("--x", int, REQUIRED, "scale parameter x", (0, 10**30)),
+        # the divisor-window kind caps it before forming x^(1/2+delta) as a float
+        ("--x", int, REQUIRED, "scale parameter x", (0, INF)),
         RESIDUE,
         ("--q1", int, 10, "box kind: largest q1"),
         ("--q2", int, 10, "box kind: largest q2"),
@@ -348,7 +347,9 @@ def cmd_moduli_set(args, out: Output) -> int:
         for row in _rows(q1, q2, q1 * q2):
             out.row(*row)
     elif args.kind == "divisor-window":
-        check_window_params(args.delta, args.eta)  # before x^(1/2+delta) is formed
+        # both before x^(1/2+delta) is formed
+        _at_most("--x", args.x, 10**30)
+        check_window_params(args.delta, args.eta)
         _at_most("x^(1/2+delta)", int(args.x ** (0.5 + args.delta)), FAMILY_MAX)
         members, flagged = divisor_window_family(args.x, args.delta, args.eta, args.a)
         lo, hi = divisor_window(args.x, args.delta, args.eta)
@@ -397,7 +398,7 @@ def cmd_expsum_kl3(args, out: Output) -> int:
 
 def cmd_expsum_fsum(args, out: Output) -> int:
     _pairs_at_most(args.q)
-    v = f_sum(FSumKey(args.h1, args.h2, args.h3, args.a, args.q))
+    v = f_sum(args.h1, args.h2, args.h3, args.a, args.q)
     out.row("kind", "h1", "h2", "h3", "a", "q", "value_re", "value_im", "abs")
     out.row("fsum", args.h1, args.h2, args.h3, args.a, args.q, v.real, v.imag, abs(v))
     return 0
@@ -529,9 +530,9 @@ def cmd_decomp(args, out: Output) -> int:
     z2 = x ** (3 / 7) if args.z2 is None else args.z2
     # x^(4/7) passes the tree's 2*sqrt(2x) limit above x = 2^21
     z3 = min(x ** (4 / 7), 2 * math.sqrt(2 * x)) if args.z3 is None else args.z3
-    root, rep = harman_tree(x, z1, z2, z3, args.q1, args.q2, args.a, args.epsilon)
+    rows, rep = harman_tree(x, z1, z2, z3, args.q1, args.q2, args.a, args.epsilon)
     out.row("section", "content")
-    for line in dump_tree(root).splitlines():
+    for line in dump_tree(rows).splitlines():
         out.row("tree", line)
     for name, ok in rep.split_checks:
         out.row("split", f"{name} {'exact' if ok else 'BROKEN'}")

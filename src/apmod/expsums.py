@@ -164,21 +164,6 @@ def _pair_sums(q: int, coeffs) -> list[complex]:
     return out
 
 
-@dataclass(frozen=True)
-class FSumKey:
-    """Arguments of the three-phase unit-product sum F(h1,h2,h3; a; q)."""
-
-    h1: int
-    h2: int
-    h3: int
-    a: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("modulus must be >= 1")
-
-
 def ramanujan(q: int, n: int) -> complex:
     """Ramanujan sum c_q(n) = S(n, 0; q) = sum over units b of e(b*n/q).  Real-valued."""
     return kloosterman(n, 0, q)
@@ -279,14 +264,16 @@ def _kl3_squarefree_units(f: FactoredInt) -> np.ndarray:
     return out
 
 
-def f_sum(key: FSumKey) -> complex:
+def f_sum(h1: int, h2: int, h3: int, a: int, q: int) -> complex:
     """F(h1,h2,h3; a; q): sum over unit triples with product a of the 3-phase.
 
     Time: phi(q)^2 phases.  Memory: O(_LEAF + q); no pair table is kept.
     """
-    if math.gcd(key.a, key.q) != 1:
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
+    if math.gcd(a, q) != 1:
         return 0j
-    return _pair_sums(key.q, [(key.h1, key.h2, key.a * key.h3)])[0]
+    return _pair_sums(q, [(h1, h2, a * h3)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ strictly decreasing.  Every split in the evaluation tree is therefore an
 exact identity of S-values, so the root always equals the signed sum of the
 leaves, integer-exactly.
 
-The tree is one table, one row per node in pre-order with children in split
+The tree is its table, one row per node in pre-order with children in split
 order: name, parent, sign, constraint text, kind, the set of prime tuples it
 sums over and its threshold.  A node sums S_d(z) over d = the product of each
 tuple, with z either a number (the strict condition P^-(m) > z) or the
@@ -20,6 +20,8 @@ tuple's last prime (the inclusive P^-(m) >= p).  Every node's terms go into
 one s_values call, and each node's S-value is the sum of its slice of the
 per-term arrays; an internal node is counted from its own terms, never from
 its children, so the split checks derived from the table are real checks.
+harman_tree returns the rows evaluated, (depth, name, sign, kind, constraint,
+threshold text, SValue), with depth and leaves read off the parent names.
 
 The familiar asymptotic simplifications (replacing S_p(p) by
 S_p(x^(1/2+eps)/sqrt(p)), dropping the p*r^2 <= x^(1+2*eps) constraint where
@@ -36,42 +38,12 @@ have excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .primes import least_prime_factor_table, primes_in
 from .progressions import SValue, _window_batches, s_values
-
-
-@dataclass
-class DecompNode:
-    """One node of the decomposition tree.
-
-    sign is relative to the parent; the effective sign of a leaf is the
-    product along its path.
-    """
-
-    name: str
-    sign: int
-    constraint: str
-    threshold: str
-    kind: str  # "internal" or a terminal classification
-    children: list["DecompNode"] = field(default_factory=list)
-    svalue: SValue | None = None
-
-    def walk(self, depth: int = 0):
-        yield self, depth
-        for c in self.children:
-            yield from c.walk(depth + 1)
-
-    def leaves(self, sign: int = 1):
-        eff = sign * self.sign
-        if not self.children:
-            yield self, eff
-        else:
-            for c in self.children:
-                yield from c.leaves(eff)
 
 
 @dataclass
@@ -140,12 +112,12 @@ def harman_tree(
     q2: int,
     a: int,
     epsilon: float = 0.0,
-) -> tuple[DecompNode, HarmanReport]:
+) -> tuple[list[tuple], HarmanReport]:
     """Build, evaluate and verify the decomposition tree of S_1(2 sqrt(x)).
 
     Requires z1 <= z2 <= z3 <= 2 sqrt(2x) and z2 <= 2 sqrt(x); the exponent
     relations between the z_i that hold asymptotically are NOT imposed.
-    Returns the root node (fully evaluated) and the verification report.
+    Returns the evaluated rows, one per node in pre-order, and the report.
     """
     if not (z1 <= z2 <= z3):
         raise ValueError("needs z1 <= z2 <= z3")
@@ -204,32 +176,33 @@ def harman_tree(
     ]
 
     # ---- one S-value pass over every node's terms, then flag 1's ----------
-    terms, spans, nodes = [], {}, {}
-    for name, parent, sign, constraint, kind, tuples, thr in table:
-        strict = not isinstance(thr, str)
-        text = f"P->{thr:g}" if strict else f"P->={thr}"
-        nodes[name] = node = DecompNode(name, sign, constraint, text, kind)
-        if parent is not None:
-            nodes[parent].children.append(node)
+    terms, spans, children = [], {}, {}
+    for name, parent, sign, _, _, tuples, thr in table:
+        children.setdefault(parent, []).append((name, sign))
         spans[name] = (len(terms), len(terms) + len(tuples))
+        strict = not isinstance(thr, str)
         terms += [(math.prod(t), thr if strict else t[-1], not strict) for t in tuples]
     lit_at = len(terms)
     terms += [(p, min(float(p), half_eps / math.sqrt(p)), False) for p in p12]
     ic, cp, total = s_values(x, terms, q1, q2, a)
-    for name, (lo, hi) in spans.items():
-        nodes[name].svalue = SValue(int(ic[lo:hi].sum()), int(cp[lo:hi].sum()), total.phi_q)
-    root = nodes["root"]
+    zero = SValue.zero(total.phi_q)
+    value = {name: SValue(int(ic[lo:hi].sum()), int(cp[lo:hi].sum()), total.phi_q)
+             for name, (lo, hi) in spans.items()}
+
+    # ---- the rows; depth and effective sign follow the parent names --------
+    rows, depth, eff = [], {None: -1}, {None: 1}
+    for name, parent, sign, constraint, kind, _, thr in table:
+        depth[name], eff[name] = depth[parent] + 1, eff[parent] * sign
+        text = f"P->={thr}" if isinstance(thr, str) else f"P->{thr:g}"
+        rows.append((depth[name], name, sign, kind, constraint, text, value[name]))
 
     # ---- exact split checks, one per internal node in pre-order -----------
     split_checks: list[tuple[str, bool]] = []
-    for node, _ in root.walk():
-        if node.children:
-            zero = SValue.zero(total.phi_q)
-            acc = sum((c.svalue if c.sign > 0 else -c.svalue for c in node.children), zero)
-            rhs = "".join(("+" if c.sign > 0 else "-") + c.name for c in node.children)
-            split_checks.append(
-                (f"{node.name}={rhs.removeprefix('+')}", acc.triple() == node.svalue.triple())
-            )
+    for name in value:
+        if name in children:
+            acc = sum((value[c] if s > 0 else -value[c] for c, s in children[name]), zero)
+            rhs = "".join(("+" if s > 0 else "-") + c for c, s in children[name])
+            split_checks.append((f"{name}={rhs.removeprefix('+')}", acc == value[name]))
 
     # ---- substitution flags (paper-conformance, never break evaluation) --
     flags: list[SubstitutionFlag] = []
@@ -267,20 +240,16 @@ def harman_tree(
     flag("five-six-prime-terminal", one + cof_composite == 0 and at + cof_at == 0,
          f"tuples={n} non_bi_prime={one + cof_composite} at_threshold={at + cof_at}")
 
-    leaves = [leaf.svalue if eff > 0 else -leaf.svalue for leaf, eff in root.leaves()]
-    leaf_sum = sum(leaves, SValue.zero(total.phi_q))
-    report = HarmanReport(flags, split_checks, root.svalue, leaf_sum, len(leaves))
-    return root, report
+    # the leaves are the rows no row names as its parent
+    leaves = [value[n] if eff[n] > 0 else -value[n] for n in value if n not in children]
+    report = HarmanReport(flags, split_checks, value["root"], sum(leaves, zero), len(leaves))
+    return rows, report
 
 
-def dump_tree(root: DecompNode) -> str:
-    """Indented text serialization, one node per line."""
-    lines = []
-    for node, depth in root.walk():
-        sv = node.svalue.triple() if node.svalue is not None else None
-        sign = "+" if node.sign > 0 else "-"
-        lines.append(
-            "  " * depth
-            + f"{sign} {node.name} [{node.kind}] {{{node.constraint}; {node.threshold}}} S={sv}"
-        )
-    return "\n".join(lines)
+def dump_tree(rows: list[tuple]) -> str:
+    """Indented text serialization, one row per line."""
+    return "\n".join(
+        "  " * depth + f"{'+' if sign > 0 else '-'} {name} [{kind}] {{{constraint}; {thr}}} "
+        f"S={sv.triple()}"
+        for depth, name, sign, kind, constraint, thr, sv in rows
+    )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import divisors, mobius
 from .primes import least_prime_factor_table, lpf_bound, primes_in
-from .progressions import SValue, s_values
+from .progressions import s_values
 from .rng import SplitMix64
 
 DIRICHLET_CHUNK = 1 << 15  # (d, e) pairs per np.add.at; 2^15 ran 1.7x faster than 2^18
@@ -308,8 +308,10 @@ def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
         raise ValueError("needs z2 <= z1")
     if y < 1:
         raise ValueError("needs y >= 1")
-    window = [p for p in primes_in(0, int(z1)) if p > z2]
-    # the identity only reads alpha at d <= y, so the support is capped there
+    # the identity only reads alpha at d <= y, so the support is capped there:
+    # a chain admits p only when d * p <= y, so the window stops at y
+    lo, hi = max(z2, 1), min(z1, y)
+    window = primes_in(math.floor(lo), math.floor(hi)) if lo < hi else []
     alpha = _signed_chains(window, lambda d, depth, p: d * p <= y)
     return ReductionSequences(z1=z1, z2=z2, y=y, alpha=alpha)
 
@@ -318,33 +320,22 @@ def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
 # exact Buchstab identity on S-values
 
 
-def buchstab_terms(
-    x: int, d: int, z1: float, z2: float, q1: int, q2: int, a: int
-) -> tuple[SValue, SValue, list[SValue]]:
-    """(S_d(z2), S_d(z1), [subtracted dp-terms]) of the exact Buchstab split.
-
-    S_d(z2) = S_d(z1) - sum over primes z1 < p <= z2 of the dp-term, where
-    the dp-term sums over m ~ x/(dp) with the inclusive condition
-    P^-(m) >= p.
-    """
-    terms = [(d, z2, False), (d, z1, False)]
-    terms += [(d * p, p, True) for p in primes_in(math.floor(z1), math.floor(z2))]
-    in_class, coprime, total = s_values(x, terms, q1, q2, a)
-    vals = [SValue(ic, cp, total.phi_q) for ic, cp in zip(in_class.tolist(), coprime.tolist())]
-    return vals[0], vals[1], vals[2:]
-
-
 def verify_buchstab(
     x: int, d: int, z1: float, z2: float, q1: int, q2: int, a: int
 ) -> bool:
-    """Exact integer-triple check of the Buchstab identity; no tolerance."""
+    """Exact check of the Buchstab split, on both counts; no tolerance.
+
+    S_d(z2) = S_d(z1) - sum over primes z1 < p <= z2 of the dp-term, where
+    the dp-term sums over m ~ x/(dp) with the inclusive condition
+    P^-(m) >= p.  All terms go into one s_values call, and the identity is
+    checked on its in_class and coprime arrays.
+    """
     if z1 > z2:
         raise ValueError("needs z1 <= z2")
-    left, right, subtracted = buchstab_terms(x, d, z1, z2, q1, q2, a)
-    acc = right
-    for t in subtracted:
-        acc = acc - t
-    return left.triple() == acc.triple()
+    terms = [(d, z2, False), (d, z1, False)]
+    terms += [(d * p, p, True) for p in primes_in(math.floor(z1), math.floor(z2))]
+    ic, cp, _ = s_values(x, terms, q1, q2, a)
+    return bool(ic[0] == ic[1] - ic[2:].sum() and cp[0] == cp[1] - cp[2:].sum())
 
 
 def random_buchstab_configs(trials: int, x_max: int, seed: int = 0):

@@ -139,8 +139,8 @@ class TestExitCodes:
             ["completion-demo", "--q", "0"],
             ["verify", "fsum", "--q-max", "201"],
             ["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
-            # --x past its range: refused before the first row
-            ["moduli-set", "--kind", "box", "--x", str(10**400)],
+            # --x past the divisor-window cap: refused before the first row
+            ["moduli-set", "--kind", "divisor-window", "--x", str(10**400)],
         ],
     )
     def test_parameter_error_leaves_out_untouched(self, args, tmp_path, capsys):
@@ -338,8 +338,9 @@ class TestSizeCaps:
             (["moduli-set", "--kind", "divisor-window", "--x", "1000", "--a", str(2**70)],
              f"--a must be <= {2**63 - 1},"),
             # refused before the divisor-window kind forms x^(1/2+delta) as a float
-            (["moduli-set", "--kind", "box", "--x", str(10**400)], f"--x must be <= {10**30},"),
-            (["moduli-set", "--kind", "box", "--x", str(10**30 + 1)],
+            (["moduli-set", "--kind", "divisor-window", "--x", str(10**31)],
+             f"--x must be <= {10**30},"),
+            (["moduli-set", "--kind", "divisor-window", "--x", str(10**30 + 1)],
              f"--x must be <= {10**30},"),
             (["moduli-set", "--kind", "divisor-window", "--x", str(10**400)],
              f"--x must be <= {10**30},"),
@@ -472,6 +473,17 @@ class TestSizeCaps:
                          "Q1^20*Q2^19<x^(10-100eps)")
         ]
 
+    @pytest.mark.parametrize("x", [10**40, 10**400], ids=["1e40", "1e400"])
+    @pytest.mark.parametrize("kind, small", [("box", 10**30), ("dyadic", 1000)],
+                             ids=["box", "dyadic"])
+    def test_box_and_dyadic_take_any_x(self, kind, small, x, tmp_path):
+        # neither kind forms a float power of x: the box verdicts compare
+        # Python integers and the dyadic kind reads no x
+        code, text = run_cli(["moduli-set", "--kind", kind, "--x", str(x)], tmp_path)
+        assert code == 0
+        want = run_cli(["moduli-set", "--kind", kind, "--x", str(small)], tmp_path)[1]
+        assert strip_comments(text) == strip_comments(want)
+
     def test_decomp_modulus_is_uncapped(self):
         # the S-value kernel holds nothing sized by q on narrow windows, so a
         # modulus near 1e12 runs in a few MB
@@ -553,6 +565,21 @@ class TestOutputs:
         # SHA-256 of the body, one row per (n, k) with --verbose: the value,
         # lambda and deviation columns pin their floats to 12 digits
         code, text = run_cli(["verify", "heathbrown", *args], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,digest", [
+        (["verify", "buchstab", "--trials", "1000"],
+         "2bb770080cdac805118ff8984ef964c4144ced6102da30420800b48feebcdd50"),
+        (["verify", "buchstab", "--x", "10000000", "--trials", "20"],
+         "97d50b222e2125340680b7a082d432a84d76a5a7e35b5563cef61f1cae7c6f30"),
+        (["decomp", "--x", "1000000", "--q1", "7", "--a", "3"],
+         "b0f873d0f444981e5e1b623ae70a21a46c2d6814cf97809054de8f8d5e1c48b2"),
+    ])
+    def test_exact_split_body(self, args, digest, tmp_path):
+        # SHA-256 of bodies past the bench sizes: one verdict row per Buchstab
+        # configuration; the tree rows, split checks and flags of one decomp
+        code, text = run_cli(args, tmp_path)
         assert code == 0
         assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
 

@@ -16,7 +16,6 @@ from apmod.constants import (
 from apmod.expsums import (
     _CHUNK,
     _LEAF,
-    FSumKey,
     _kl3_squarefree_units,
     _pair_phases,
     _pair_sums,
@@ -233,8 +232,8 @@ class TestStreamedPairSums:
     def test_f_sum_bit_identical(self, q):
         a = int(_unit_table(q)[1][-1])
         for h in ((1, 1, 1), (2, 3, 5), (q, 1, 7), (4, 6, 9), (-3, 11, 2 * q + 1)):
-            assert f_sum(FSumKey(*h, a, q)) == _f_sum_grid(*h, a, q)
-            assert f_sum(FSumKey(*h, 1, q)) == _f_sum_grid(*h, 1, q)
+            assert f_sum(*h, a, q) == _f_sum_grid(*h, a, q)
+            assert f_sum(*h, 1, q) == _f_sum_grid(*h, 1, q)
 
     @pytest.mark.parametrize("q", STREAM_MODULI)
     def test_pair_sums_rows_bit_identical(self, q):
@@ -316,14 +315,18 @@ class TestPairPhaseSeam:
 
 class TestFSum:
     def test_q_one(self):
-        assert f_sum(FSumKey(5, -2, 9, 4, 1)) == 1 + 0j
+        assert f_sum(5, -2, 9, 4, 1) == 1 + 0j
+
+    def test_modulus_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            f_sum(1, 1, 1, 1, 0)
 
     def test_non_unit_a_vanishes(self):
-        assert f_sum(FSumKey(1, 1, 1, 2, 4)) == 0j
-        assert f_sum(FSumKey(3, 1, 2, 6, 9)) == 0j
+        assert f_sum(1, 1, 1, 2, 4) == 0j
+        assert f_sum(3, 1, 2, 6, 9) == 0j
 
     def test_equals_q_times_kl3(self):
-        assert f_sum(FSumKey(1, 1, 1, 1, 2)) == pytest.approx(
+        assert f_sum(1, 1, 1, 1, 2) == pytest.approx(
             2 * kl3(1, 2), abs=1e-12
         )
         rng = SplitMix64(31)
@@ -334,12 +337,12 @@ class TestFSum:
                 if math.gcd(v, q) == 1:
                     h.append(v)
             a = next(v for v in range(1, q + 1) if math.gcd(v, q) == 1)
-            lhs = f_sum(FSumKey(h[0], h[1], h[2], a, q))
+            lhs = f_sum(h[0], h[1], h[2], a, q)
             rhs = q * kl3((a * h[0] * h[1] * h[2]) % q, q)
             assert abs(lhs - rhs) <= 1e-6 * q * q
 
     def test_property3_example(self):
-        assert f_sum(FSumKey(1, 2, 3, 2, 6)) == 0j
+        assert f_sum(1, 2, 3, 2, 6) == 0j
 
     def test_multiplicativity_squarefree(self):
         rep = f_property_check(60, 1, samples_per_q=40, seed=1)
@@ -370,7 +373,7 @@ class TestFPropertySweeps:
         # divides only the squarefree part of 12.  The vanishing needs the
         # shared prime at a square factor, which is what property check 6
         # enforces.
-        v = f_sum(FSumKey(3, 1, 1, 1, 12))
+        v = f_sum(3, 1, 1, 1, 12)
         assert abs(v) > 0.5
 
 

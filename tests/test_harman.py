@@ -23,7 +23,7 @@ def spec_params(x=10**4):
 
 class TestHarmanTree:
     def test_exact_at_reference_scale(self):
-        root, rep = harman_tree(**spec_params(), q1=2, q2=1, a=1)
+        _, rep = harman_tree(**spec_params(), q1=2, q2=1, a=1)
         assert rep.exact
         assert rep.root_value.triple() == HARMAN_X1E4_ROOT_TRIPLE
         assert rep.leaf_count == HARMAN_X1E4_LEAF_COUNT
@@ -38,14 +38,14 @@ class TestHarmanTree:
         assert blob1 == HARMAN_X1E4_FLAG_SNAPSHOT
 
     def test_tree_dump_and_split_checks_pinned(self):
-        root, rep = harman_tree(**spec_params(), q1=2, q2=1, a=1)
+        rows, rep = harman_tree(**spec_params(), q1=2, q2=1, a=1)
         splits = [f"{name} {'exact' if ok else 'BROKEN'}" for name, ok in rep.split_checks]
-        assert "\n".join([dump_tree(root), *splits]) == HARMAN_X1E4_TREE_SNAPSHOT
+        assert "\n".join([dump_tree(rows), *splits]) == HARMAN_X1E4_TREE_SNAPSHOT
 
     def test_exact_with_informative_modulus(self):
         # q = 3 gives in_class != coprime generally, so the triple equality
         # is a stronger statement than the q = 2 case
-        root, rep = harman_tree(**spec_params(), q1=3, q2=1, a=1)
+        _, rep = harman_tree(**spec_params(), q1=3, q2=1, a=1)
         assert rep.exact
         ic, cp, phi = rep.root_value.triple()
         assert phi == 2 and (ic, cp) != (0, 0)
@@ -61,10 +61,10 @@ class TestHarmanTree:
         import numpy as np
 
         x = 10**6
-        root, rep = harman_tree(**spec_params(x), q1=3, q2=1, a=1)
+        rows, rep = harman_tree(**spec_params(x), q1=3, q2=1, a=1)
         assert rep.exact
-        g3 = next(n for n, _ in root.walk() if n.name == "G3")
-        assert g3.svalue.triple() != (0, 0, 2)  # deep group nonempty here
+        g3 = next(sv for _, name, *_, sv in rows if name == "G3")
+        assert g3.triple() != (0, 0, 2)  # deep group nonempty here
         ps = np.array(primes_in(0, 2 * x))
         ps = ps[ps > x]
         want = (
@@ -189,10 +189,12 @@ class TestHarmanTree:
 
     def test_terminal_census(self):
         # the tree shape fixes the terminal-class counts regardless of scale
-        root, _ = harman_tree(**spec_params(), q1=2, q2=1, a=1)
+        rows, _ = harman_tree(**spec_params(), q1=2, q2=1, a=1)
+        # in pre-order a row is a leaf when the next row is no deeper
         census = {}
-        for leaf, _sign in root.leaves():
-            census[leaf.kind] = census.get(leaf.kind, 0) + 1
+        for row, after in zip(rows, rows[1:] + [(0,)]):
+            if after[0] <= row[0]:
+                census[row[3]] = census.get(row[3], 0) + 1
         assert census == {
             "sieve-asymptotic": 5,
             "type-II": 2,
@@ -203,8 +205,8 @@ class TestHarmanTree:
         }
 
     def test_dump_contains_all_nodes(self):
-        root, rep = harman_tree(**spec_params(2000), q1=3, q2=1, a=1)
-        text = dump_tree(root)
+        rows, _ = harman_tree(**spec_params(2000), q1=3, q2=1, a=1)
+        text = dump_tree(rows)
         for name in ("root", "A0", "M", "B1", "G1", "G1a", "B2a", "G2",
                      "B4a", "G3", "G1b", "G1c", "B3a", "G3c", "G1d", "G1e", "C0"):
             assert name in text

@@ -7,7 +7,6 @@ from apmod import identities
 from apmod.identities import (
     DIRICHLET_CHUNK,
     PERIOD,
-    buchstab_terms,
     fundamental_lemma_weights,
     heath_brown_decompose,
     heath_brown_range,
@@ -15,7 +14,7 @@ from apmod.identities import (
     reduction_sequences,
     verify_buchstab,
 )
-from apmod.primes import least_prime_factor_table, von_mangoldt
+from apmod.primes import least_prime_factor_table, primes_in, von_mangoldt
 from apmod.progressions import s_value
 
 # the (z1, z2, y) triples of `verify reduction`, and edge triples: y = 1 (pure
@@ -234,6 +233,24 @@ class TestReductionSequences:
         _, rhs = rs.identity_sides(3000)
         assert rhs.tolist()[1:] == [rs.rhs_at(n) for n in range(1, 3001)]
 
+    @pytest.mark.parametrize(
+        "z1,z2,y",
+        REDUCTION_TRIPLES + EDGE_TRIPLES
+        + [(z1, 5, 100) for z1 in (99, 100, 101, 1000)]
+        + [(z1, 2, 30) for z1 in (29, 30, 31, 300)],
+    )
+    def test_window_stops_at_y(self, z1, z2, y):
+        # reference: the chains over every prime in (z2, z1]; those above y
+        # admit no chain, so the values and insertion order are the same
+        window = [p for p in primes_in(0, int(z1)) if p > z2]
+        want = identities._signed_chains(window, lambda d, depth, p: d * p <= y)
+        assert list(reduction_sequences(z1, z2, y).alpha.items()) == list(want.items())
+
+    def test_huge_z1_lists_no_prime_above_y(self):
+        assert reduction_sequences(math.inf, math.inf, 10).alpha == {1: 1}
+        assert reduction_sequences(math.inf, 5, 10).alpha == {1: 1, 7: -1}
+        assert reduction_sequences(2e7, 2e7, 10).alpha == {1: 1}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             reduction_sequences(5, 30, 100)
@@ -251,20 +268,19 @@ class TestVerifyBuchstab:
     def test_covers_prime_squares(self):
         # exactness hinges on the inclusive threshold in the subtracted
         # terms; a window containing p with p^2 m in range exercises it
-        left, right, subtracted = buchstab_terms(500, 1, 5, 20, 3, 1, 1)
-        acc = right
-        for t in subtracted:
-            acc = acc - t
-        assert acc.triple() == left.triple()
+        assert verify_buchstab(500, 1, 5, 20, 3, 1, 1) is True
+        left = s_value(500, 1, 20, 3, 1, 1)
+        right = s_value(500, 1, 5, 3, 1, 1)
+
+        def split(inclusive):
+            acc = right
+            for p in (7, 11, 13, 17, 19):
+                acc = acc - s_value(500, p, p, 3, 1, 1, inclusive)
+            return acc.triple()
+
+        assert split(True) == left.triple()
         # and the strict version really does differ here
-        strict = [
-            s_value(500, p, p, 3, 1, 1)
-            for p in (7, 11, 13, 17, 19)
-        ]
-        acc_strict = right
-        for t in strict:
-            acc_strict = acc_strict - t
-        assert acc_strict.triple() != left.triple()
+        assert split(False) != left.triple()
 
     def test_two_hundred_fixed_seed_configs(self):
         cfgs = random_buchstab_configs(200, 10**5, seed=0)
