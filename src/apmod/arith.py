@@ -53,10 +53,6 @@ class FactoredInt:
         if prod != self.n:
             raise ValueError(f"factorization product {prod} != n {self.n}")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 

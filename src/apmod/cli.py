@@ -58,7 +58,7 @@ from .identities import (
     reduction_sequences,
     verify_buchstab,
 )
-from .primes import least_prime_factor_table, prime_segments, von_mangoldt_upto
+from .primes import arith_window, least_prime_factor_table, prime_segments
 from .progressions import (
     Q_MAX,
     bifactor_box_family,
@@ -317,9 +317,9 @@ def cmd_sieve(args, out: Output) -> int:
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    # one row per modulus.  At x = 1000, 1e5 moduli from 1 take 44 MB and 2.2
-    # to 3.2 s, 1e5 moduli near 2e9 60 MB and 6.7 to 7.7 s, and 1e6 from 1
-    # (bv_aggregate alone) 162 MB and 18 s (2 vCPUs, Intel Xeon)
+    # one row per modulus.  At x = 1000, 1e5 moduli from 1 take 42 MB and 1.6 s, near 2e9
+    # 58 MB and 2.6 s, just below Q_MAX 59 MB and 51 s (factorize on the cofactors), and
+    # 1e6 from 1 (bv_aggregate alone) 96 MB and 9 s (2 vCPUs, Intel Xeon)
     _at_most("--qhi minus --qlo", args.qhi - args.qlo, 10**5)
     qs = dyadic_family(args.qlo, args.qhi, args.a)
     pix, counts, phis, total = bv_aggregate(args.x, args.a, qs)
@@ -426,7 +426,7 @@ def cmd_verify_buchstab(args, out: Output) -> int:
 
 def cmd_verify_heathbrown(args, out: Output) -> int:
     failures = 0
-    lams = von_mangoldt_upto(args.n_max)[1:]
+    lams = [math.log(p) if p else 0.0 for p in arith_window(1, args.n_max)[2].tolist()]
     out.row("n", "k", "value", "lambda", "dev", "ok")
     for k in (2, 3):
         values = heath_brown_range(args.n_max, k, args.n_max).tolist()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, mobius
-from .completion import psi0_eval
+from .completion import _support_range, psi0_eval
 
 
 @dataclass
@@ -41,7 +41,7 @@ class DispersionInstance:
 
     def ranges(self):
         dy = lambda T: range(T + 1, 2 * T + 1)  # noqa: E731
-        sm = lambda T: range(max(1, math.floor(T / 2)), math.ceil(5 * T / 2) + 1)  # noqa: E731
+        sm = _support_range
         return dy(self.E), sm(self.Q), dy(self.D), dy(self.R), dy(self.N), sm(self.M)
 
 

@@ -580,7 +580,7 @@ def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dic
     (a2 r1^3 - a1 r2^3, s)) with implied constant 1 and no epsilon power;
     the ratio is DIAGNOSTIC ONLY since the true implied constant is unknown.
     """
-    from .completion import psi0_eval
+    from .completion import _support_range, psi0_eval
 
     for name, v in (("r1", r1), ("r2", r2), ("s", s)):
         if mobius(v) == 0:
@@ -600,9 +600,7 @@ def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dic
         kl[m][_unit_table(m)[1]] = _kl3_squarefree_units(factorize(m))
     kl1, kl2 = kl[m1], kl[m2]
     lhs = 0j
-    h_lo = max(1, math.floor(H / 2))
-    h_hi = math.ceil(5 * H / 2)
-    for h in range(h_lo, h_hi + 1):
+    for h in _support_range(H):
         w = psi0_eval(h / H)
         if w == 0.0 or math.gcd(h, s * r1 * r2) != 1:
             continue

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, mobius
-from .primes import least_prime_factor_table, lpf_bound, primes_in
+from .primes import arith_window, least_prime_factor_table, lpf_bound, primes_in
 from .progressions import s_values
 from .rng import SplitMix64
 
@@ -128,10 +128,7 @@ def heath_brown_range(n_max: int, k: int, x: int) -> np.ndarray:
         raise ValueError("requires 1 <= n_max <= 2x")
     cut = min(n_max, math.floor(2.0 * x ** (1.0 / k)))
     mu = np.zeros(n_max + 1, dtype=np.int64)
-    mu[1 : cut + 1] = 1
-    for p in primes_in(0, cut):
-        mu[p : cut + 1 : p] *= -1
-        mu[p * p : cut + 1 : p * p] = 0
+    mu[1 : cut + 1] = arith_window(1, cut)[1]
     logv = np.zeros(n_max + 1)
     logv[1:] = np.log(np.arange(1, n_max + 1, dtype=float))
     tau_prev = np.zeros(n_max + 1, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Segmented prime sieve, prime counting, von Mangoldt, rough-number counts.
+"""Segmented prime sieve, prime counting, phi/mu/Lambda windows, rough-number counts.
 
 The sieve is the one performance-critical path in the package: odd-only
 numpy segments of SEGMENT = 2**20 entries, so counting primes to 1e8 takes
@@ -7,12 +7,12 @@ well under a second.  Constructed tables are immutable; all queries are pure.
 One segment loop lists every prime.  ``prime_segments(lo, hi)`` yields the
 primes in [lo, hi] one segment at a time, so a consumer that drops each
 segment holds O(SEGMENT) bytes whatever the width; ``primes_in``, the one
-call that returns a list of primes, concatenates it.  Every segment loop and
-the least-prime-factor table take their base primes up to sqrt(hi) from
-``primes_in`` afresh: the one cached list of primes is the 168 primes
-below 1e3 that ``arith.factorize`` trial-divides by.  Prime counts up to x
-read ``prime_bitmap(x)``, a packed odd-only bitmap of about x/16 bytes packed
-by the same loop, not an array of the primes themselves.
+call that returns a list of primes, concatenates it.  Segment loops, the
+least-prime-factor table and ``arith_window`` (phi, mu and Lambda over a
+range) list their base primes afresh: the one cached list of primes is the
+168 primes below 1e3 that ``arith.factorize`` trial-divides by.  Prime counts
+up to x read ``prime_bitmap(x)``, a packed odd-only bitmap of about x/16
+bytes packed by the same loop, not an array of the primes themselves.
 
 The least-prime-factor table is one process-wide, read-only int32 array that
 only grows: every ``least_prime_factor_table(limit)`` call returns a slice of
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FactoredInt, _as_factored
+from .arith import FactoredInt, _as_factored, factorize
 
 SEGMENT = 1 << 20
 # lpf[1], standing for P^-(1) = +inf: every other entry is at most the
@@ -145,14 +145,37 @@ def von_mangoldt(n: int | FactoredInt) -> float:
     return math.log(f.factors[0][0])
 
 
-def von_mangoldt_upto(n_max: int) -> list[float]:
-    """von_mangoldt(n) at each index n <= n_max (0.0 at 0): log p at each power of p."""
-    out = [0.0] * (n_max + 1)
-    for p in primes_in(0, n_max):
-        pk = p
-        while pk <= n_max:
-            out[pk], pk = math.log(p), pk * p
-    return out
+def arith_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(n), mu(n) and the prime p with n = p^k (0 if none), int64, for n in [lo, hi].
+
+    1 <= lo, hi < 2**62.  Each power of a prime p <= b = min(isqrt(hi), hi - lo + 1)
+    multiplies into n's row of (b-smooth part, phi, mu, 2^omega); a cofactor below
+    (b + 1)^2 is 1 or prime, and only larger ones go to factorize.  n = p^k exactly
+    when 2^omega = 2, and then p = n / (n - phi).  Memory: the primes up to b and at
+    most eight int64 entries per n (n, its cofactor, its row and temporaries).
+    """
+    if lo < 1 or hi >= 1 << 62:
+        raise ValueError(f"window [{lo}, {hi}] outside [1, 2**62)")
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    acc = np.ones((len(n), 4), dtype=np.int64)
+    b = min(math.isqrt(hi), hi - lo + 1)
+    for p in primes_in(0, b):
+        k = 1
+        while (start := -lo % p**k) <= hi - lo:  # the multiples of p^k in the window
+            acc[start :: p**k] *= (p, p - 1, -1, 2) if k == 1 else (p, p, 0, 1)
+            k += 1
+    smooth, phi, mu, two_omega = acc.T
+    cof = n // smooth
+    for i in np.flatnonzero(cof >= (b + 1) ** 2).tolist():
+        for p, e in factorize(int(cof[i])).factors:
+            acc[i] *= (1, (p - 1) * p ** (e - 1), -(e == 1), 2)
+    left = (cof > 1) & (cof < (b + 1) ** 2)  # a prime above b
+    phi[left] *= cof[left] - 1
+    mu[left] *= -1
+    two_omega[left] *= 2
+    prime, powers = np.zeros_like(n), two_omega == 2
+    prime[powers] = n[powers] // (n[powers] - phi[powers])
+    return phi, mu, prime
 
 
 def rough_count(t: int, z: float) -> int:

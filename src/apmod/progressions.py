@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import euler_phi, factorize, mod_inv
-from .primes import SEGMENT, least_prime_factor_table, lpf_bound, pi, prime_bitmap
+from .primes import SEGMENT, arith_window, least_prime_factor_table, lpf_bound, pi, prime_bitmap
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def _popcount(words: np.ndarray) -> np.integer:
     return np.bitwise_count(words).sum(dtype=np.uint32)  # <= _CHUNK words
 
 
-def _count_in_classes(x: int, classes: Sequence[tuple[int, int]]) -> list[int]:
-    """#{p <= x prime : p = a mod q} for each (q, a) with 0 <= a < q.
+def _count_in_classes(x: int, moduli: np.ndarray, residue: int) -> np.ndarray:
+    """#{p <= x prime : p = a mod q}, a = residue mod q, per q of the int64 ``moduli``.
 
     Bit k of prime_bitmap(x) stands for 2k + 1, so the odd numbers = a mod q
     are the bits k = r mod s: s = q and r = (a - 1) * inv(2) mod q for odd q;
@@ -101,8 +101,10 @@ def _count_in_classes(x: int, classes: Sequence[tuple[int, int]]) -> list[int]:
     """
     x = int(x)
     words = prime_bitmap(x).view("<u8")
-    counts = [int(x >= 2 and a == 2 % q) for q, a in classes]
-    for i, (q, a) in enumerate(classes):
+    qs = moduli.tolist()
+    counts = [int(x >= 2 and residue % q == 2 % q) for q in qs]
+    for i, q in enumerate(qs):
+        a = residue % q
         if q % 2:
             s, r = q, (a - 1) * ((q + 1) // 2) % q
         elif a % 2:
@@ -131,7 +133,7 @@ def _count_in_classes(x: int, classes: Sequence[tuple[int, int]]) -> list[int]:
         else:
             keep = cols < len(tail)
             counts[i] += int(count(tail[cols[keep]] & mask[keep]))
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def pi_ap(x: int, q: int, a: int) -> int:
@@ -144,7 +146,7 @@ def pi_ap(x: int, q: int, a: int) -> int:
         raise ValueError(f"modulus must be in [1, {Q_MAX}]")
     if not 0 <= a < q:
         raise ValueError(f"residue {a} outside [0, {q})")
-    return _count_in_classes(x, [(q, a)])[0]
+    return int(_count_in_classes(x, np.array([q], dtype=np.int64), a)[0])
 
 
 def _window_batches(lo: np.ndarray, hi: np.ndarray):
@@ -264,9 +266,9 @@ def bv_aggregate(
     Fractions num / phi(q) in a balanced pairwise tree, each partial sum over
     the lcm of its subtree's phi(q) only, so it stays near linear where
     nearly every phi(q) is distinct.  A modulus outside [1, Q_MAX] or not
-    coprime to a is refused.  pi(x) and every count read the cached
-    prime_bitmap(x), x/16 bytes per cached x (8 cached), plus one
-    SEGMENT-byte buffer.
+    coprime to a is refused.  Moduli go 2^16 at a time, phi(q) by one arith_window per
+    2^16-aligned block of them.  Memory: the columns, that window, a dict entry per
+    distinct phi(q), the cached prime_bitmap(x) (x/16 bytes, 8 cached), a SEGMENT buffer.
     """
     moduli = np.asarray(moduli, dtype=np.int64)
     if np.any((moduli < 1) | (moduli > Q_MAX)):
@@ -275,12 +277,16 @@ def bv_aggregate(
     if len(shared):
         raise ValueError(f"residue {a} not coprime to modulus {shared[0]}")
     pix = pi(x)
-    qs = moduli.tolist()
-    counts = np.array(_count_in_classes(x, [(q, a % q) for q in qs]), dtype=np.int64)
-    phis = np.array([euler_phi(q) for q in qs], dtype=np.int64)
+    counts, phis = np.empty_like(moduli), np.empty_like(moduli)
     by_phi = {}  # phi(q) -> sum of |cnt * phi(q) - pi(x)|
-    for phi, num in zip(phis.tolist(), np.abs(counts * phis - pix).tolist()):
-        by_phi[phi] = by_phi.get(phi, 0) + num
+    for k in range(0, len(moduli), 1 << 16):
+        part = slice(k, k + (1 << 16))
+        qs, inverse = np.unique(moduli[part], return_inverse=True)
+        blocks = np.split(qs, np.flatnonzero(np.diff(qs >> 16)) + 1)  # 2^16 integers at most
+        phi = np.concatenate([arith_window(int(b[0]), int(b[-1]))[0][b - b[0]] for b in blocks])
+        counts[part], phis[part] = _count_in_classes(x, moduli[part], a), phi[inverse]
+        for f, num in zip(phis[part].tolist(), np.abs(counts[part] * phis[part] - pix).tolist()):
+            by_phi[f] = by_phi.get(f, 0) + num
     total = [Fraction(num, phi) for phi, num in by_phi.items()] or [Fraction(0)]
     while len(total) > 1:
         total = [sum(total[i : i + 2]) for i in range(0, len(total), 2)]

@@ -4,18 +4,23 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apmod.primes
+from apmod.arith import euler_phi, mobius
 from apmod.buchstab import STEP, buchstab_omega, solve_buchstab
 from apmod.primes import (
     LPF_SENTINEL,
     SEGMENT,
+    arith_window,
     least_prime_factor_table,
     pi,
     primes_in,
     rough_count,
     von_mangoldt,
-    von_mangoldt_upto,
 )
+from apmod.progressions import Q_MAX
 from apmod.rng import SplitMix64
 
 EULER_GAMMA = 0.5772156649015329
@@ -220,8 +225,79 @@ class TestVonMangoldt:
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 4, 10**4])
     def test_upto_equals_per_n(self, n_max):
-        # the one-pass table is the per-n value, bit for bit
-        assert von_mangoldt_upto(n_max) == [0.0] + [von_mangoldt(n) for n in range(1, n_max + 1)]
+        # log of the window sieve's prime column is the per-n value, bit for bit
+        primes = arith_window(1, n_max)[2].tolist()
+        assert [math.log(p) if p else 0.0 for p in primes] == [
+            von_mangoldt(n) for n in range(1, n_max + 1)
+        ]
+
+
+def _window_oracle(lo: int, hi: int) -> list[tuple[int, int, float]]:
+    return [(euler_phi(n), mobius(n), von_mangoldt(n)) for n in range(lo, hi + 1)]
+
+
+def _window(lo: int, hi: int) -> list[tuple[int, int, float]]:
+    phi, mu, prime = arith_window(lo, hi)
+    assert phi.dtype == mu.dtype == prime.dtype == np.int64
+    assert len(phi) == len(mu) == len(prime) == max(hi - lo + 1, 0)
+    logs = [math.log(p) if p else 0.0 for p in prime.tolist()]
+    return list(zip(phi.tolist(), mu.tolist(), logs))
+
+
+# (lo, hi): powers of 2 and of odd primes inside and at the ends of windows,
+# windows starting at p^2 and ending at p^2 - 1, width 1 (where b = 1 sieves
+# nothing), across the SEGMENT edges, at 2^40 and up to 2^58, where b = the
+# width leaves cofactors above b^2 to factorize
+WINDOWS = (
+    [(1, 1), (1, 2), (2, 2), (1, 3000), (2**20 - 64, 2**20 + 64), (2**31 - 1, 2**31 + 1)]
+    + [(p**k, p**k) for p, k in ((2, 1), (2, 40), (3, 1), (3, 25), (97, 2), (97, 8))]
+    + [(p**k - 5, p**k + 5) for p, k in ((2, 12), (3, 9), (5, 7), (1009, 3))]
+    + [(p * p, p * p + w) for p in (2, 3, 97, 1009, 999983) for w in (0, 1, 100)]
+    + [(p * p - w, p * p - 1) for p in (2, 3, 97, 1009, 999983) for w in (1, 2, 100) if w < p * p]
+    + [(n, n) for n in (4, 6, 30, 30030, 999983, 2**40 + 1, 2**58 - 5, Q_MAX)]
+    + [(k * SEGMENT - 40, k * SEGMENT + 40) for k in (1, 2, 3)]
+    + [(2**40 - 150, 2**40 + 150), (Q_MAX - 300, Q_MAX)]
+)
+
+
+class TestArithWindow:
+    """arith_window against euler_phi, mobius and von_mangoldt, n by n."""
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_matches_per_n(self, lo, hi):
+        assert _window(lo, hi) == _window_oracle(lo, hi)
+
+    def test_empty_window(self):
+        assert _window(10, 9) == []
+
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (-3, 8), (1, 2**62)])
+    def test_refuses_a_window_outside_the_contract(self, lo, hi):
+        # n = 0 is a multiple of every prime power, so it is refused up front
+        with pytest.raises(ValueError, match="outside"):
+            arith_window(lo, hi)
+
+    def test_large_cofactors_go_to_factorize(self, monkeypatch):
+        # at 2^58 the window's width bounds b, so most cofactors exceed b^2
+        calls = []
+        real = apmod.primes.factorize
+        monkeypatch.setattr(apmod.primes, "factorize", lambda n: calls.append(n) or real(n))
+        assert _window(Q_MAX - 300, Q_MAX) == _window_oracle(Q_MAX - 300, Q_MAX)
+        assert calls and min(calls) > 301**2
+
+    def test_sieves_only_up_to_the_bound(self, monkeypatch):
+        # b = min(isqrt(hi), width): no prime list above it is made
+        calls = []
+        real = apmod.primes.primes_in
+        monkeypatch.setattr(apmod.primes, "primes_in", lambda lo, hi: calls.append(hi) or real(lo, hi))
+        for lo, hi, b in ((2**40, 2**40 + 99, 100), (10**6, 10**6 + 10**4, 1004), (5, 5, 1)):
+            calls.clear()
+            arith_window(lo, hi)
+            assert max(calls) == b
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(lo=st.integers(1, Q_MAX), width=st.integers(1, 2000))
+    def test_property_against_per_n(self, lo, width):
+        assert _window(lo, lo + width - 1) == _window_oracle(lo, lo + width - 1)
 
 
 class TestRoughCount:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,32 @@ class TestBvAggregate:
         _, counts, phis, _ = bv_aggregate(1000, 5, qs)
         assert counts.tolist() == [pi_ap(1000, q, 5 % q) for q in qs]
         assert phis.tolist() == [6, 2, 6, 1, 2, 6]
+
+    def test_sparse_moduli_allocate_no_span(self):
+        # phi(q) is sieved one 2^16-aligned block of moduli at a time, so
+        # moduli from 3 to 2^58 - 5 take windows of width 1 or 6, not the span
+        qs = np.array([3, Q_MAX - 5, 2**40 + 1, 3, SEGMENT - 1, SEGMENT + 1, Q_MAX])
+        bv_aggregate(1000, 1, qs[:1])  # the cached bitmap of x = 1000
+        tracemalloc.start()
+        try:
+            _, counts, phis, _ = bv_aggregate(1000, 1, qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phis.tolist() == [euler_phi(q) for q in qs.tolist()]
+        assert counts.tolist() == [pi_ap(1000, q, 1) for q in qs.tolist()]
+        assert peak < 1 << 18
+
+    def test_passes_cross_segment_and_chunk_edges(self):
+        # more than 2^16 moduli (two passes), in blocks on both sides of 2^20
+        edge = dyadic_family(SEGMENT - 300, SEGMENT + 300, 7)
+        reps = -(-(1 << 16) // len(edge)) + 1
+        qs = np.tile(edge, reps)
+        _, counts, phis, total = bv_aggregate(1000, 7, qs)
+        phi = {q: euler_phi(q) for q in edge.tolist()}
+        assert len(qs) > 1 << 16 and phis.tolist() == [phi[q] for q in qs.tolist()]
+        assert counts.tolist() == [1] * len(qs)  # only the prime 7 itself
+        assert total == reps * sum(Fraction(abs(f - 168), f) for f in phi.values())
 
 
 # bit k of prime_bitmap(x) stands for 2k + 1, so the SEGMENT-bit blocks the
