@@ -265,7 +265,7 @@ COMMANDS = [
     )),
     (("dispersion-demo",), "dispersion expansion identity on tiny instances",
      "cmd_dispersion_demo", (
-        # 0.7 ms per instance: 6.7 s and 66 MB at the cap
+        # 0.33 ms per instance: 3.4-3.7 s and 60 MB at the cap on 2 vCPUs
         ("--count", int, 10, "number of fixed-seed instances", (1, 10**4)),
         ("--tol", float, 1e-9, "largest allowed relative error", TOLERANCE),
         SEED,

@@ -4,11 +4,13 @@ The opened-square sum over residue classes equals S1 - 2 Re(S2) + S3 with
 the three dispersion sums carrying the SAME weights (no majorant extension
 anywhere); this is pure algebra (|z|^2 = z conj(z) plus evaluation of the
 residue-class sum) and is verified here by definition-level enumeration on
-tiny instances.
+tiny instances.  One walk over (e, q, d) evaluates both sides, each into its
+own accumulators, so neither side reuses a partial sum of the other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,108 +97,63 @@ def dispersion_expand(inst: DispersionInstance) -> DispersionResult:
         raise ValueError("instance too large for brute force (> 1e8 terms)")
     a = inst.a
     e_r, q_r, d_r, r_r, n_r, m_r = inst.ranges()
-    es = [e for e in e_r if mobius(e) != 0]
-    qs = [(q, psi0_eval(q / inst.Q)) for q in q_r if math.gcd(q, a) == 1]
-    qs = [(q, w) for q, w in qs if w != 0.0]
+    qs = [(q, w) for q in q_r if math.gcd(q, a) == 1 and (w := psi0_eval(q / inst.Q)) != 0.0]
     ds = [d for d in d_r if math.gcd(d, a) == 1]
-    ms = [(m, psi0_eval(m / inst.M)) for m in m_r]
-    ms = [(m, w) for m, w in ms if w != 0.0]
-
-    def lam(q, d, r):
-        return inst.lam.get((q, d, r), 0j)
-
-    def alpha(n):
-        return inst.alpha.get(n, 0j)
-
-    # ---------------- lhs: opened square over (e, q, d, m, b) -------------
-    lhs = 0.0
-    for e in es:
+    ms = [(m, w) for m in m_r if (w := psi0_eval(m / inst.M)) != 0.0]
+    alphas = [(n, an) for n in n_r if (an := inst.alpha.get(n, 0j)) != 0j]
+    lhs = s1 = s3 = 0.0
+    s2 = 0j
+    for e in e_r:
+        if mobius(e) == 0:
+            continue
+        ns = [(n, an) for n, an in alphas if math.gcd(n, e) == 1]
         for q, wq in qs:
             for d in ds:
                 qd = q * d
                 qde = qd * e
-                phis = {}
-                rs_e = [r for r in r_r if math.gcd(r, a * e) == 1]
-                ns_e = [n for n in n_r if math.gcd(n, e) == 1]
+                lams = [
+                    (r, lr, euler_phi(qd * r * e))
+                    for r in r_r
+                    if math.gcd(r, a * e) == 1 and (lr := inst.lam.get((q, d, r), 0j)) != 0j
+                ]
+                # lhs: the opened square over (m, b)
                 for m, wm in ms:
                     if math.gcd(m, qd) != 1:
                         continue
-                    am = a * pow(m, -1, qd) % qd
-                    for b in range(qde):
-                        if b % qd != am or math.gcd(b, qde) != 1:
+                    for b in range(a * pow(m, -1, qd) % qd, qde, qd):
+                        if math.gcd(b, qde) != 1:
                             continue
                         inner = 0j
-                        for r in rs_e:
-                            lqdr = lam(q, d, r)
-                            if lqdr == 0j:
-                                continue
+                        for r, lr, phi_qdre in lams:
                             qdr = qd * r
-                            phi_qdre = phis.get(r)
-                            if phi_qdre is None:
-                                phi_qdre = euler_phi(qdr * e)
-                                phis[r] = phi_qdre
-                            for n in ns_e:
-                                an = alpha(n)
-                                if an == 0j:
-                                    continue
+                            for n, an in ns:
                                 ind = (
                                     1.0
                                     if (m * n - a) % qdr == 0 and (n - b) % qde == 0
                                     else 0.0
                                 )
-                                cop = (
-                                    1.0 / phi_qdre
-                                    if math.gcd(m * n, qdr) == 1
-                                    else 0.0
-                                )
-                                inner += lqdr * an * (ind - cop)
+                                cop = 1.0 / phi_qdre if math.gcd(m * n, qdr) == 1 else 0.0
+                                inner += lr * an * (ind - cop)
                         lhs += wq * wm * abs(inner) ** 2
-    # ---------------- s1, s2, s3 ------------------------------------------
-    s1 = 0.0
-    s2 = 0j
-    s3 = 0.0
-    for e in es:
-        for q, wq in qs:
-            for d in ds:
-                qd = q * d
-                qde = qd * e
+                # s1, s2, s3: the b-sum done on the three indicator products
                 phi_qde = euler_phi(qde)
                 phi_qd = euler_phi(qd)
-                rs_e = [r for r in r_r if math.gcd(r, a * e) == 1]
-                ns_e = [n for n in n_r if math.gcd(n, e) == 1]
-                for r1 in rs_e:
-                    l1 = lam(q, d, r1)
-                    if l1 == 0j:
-                        continue
-                    for r2 in rs_e:
-                        l2 = lam(q, d, r2)
-                        if l2 == 0j:
-                            continue
+                for r1, l1, phi1 in lams:
+                    for r2, l2, phi2 in lams:
                         w_l = l1 * np.conj(l2)
-                        phi1 = euler_phi(qd * r1 * e)
-                        phi2 = euler_phi(qd * r2 * e)
                         # m-sums shared by all (n1, n2) pairs
                         m_cop = 0.0  # (m, q d r1 r2) = 1
                         for m, wm in ms:
                             if math.gcd(m, qd * r1 * r2) == 1:
                                 m_cop += wm
-                        for n1 in ns_e:
-                            a1 = alpha(n1)
-                            if a1 == 0j or math.gcd(n1, qd * r1 * e) != 1:
+                        for n1, a1 in ns:
+                            if math.gcd(n1, qd * r1 * e) != 1:
                                 continue
-                            for n2 in ns_e:
-                                a2 = alpha(n2)
-                                if a2 == 0j or math.gcd(n2, qd * r2 * e) != 1:
+                            for n2, a2 in ns:
+                                if math.gcd(n2, qd * r2 * e) != 1:
                                     continue
-                                w_a = a1 * np.conj(a2)
-                                base = wq * w_l * w_a
-                                # S1 term
-                                s1 += (
-                                    base
-                                    * phi_qde
-                                    / (phi_qd * phi1 * phi2)
-                                    * m_cop
-                                ).real
+                                base = wq * w_l * (a1 * np.conj(a2))
+                                s1 += (base * phi_qde / (phi_qd * phi1 * phi2) * m_cop).real
                                 # S2 term: m n1 = a mod q d r1, (m, r2) = 1
                                 m_s2 = 0.0
                                 # S3 term: both congruences, n1 = n2 mod qde
@@ -223,25 +180,17 @@ def fixed_seed_instances(count: int = 10, seed: int = 0) -> list[DispersionInsta
     while len(out) < count:
         # odd residues and odd-capable r/n ranges keep the coprimality
         # filters against e = 2 from emptying the sums
-        a = 2 * rng.in_range(0, 3) + 1
-        E = 1
-        Q = rng.in_range(2, 4)
-        D = 1
-        R = rng.in_range(2, 3)
-        N = rng.in_range(5, 9)
-        M = rng.in_range(6, 12)
-        alpha = {}
-        for n in range(N + 1, 2 * N + 1):
-            alpha[n] = complex(rng.in_range(-3, 3), rng.in_range(-3, 3))
-        lam = {}
-        for q in range(max(1, math.floor(Q / 2)), math.ceil(5 * Q / 2) + 1):
-            for d in range(D + 1, 2 * D + 1):
-                for r in range(R + 1, 2 * R + 1):
-                    lam[(q, d, r)] = complex(rng.in_range(-2, 2), rng.in_range(-2, 2))
         inst = DispersionInstance(
-            a=a, E=E, Q=Q, D=D, R=R, N=N, M=M, alpha=alpha, lam=lam
+            a=2 * rng.in_range(0, 3) + 1, E=1, Q=rng.in_range(2, 4), D=1,
+            R=rng.in_range(2, 3), N=rng.in_range(5, 9), M=rng.in_range(6, 12),
+            alpha={}, lam={},
         )
-        live_r = any(math.gcd(r, 2 * a) == 1 for r in range(R + 1, 2 * R + 1))
+        _, q_r, d_r, r_r, n_r, _ = inst.ranges()
+        for n in n_r:
+            inst.alpha[n] = complex(rng.in_range(-3, 3), rng.in_range(-3, 3))
+        for key in itertools.product(q_r, d_r, r_r):
+            inst.lam[key] = complex(rng.in_range(-2, 2), rng.in_range(-2, 2))
+        live_r = any(math.gcd(r, 2 * inst.a) == 1 for r in r_r)
         if live_r and _work_estimate(inst) <= 10**7:
             out.append(inst)
     return out

@@ -41,6 +41,3 @@ class SplitMix64:
 
     def unit(self) -> float:
         return self.next_u64() / 2**64
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

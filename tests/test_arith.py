@@ -47,7 +47,7 @@ class TestFactorize:
         assert f.factors == ((1000003, 1), (1000033, 1))
 
     @given(st.integers(min_value=1, max_value=10**12))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_product_reconstructs(self, n):
         f = factorize(n)
         prod = 1
@@ -195,7 +195,7 @@ class TestBezout:
         st.integers(min_value=1, max_value=300),
         st.integers(min_value=1, max_value=300),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_bezout_identity_property(self, a, q1, q2):
         if math.gcd(q1, q2) != 1:
             return
