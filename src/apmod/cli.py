@@ -7,12 +7,19 @@ byte-identical CSV after dropping comment lines.  Exit codes: 0 success with
 all assertions passing, 1 assertion failure (witness rows are still emitted),
 2 usage error.
 
+A row-per-modulus or row-per-prime body (``bv-scan``, ``moduli-set``,
+``sieve --list``) is written a column at a time by ``Output.rows``: each
+column of a chunk of rows is formatted in one pass and the chunk goes out in
+one write, byte for byte what the row-at-a-time ``csv.writer`` path writes
+for the same fields.  Rows that may need CSV quoting (witness rows) stay on
+``Output.row``.
+
 ``COMMANDS`` is the whole surface: one row per subcommand with its help, its
 handler and its flags, each flag with its type, default, help and accepted
 range, which ``--help`` prints.  ``main`` builds the parser of the chosen
-subcommand only, and checks every numeric flag against its range before the
-handler runs, so a value outside it (NaN included) exits 2 with one line.
-Bounds worked out from two flags stay in the handlers.
+subcommand only, once per process, and checks every numeric flag against its
+range before the handler runs, so a value outside it (NaN included) exits 2
+with one line.  Bounds worked out from two flags stay in the handlers.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +89,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# Output.rows formats this many rows at a time, so a family of FAMILY_MAX
+# moduli never holds all its Python scalars and strings at once
+ROWS_CHUNK = 1 << 12
+_COLUMN = (np.ndarray, list)
+
+
+def _cells(col) -> list[str]:
+    """``_fmt`` of each entry of one column chunk, by one rule where all share a type."""
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    kinds = set(map(type, col))
+    if kinds <= {int, str}:
+        return list(map(str, col))
+    if kinds == {float}:
+        return [f"{v:.12g}" for v in col]
+    return [_fmt(v) for v in col]
+
+
 class Output:
     """CSV rows to ``path`` or stdout, opened at the first row.
 
@@ -104,6 +130,29 @@ class Output:
         self._open()
         self.writer.writerow([_fmt(v) for v in vals])
 
+    def rows(self, *cols):
+        """One CSV row per index across equal-length columns, ROWS_CHUNK rows per write.
+
+        A column is a numpy array or a list; any other argument is a scalar
+        that repeats in every row, formatted once.  Each chunk of a column is
+        formatted by ``_fmt``'s rules in one pass, and each chunk of rows is
+        joined and written with one ``fh.write``.  That is byte for byte what
+        ``row`` writes as long as ``csv.writer`` would quote no field: no
+        field may hold a comma, a quote or a line break, and no row may be
+        one empty field.  Numbers never do, nor do the callers' str fields:
+        ``n/d``, and ``yes`` or an empty flag among four fields.
+        """
+        self._open()
+        lengths = {len(c) for c in cols if isinstance(c, _COLUMN)}
+        if len(lengths) != 1:
+            raise ValueError(f"Output.rows needs columns of one length, got {sorted(lengths)}")
+        (n,) = lengths
+        fixed = [None if isinstance(c, _COLUMN) else _fmt(c) for c in cols]
+        for i in range(0, n, ROWS_CHUNK):
+            j = min(i + ROWS_CHUNK, n)
+            cells = [_cells(c[i:j]) if f is None else [f] * (j - i) for c, f in zip(cols, fixed)]
+            self.fh.write("".join(map("{}\n".format, map(",".join, zip(*cells)))))
+
     def note(self, text: str):
         """A ``#`` diagnostic line, outside the CSV body."""
         self._open()
@@ -112,16 +161,6 @@ class Output:
     def close(self):
         if self.path and self.fh is not None:
             self.fh.close()
-
-
-def _rows(*cols: np.ndarray):
-    """Rows of Python scalars across equal-length columns, 2^16 at a time.
-
-    Converting a chunk, not a whole column, keeps the Python objects of a
-    family of FAMILY_MAX moduli from being held at once.
-    """
-    for i in range(0, len(cols[0]), 1 << 16):
-        yield from zip(*(c[i : i + (1 << 16)].tolist() for c in cols))
 
 
 def _at_most(label: str, value, hi) -> None:
@@ -149,8 +188,9 @@ PAIRS_MAX = 40_000**2
 # range.  The residue meets the moduli in np.gcd, so it fits int64 too.
 RESIDUE = ("--a", int, 1, "residue class", (-(2**63 - 1), 2**63 - 1))
 # each moduli-set family (dyadic qhi - qlo, divisor-window x^(1/2+delta),
-# box q1 * q2) peaks at 47, 50 and 61 MB at this many moduli, in 1.7 to 2.1,
-# 3.7 to 4.1 and 2.3 to 4.0 s (2 vCPUs, Intel Xeon)
+# box q1 * q2) peaks at 47, 48 and 56 MB at this many moduli, in 0.5 to 0.6,
+# 0.5 to 0.8 and 0.9 to 1.1 s (2 vCPUs, Intel Xeon; divisor-window at
+# x = 581707992331, delta = 0.01)
 FAMILY_MAX = 10**6
 # verify weil sums about 0.3 * c-max^2 * trials Kloosterman terms at about
 # 20 ns each, in one kloosterman call per modulus: at this cap 3.6 s and
@@ -169,7 +209,8 @@ GROUPS = {"expsum": "evaluate one exponential sum", "verify": "run a verificatio
 COMMANDS = [
     (("sieve",), "primes in a range (lo, hi]", "cmd_sieve", (
         ("--lo", int, 0, "lower bound, exclusive", (-1, INF)),
-        # keeps the base primes (<= sqrt(hi)) under 1 MB
+        # keeps the base primes (<= sqrt(hi)) under 1 MB as int64; a block holds
+        # their start offsets as Python ints too, 6 MB more at the cap
         ("--hi", int, REQUIRED, "upper bound, inclusive", (-INF, 10**12)),
         ("--list", bool, False, "emit one row per prime"),
     )),
@@ -291,8 +332,10 @@ COMMANDS = [
 
 
 def cmd_sieve(args, out: Output) -> int:
-    # --list holds the primes of (lo, hi]: 83 MB peak at [0, 1e8]; the summary
-    # alone reads one segment at a time (36 MB)
+    # --list holds the primes of (lo, hi] and writes them a segment at a time:
+    # at the 1e8 width cap 2.6-2.8 s and 78 MB from 0, 3.3-4.1 s and 73 MB
+    # just below 1e12; the summary alone reads one segment at a time (37 MB
+    # and 0.4 s from 0, 42 MB and 2.0 s below 1e12; 2 vCPUs, Intel Xeon)
     _at_most("--hi minus --lo", args.hi - args.lo, 10**8)
     if args.lo > args.hi:
         raise ValueError(f"reversed range ({args.lo}, {args.hi}]")
@@ -311,24 +354,29 @@ def cmd_sieve(args, out: Output) -> int:
     if args.list:
         out.row("p")
         for seg in segments:
-            for p in seg.tolist():
-                out.row(p)
+            out.rows(seg)
     return 0
 
 
 def cmd_bv_scan(args, out: Output) -> int:
-    # one row per modulus.  At x = 1000, 1e5 moduli from 1 take 42 MB and 1.6 s, near 2e9
-    # 58 MB and 2.6 s, just below Q_MAX 59 MB and 51 s (factorize on the cofactors), and
-    # 1e6 from 1 (bv_aggregate alone) 96 MB and 9 s (2 vCPUs, Intel Xeon)
+    # one row per modulus.  At x = 1000, 1e5 moduli from 1 take 43 MB and 1.3-1.8 s, near
+    # 2e9 59 MB and 2.3-2.4 s, just below Q_MAX 58 MB and 53-56 s (factorize on the
+    # cofactors), and 1e6 from 1 (bv_aggregate alone) 96 MB and 9 s (2 vCPUs, Intel Xeon)
     _at_most("--qhi minus --qlo", args.qhi - args.qlo, 10**5)
     qs = dyadic_family(args.qlo, args.qhi, args.a)
     pix, counts, phis, total = bv_aggregate(args.x, args.a, qs)
     out.row("x", "q", "a", "pi_ap", "expected", "delta", "norm_delta")
     norm = []
-    for q, cnt, phi in _rows(qs, counts, phis):
-        delta = abs(cnt * phi - pix) / phi
-        norm.append(delta * phi / pix)
-        out.row(args.x, q, args.a % q, cnt, Fraction(pix, phi), delta, norm[-1])
+    # one Output.rows call per chunk, so no other column is held whole
+    for i in range(0, len(qs), ROWS_CHUNK):
+        q, cnt, phi = (c[i : i + ROWS_CHUNK] for c in (qs, counts, phis))
+        g = np.gcd(phi, pix)  # pi(x)/phi(q) in lowest terms, as Fraction writes it
+        expected = list(map("{}/{}".format, (pix // g).tolist(), (phi // g).tolist()))
+        phi_ints = phi.tolist()
+        delta = [abs(c * f - pix) / f for c, f in zip(cnt.tolist(), phi_ints)]  # Python ints
+        norm_delta = [d * f / pix for d, f in zip(delta, phi_ints)]
+        norm += norm_delta
+        out.rows(args.x, q, args.a % q, cnt, expected, delta, norm_delta)
     out.row("total", float(total), "", "", "", "", "")
     if norm:
         out.row("mean_norm_delta", math.fsum(norm) / len(norm), "", "", "", "", "")
@@ -344,8 +392,7 @@ def cmd_moduli_set(args, out: Output) -> int:
         out.row("q1", "q2", "q")
         for name, ok in constraints.items():
             out.row("constraint", name, "holds" if ok else "violated")
-        for row in _rows(q1, q2, q1 * q2):
-            out.row(*row)
+        out.rows(q1, q2, q1 * q2)
     elif args.kind == "divisor-window":
         # both before x^(1/2+delta) is formed
         _at_most("--x", args.x, 10**30)
@@ -356,14 +403,12 @@ def cmd_moduli_set(args, out: Output) -> int:
         is_flagged = np.isin(members, flagged)
         out.note(f"flagged non-members (no row): {len(flagged) - np.count_nonzero(is_flagged)}")
         out.row("q", "window_lo", "window_hi", "flagged")
-        for q, f in _rows(members, is_flagged):
-            out.row(q, lo, hi, "yes" if f else "")
+        out.rows(members, lo, hi, np.where(is_flagged, "yes", ""))
     else:
         _at_most("--qhi minus --qlo", args.qhi - args.qlo, FAMILY_MAX)
         qs = dyadic_family(args.qlo, args.qhi, args.a)
         out.row("q")
-        for row in _rows(qs):
-            out.row(*row)
+        out.rows(qs)
     return 0
 
 
@@ -584,8 +629,13 @@ def cmd_omega(args, out: Output) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
-    """The parser of every ``COMMANDS`` row whose path starts with ``path``."""
+    """The parser of every ``COMMANDS`` row whose path starts with ``path``.
+
+    Built once per path and process: ``parse_args`` does not change a parser,
+    so every ``main`` on that path shares it.
+    """
     fmt = argparse.ArgumentDefaultsHelpFormatter
     ap = argparse.ArgumentParser(prog="apmod", formatter_class=fmt, description=(
         "Desk-scale prime-discrepancy, sieve-identity and exponential-sum toolkit"))

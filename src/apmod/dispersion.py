@@ -65,15 +65,18 @@ class DispersionResult:
 
 
 def _work_estimate(inst: DispersionInstance) -> int:
+    """Loop steps of ``dispersion_expand``'s walk, an upper bound.
+
+    Per (e, q, d): the opened square visits e residues b for each m, and sums
+    over the (r, n) pairs at each; the dispersion sums visit the m for each
+    (r1, r2) and for each (r1, r2, n1, n2).  Every loop level counts a step
+    even when the level below it is empty, so an instance with no r or no n
+    still pays for its (e, q, d, m, b) walk.
+    """
     e_r, q_r, d_r, r_r, n_r, m_r = inst.ranges()
-    return (
-        len(e_r)
-        * len(q_r)
-        * len(d_r)
-        * len(r_r) ** 2
-        * len(n_r) ** 2
-        * max(len(m_r), 1)
-    )
+    r, n, m = len(r_r), len(n_r), len(m_r)
+    per_eqd = 1 + r + m + r * r * (1 + m + n * (1 + n * (1 + m)))
+    return len(q_r) * len(d_r) * (len(e_r) * per_eqd + sum(e_r) * m * (1 + r * n))
 
 
 def dispersion_expand(inst: DispersionInstance) -> DispersionResult:
@@ -94,7 +97,7 @@ def dispersion_expand(inst: DispersionInstance) -> DispersionResult:
     if any(t > 30 for t in (inst.E, inst.Q, inst.D, inst.R, inst.N, inst.M)):
         raise ValueError("instance ranges must all be <= 30")
     if _work_estimate(inst) > 10**8:
-        raise ValueError("instance too large for brute force (> 1e8 terms)")
+        raise ValueError("instance too large for brute force (> 1e8 loop steps)")
     a = inst.a
     e_r, q_r, d_r, r_r, n_r, m_r = inst.ranges()
     qs = [(q, w) for q in q_r if math.gcd(q, a) == 1 and (w := psi0_eval(q / inst.Q)) != 0.0]

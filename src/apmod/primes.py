@@ -37,25 +37,24 @@ SEGMENT = 1 << 20
 LPF_SENTINEL = 2**31 - 1
 
 
-def _odd_sieve_block(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """Boolean primality of odd numbers lo, lo+2, ..., < hi (lo odd, lo >= 1).
+def _odd_sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Boolean primality of odd numbers lo, lo+2, ..., < hi (lo odd, 1 <= lo < hi <= 2**62).
 
-    ``base`` holds every prime <= isqrt(hi - 1).  With lo = 1 the entry for 1
-    comes out True; the caller clears it.
+    ``base`` holds the odd primes <= isqrt(hi - 1) in an int64 array, maybe
+    more.  Each one's first odd multiple in the block, at least p^2, comes
+    from one numpy step; with hi <= 2**62 every such multiple, below hi + 2p,
+    fits int64.  Every caller stays far below that bound: ``sieve --hi`` is
+    capped at 1e12.  With lo = 1 the entry for 1 comes out True; the caller
+    clears it.
     """
-    size = (hi - lo + 1) // 2
-    mask = np.ones(size, dtype=bool)
-    for p in base:
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        mask[(start - lo) // 2 :: p] = False
+    if hi > 1 << 62:
+        raise ValueError(f"sieve block end {hi} above 2**62")
+    mask = np.ones((hi - lo + 1) // 2, dtype=bool)
+    ps = base[: np.searchsorted(base, math.isqrt(hi - 1), side="right")]
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    start += ps * (start % 2 == 0)  # the next multiple, odd
+    for p, i in zip(ps.tolist(), ((start - lo) // 2).tolist()):
+        mask[i::p] = False  # empty once the multiple passes hi
     return mask
 
 
@@ -63,13 +62,14 @@ def _odd_blocks(lo: int, hi: int):
     """(start, mask) per SEGMENT of odd numbers in [lo, hi], lo odd and >= 1.
 
     mask[i] is the primality of start + 2i, sieved by ``_odd_sieve_block``
-    from the primes <= isqrt(hi); with lo = 1 the caller clears the entry for
-    1.  One SEGMENT-byte mask is alive at a time.  The base primes are listed
-    only for a nonempty range, which ends the recursion through primes_in.
+    from the odd primes <= isqrt(hi); with lo = 1 the caller clears the
+    entry for 1.  One SEGMENT-byte mask is alive at a time.  The base primes
+    are listed only for a nonempty range, which ends the recursion through
+    primes_in.
     """
     if lo > hi:
         return
-    base = primes_in(0, math.isqrt(hi))
+    base = np.array(primes_in(0, math.isqrt(hi))[1:], dtype=np.int64)
     while lo <= hi:
         top = min(lo + 2 * SEGMENT, hi + 1)
         yield lo, _odd_sieve_block(lo, top, base)

@@ -1,18 +1,20 @@
 import argparse
 import hashlib
 import math
+from fractions import Fraction
 import os
 import resource
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from apmod import cli
-from apmod.cli import build_parser, main
+from apmod.cli import Output, build_parser, main
 from apmod.expsums import SweepReport
 from apmod.primes import pi, primes_in
 from apmod.progressions import divisor_window_family
@@ -586,6 +588,37 @@ class TestOutputs:
         assert code == 0
         assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,digest", [
+        (["moduli-set", "--kind", "box", "--x", "1000000", "--q1", "30", "--q2", "40", "--a", "1"],
+         "f140129c5210944cda3583b56d05a61d039862295ccc558a59d72d4857fcf049"),
+        (["moduli-set", "--kind", "box", "--x", "1000000", "--q1", "30", "--q2", "40",
+          "--a", "-7"],
+         "a561ab2dcfef6447638d196c49cbb3643d6110ada8efa23f03a546432da18765"),
+        (["moduli-set", "--kind", "divisor-window", "--x", "1000000", "--delta", "0.01",
+          "--a", "1"],
+         "a1439dbd966fce069672d643d710e3c73248e6a79105bb55d175642a0bf5bdf5"),
+        (["moduli-set", "--kind", "divisor-window", "--x", "4294967296", "--delta", "0.005",
+          "--eta", "0.021249999999999995", "--a", "1"],
+         "27d0ffec6dee40fba45cb51455dfee1ac029a1b4f54ee822665172fadc2191f0"),
+        (["moduli-set", "--kind", "dyadic", "--x", "1", "--qlo", "100", "--qhi", "5000",
+          "--a", "1"],
+         "612e96ed79465458bbf0aa845aec668370be26a0f30edfc2c5f2cfdd68c6c5d0"),
+        (["bv-scan", "--x", "1000000", "--qlo", "64", "--qhi", "127", "--a", "1"],
+         "ce5634ffbab718e3038e36823f6c48e5767f8b39d4fcb92402ad7a5eb322d7e5"),
+        (["bv-scan", "--x", "1000000", "--qlo", "64", "--qhi", "127", "--a", "-5"],
+         "ba4e44e454d660b6862902215b176a29f6af3d0381b5d55479553c3407db5a22"),
+        (["sieve", "--lo", "1000000", "--hi", "1100000", "--list"],
+         "f8aa92708f825909e4995138942b9100fd44379eb7ede448b68aad90d249b10b"),
+    ])
+    def test_family_body(self, args, digest, tmp_path):
+        # SHA-256 of the row-per-modulus and row-per-prime bodies written by
+        # Output.rows, captured from the csv.writer loop, row by row; the second
+        # divisor-window case flags 12,204 of its 48,815 moduli
+        code, text = run_cli(args, tmp_path)
+        assert code == 0
+        body = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
     def test_moduli_set_window(self, tmp_path):
         code, text = run_cli(
             ["moduli-set", "--kind", "divisor-window", "--x", "100000",
@@ -681,6 +714,106 @@ class TestOutputs:
         assert proc.returncode == 0
         for flag in ("--x", "--qlo", "--qhi", "--a", "--out"):
             assert flag in proc.stdout
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308]),
+)
+_BIG_INTS = st.integers(-(2**70), 2**70)
+_FRACTIONS = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20))
+_FLAGS = st.sampled_from(["", "yes"])
+_SCALARS = st.one_of(_BIG_INTS, _FLOATS, _FRACTIONS, _FLAGS)
+
+
+def _columns(n):
+    """A column of n cells of one kind, as Output.rows takes it, or a scalar."""
+    int64 = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64))
+    lists = [st.lists(k, min_size=n, max_size=n)
+             for k in (_BIG_INTS, _FLOATS, _FRACTIONS, _FLAGS, _SCALARS)]
+    return st.one_of(int64, *lists, _SCALARS)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 40))
+    cols = draw(st.lists(_columns(n), min_size=1, max_size=6))
+    if all(not isinstance(c, (list, np.ndarray)) for c in cols):
+        cols[0] = [cols[0]] * n
+    if len(cols) == 1 and "" in list(cols[0]):  # csv.writer quotes a lone empty field
+        cols[0] = ["yes" if v == "" else v for v in cols[0]]
+    return n, cols
+
+
+class TestColumnarRows:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_tables())
+    def test_rows_writes_what_row_writes(self, table, tmp_path):
+        n, cols = table
+        by_row, by_col = Output(str(tmp_path / "row.csv"), "t", 0), Output(
+            str(tmp_path / "rows.csv"), "t", 0)
+        for i in range(n):
+            by_row.row(*(c[i] if isinstance(c, (list, np.ndarray)) else c for c in cols))
+        by_row.row("end")
+        by_col.rows(*cols)
+        by_col.row("end")
+        by_row.close()
+        by_col.close()
+        body = [(tmp_path / f).read_text().split("\n", 1)[1] for f in ("row.csv", "rows.csv")]
+        assert body[0] == body[1]
+
+    def test_chunks_join_across_the_chunk_size(self, tmp_path):
+        n = 2 * cli.ROWS_CHUNK + 3
+        out = Output(str(tmp_path / "rows.csv"), "t", 0)
+        flags = ["yes" if i % 3 else "" for i in range(n)]
+        out.rows(np.arange(n, dtype=np.int64), 0.5, flags)
+        out.close()
+        lines = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+        assert lines == [f"{i},0.5,{f}" for i, f in enumerate(flags)]
+
+    @pytest.mark.parametrize("cols", [([1, 2], [1]), (1, 2)])
+    def test_columns_of_unequal_or_no_length_are_refused(self, cols, tmp_path):
+        out = Output(str(tmp_path / "rows.csv"), "t", 0)
+        with pytest.raises(ValueError, match="one length"):
+            out.rows(*cols)
+        out.close()
+
+
+class TestParserCache:
+    def test_second_main_reads_the_default_of_an_omitted_flag(self, tmp_path):
+        dyadic = ["moduli-set", "--kind", "dyadic", "--x", "1000"]
+        code, text = run_cli(dyadic + ["--qlo", "10", "--qhi", "12"], tmp_path, "first.csv")
+        assert code == 0 and strip_comments(text).splitlines() == ["q", "10", "11", "12"]
+        code, text = run_cli(dyadic, tmp_path, "second.csv")  # --qlo 100 --qhi 200
+        assert code == 0
+        assert strip_comments(text).splitlines() == ["q"] + [str(q) for q in range(100, 201)]
+        assert build_parser(("moduli-set",)) is build_parser(("moduli-set",))
+
+    @pytest.mark.parametrize("argv,last", [
+        (["bv-scan", "--x", "100"],
+         "apmod bv-scan: error: the following arguments are required: --qlo, --qhi"),
+        (["bv-scan", "--x", "ten", "--qlo", "1", "--qhi", "2"],
+         "apmod bv-scan: error: argument --x: invalid int value: 'ten'"),
+        (["moduli-set", "--kind", "boxes", "--x", "1"],
+         "apmod moduli-set: error: argument --kind: invalid choice: 'boxes' "
+         "(choose from 'box', 'divisor-window', 'dyadic')"),
+        (["no-such-command"],
+         "apmod: error: argument command: invalid choice: 'no-such-command' (choose from "
+         "'sieve', 'bv-scan', 'moduli-set', 'expsum', 'verify', 'decomp', 'dispersion-demo', "
+         "'completion-demo', 'omega')"),
+    ])
+    def test_usage_errors_repeat_exactly(self, argv, last, capsys):
+        # the error lines as the parser built afresh per call wrote them
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("usage: apmod")
+        assert errs[0].splitlines()[-1] == last
 
 
 def _leaf_parsers(parser, path=()):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,17 @@ class TestDispersionExpand:
         )
         with pytest.raises(ValueError):
             dispersion_expand(big)
+
+    def test_empty_r_and_n_still_count_the_walk(self):
+        # no (r, n) term at all, but the (e, q, d, m, b) walk alone ran 9.6 s
+        # when the estimate left it out and read 0
+        walk_only = DispersionInstance(
+            a=1, E=30, Q=30, D=30, R=0, N=0, M=30, alpha={}, lam={}
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            dispersion_expand(walk_only)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_range_cap(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from apmod.buchstab import STEP, buchstab_omega, solve_buchstab
 from apmod.primes import (
     LPF_SENTINEL,
     SEGMENT,
+    _odd_sieve_block,
     arith_window,
     least_prime_factor_table,
     pi,
@@ -102,6 +103,45 @@ class TestPrimesIn:
             got = primes_in(lo, hi)
             want = [n for n in range(lo + 1, hi + 1) if _is_prime_fast(n)]
             assert got == want
+
+
+def _py_window_primes(lo: int, hi: int) -> list[int]:
+    """Reference: primes in [lo, hi] by a pure-Python segmented sieve, no numpy."""
+    root = math.isqrt(hi)
+    small = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for p in range(2, root + 1):
+        if small[p]:
+            small[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+            start = max(p * p, -(-lo // p) * p) - lo
+            window[start::p] = bytes(len(range(start, hi - lo + 1, p)))
+    return [lo + i for i, v in enumerate(window) if v and lo + i >= 2]
+
+
+class TestSieveBlockStarts:
+    """Each base prime's first multiple in a block, against a pure-Python sieve."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 1009, 65521, 999983])
+    def test_window_from_a_prime_square(self, p):
+        # lo = p^2 is the first multiple p strikes; hi = p^2 needs p in the
+        # base, which p^2 >= hi would drop
+        lo = p * p
+        for hi in (lo, lo + 1, lo + 2 * p + 1, lo + 1000):
+            assert primes_in(lo - 1, hi) == _py_window_primes(lo, hi)
+        assert primes_in(lo - 2, lo) == _py_window_primes(lo - 1, lo)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (10**12 - 3000, 10**12),  # the sieve --hi cap
+        (999983**2 - 1000, 999983**2 + 1000),  # the largest base prime below 1e6, squared
+        (2 * SEGMENT * 10**5 - 500, 2 * SEGMENT * 10**5 + 500),
+    ])
+    def test_windows_near_1e12(self, lo, hi):
+        assert primes_in(lo - 1, hi) == _py_window_primes(lo, hi)
+
+    def test_block_end_above_2_to_62_is_refused(self):
+        # p^2 and the first multiple at or above lo stay in int64 below it
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            _odd_sieve_block(2**62 - 1, 2**62 + 1, np.array([3], dtype=np.int64))
 
 
 def _eratosthenes(n: int) -> np.ndarray:
