@@ -170,16 +170,14 @@ def _window_batches(lo: np.ndarray, hi: np.ndarray):
         yield t, shift[t] + np.arange(s, e)
 
 
-# A window goes to the strided path when each SEGMENT chunk of it holds at
-# least _WIDE + _PER_CLASS * c integers, c = 1 + 2^omega(q) strided counts.
-# A strided chunk costs about 4 us plus 0.65 us per count (one count_nonzero
-# each), a gathered integer 20 to 30 ns; the measured crossover width runs
-# from about 150 at q = 1 (c = 2) to 400 at q = 30 (c = 9), 1100 at q = 2310
-# (c = 33) and 1600 at q = 30030 (c = 65).  The 101 calls of a
-# sieve-identities round take 77 ms at 256 + 32c, 87 to 95 ms at 1024 + 48c
-# (2 vCPUs, Intel Xeon).
+# A window goes to the strided path when it holds at least _WIDE integers,
+# whatever omega(q).  A strided window costs about 3 us, plus up to 3 us for
+# striking the primes of q when b <= P^+(q) (q = 30030); a gathered integer
+# 8 to 37 ns.  At width 256 the strided path is within 1.1 us of the gather
+# or faster, for q from 1 to 30030 and b on either side of P^+(q); the 101
+# calls of a sieve-identities round take 45 ms at 128 to 384, 47 at 512 and
+# 53 at 1024 (2 vCPUs, Intel Xeon).
 _WIDE = 1 << 8
-_PER_CLASS = 32
 
 
 def s_values(
@@ -195,17 +193,17 @@ def s_values(
 
     Returns (in_class, coprime, total): int64 arrays with one entry per term
     and their sum as an exact SValue.  The threshold becomes an integer bound
-    on the least prime factor by lpf_bound.  As (a, q) = 1, a term with
+    b on the least prime factor by lpf_bound.  As (a, q) = 1, a term with
     (d, q) > 1 counts 0 twice and reads nothing; otherwise d*n = a mod q is
-    n = r := a * inv(d) mod q, and (d*n, q) = 1 is (n, q) = 1.  A wide window
-    is read as slices of the shared LPF table, one SEGMENT at a time: its
-    survivors with n = r mod q are one strided count_nonzero, and those
-    coprime to q are sum mu(e) * #{e | n} over the squarefree divisors e of
-    q, 2^omega(q) more.  The narrow windows are read through _window_batches;
-    in each batch the survivors with n % q == r, and those with gcd(n, q) = 1,
-    are counted per term by bincount.  Memory: the LPF table, grown to the
-    largest window end (4 bytes per entry), plus O(SEGMENT) per chunk or
-    batch and O(len(terms) + 2^omega(q)); nothing is sized by q.
+    n = r := a * inv(d) mod q, and (d*n, q) = 1 is (n, q) = 1.  If b >
+    P^+(q), every survivor is coprime to q, as a prime p | q dividing n gives
+    P^-(n) <= p <= P^+(q) < b; only terms with b <= P^+(q) strike the
+    multiples of the primes of q.  A window of _WIDE integers or more is read
+    as slices of the shared LPF table, one SEGMENT at a time, its survivors
+    with n = r mod q by one strided count; narrower ones are read through
+    _window_batches and counted per term by bincount.  Memory: the LPF table,
+    grown to the largest window end (4 bytes per entry), plus O(SEGMENT) per
+    chunk or batch and O(len(terms) + omega(q)); nothing is sized by q.
     """
     q = q1 * q2
     if q < 1:
@@ -213,35 +211,42 @@ def s_values(
     if math.gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
     fq = factorize(q)
-    mu_divs = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of q
-    for p, _ in fq.factors:
-        mu_divs += [(e * p, -m) for e, m in mu_divs]
-    in_class = np.zeros(len(terms), dtype=np.int64)
-    coprime = np.zeros(len(terms), dtype=np.int64)
-    wide, narrow = [], []  # (term index, r, lo, hi, least allowed P^-(n))
-    top = 0
-    for i, (d, z, inclusive) in enumerate(terms):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        lo, hi = x // d + 1, (2 * x) // d
-        bound = lpf_bound(z, inclusive)
-        if hi >= lo and math.gcd(d, q) == 1:
-            is_wide = min(hi - lo + 1, SEGMENT) >= _WIDE + _PER_CLASS * (1 + len(mu_divs))
-            (wide if is_wide else narrow).append((i, a * mod_inv(d, q) % q, lo, hi, bound))
-            top = max(top, hi)
-    lpf = least_prime_factor_table(top)
-    for i, r, lo, hi, bound in wide:
+    ps = [p for p, _ in fq.factors]
+    in_class, coprime = np.zeros((2, len(terms)), dtype=np.int64)
+    ds, zs, incs = zip(*terms) if len(terms) else ((), (), ())
+    if min(ds, default=1) < 1:
+        raise ValueError("d must be >= 1")
+    rule = {k: lpf_bound(*k) for k in set(zip(zs, incs))}
+    bs = np.array([rule[k] for k in zip(zs, incs)], dtype=np.int64)
+    fits = max(ds, default=0) < 1 << 63 and abs(x) < 1 << 62  # else exact Python ints
+    d = np.array(ds, dtype=np.int64 if fits else object)
+    los, his = x // d + 1, 2 * x // d
+    idx = np.flatnonzero((his >= los) & (np.gcd(d, q) == 1))
+    lpf = least_prime_factor_table(int(his[idx].max(initial=0)))
+    dq, inv = np.unique(d[idx] % q, return_inverse=True)
+    rs = np.array([a * mod_inv(int(v), q) % q for v in dq.tolist()], dtype=np.int64)[inv]
+    los, his, bs = los[idx].astype(np.int64), his[idx].astype(np.int64), bs[idx]
+    free = bs > max(ps, default=1)  # b > P^+(q): no survivor has a prime of q
+    wide = his - los + 1 >= _WIDE
+    for i, r, lo, hi, b, free_i in zip(*(c[wide].tolist() for c in (idx, rs, los, his, bs, free))):
         for k in range(lo, hi + 1, SEGMENT):
-            rough = lpf[k : min(k + SEGMENT, hi + 1)] >= bound
+            rough = lpf[k : min(k + SEGMENT, hi + 1)] >= b
             in_class[i] += np.count_nonzero(rough[(r - k) % q :: q])
-            coprime[i] += sum(m * np.count_nonzero(rough[-k % e :: e]) for e, m in mu_divs)
-    if narrow:
-        idx, rs, los, his, bounds = (np.array(col, dtype=np.int64) for col in zip(*narrow))
-        for t, n in _window_batches(los, his):
-            keep = lpf[n] >= bounds[t]
-            t, n = t[keep], n[keep]
-            in_class[idx] += np.bincount(t[n % q == rs[t]], minlength=len(idx))
-            coprime[idx] += np.bincount(t[np.gcd(n, q) == 1], minlength=len(idx))
+            if not free_i:  # strike the multiples of each prime of q
+                for p in ps:
+                    rough[-k % p :: p] = False
+            coprime[i] += np.count_nonzero(rough)
+    idx, rs, bs, free = idx[~wide], rs[~wide], bs[~wide], free[~wide]
+    for t, n in _window_batches(los[~wide], his[~wide]):
+        keep = lpf[n] >= bs[t]
+        t, n = t[keep], n[keep]
+        in_class[idx] += np.bincount(t[n % q == rs[t]], minlength=len(idx))
+        cop = free[t]
+        rest = np.flatnonzero(~cop)  # survivors that may share a prime with q
+        for p in ps:
+            rest = rest[n[rest] % p != 0]
+        cop[rest] = True
+        coprime[idx] += np.bincount(t[cop], minlength=len(idx))
     total = SValue(int(in_class.sum()), int(coprime.sum()), euler_phi(fq))
     return in_class, coprime, total
 

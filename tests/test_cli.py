@@ -589,6 +589,23 @@ class TestOutputs:
         assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("args,digest", [
+        (["decomp", "--x", "300000", "--q1", "5", "--q2", "2", "--a", "3"],
+         "c188e2b0ae14951d41de2f1033790191d07d8d4ffe217cec164d4936a5f045e7"),
+        (["verify", "buchstab", "--x", "1000000", "--trials", "20", "--seed", "5"],
+         "d51415e516fb6e5ce01818405a7f1f1917860e32fd37c1bd9b53d9cabdc81f9e"),
+        (["decomp", "--x", "200000", "--q1", "97", "--q2", "6", "--a", "5"],
+         "3e1f793937ec3a09f11e453d95a50bf7b9d042499682c8d651bd181f9a9f70b2"),
+    ])
+    def test_s_values_body(self, args, digest, tmp_path):
+        # SHA-256 of bodies on both sides of b = P^+(q): every term of the
+        # first has b = lpf_bound(z) > P^+(q), so its survivors are all
+        # coprime to q; the second has four wide terms with b <= P^+(q); the
+        # third, at q = 2 * 3 * 97, has such terms on both paths
+        code, text = run_cli(args, tmp_path)
+        assert code == 0
+        assert hashlib.sha256(strip_comments(text).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,digest", [
         (["moduli-set", "--kind", "box", "--x", "1000000", "--q1", "30", "--q2", "40", "--a", "1"],
          "f140129c5210944cda3583b56d05a61d039862295ccc558a59d72d4857fcf049"),
         (["moduli-set", "--kind", "box", "--x", "1000000", "--q1", "30", "--q2", "40",
@@ -618,6 +635,38 @@ class TestOutputs:
         assert code == 0
         body = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
         assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("side, n, value", [
+        ("+", 31, 2), ("+", 31, 0), ("-", 31, 0), ("-", 31, 2),  # rough for every z
+        ("+", 23, -1), ("-", 23, 1), ("-", 23, 0),  # rough for z = 10, 20, not 30
+        ("+", 12, -1), ("-", 12, 1), ("+", 12, 5),  # rough for no z
+    ])
+    def test_verify_fundlemma_verdicts(self, side, n, value, tmp_path, monkeypatch):
+        # one doctored sum: both verdicts as their definitions give them, per n
+        from apmod.identities import SieveWeights, fundamental_lemma_weights
+        from apmod.primes import least_prime_factor_table
+
+        sums = SieveWeights.sums_over_range
+
+        def doctored(self, n_max, s):
+            out = sums(self, n_max, s)
+            if s == side:
+                out[n] = value
+            return out
+
+        monkeypatch.setattr(SieveWeights, "sums_over_range", doctored)
+        code, text = run_cli(["verify", "fundlemma", "--n-max", "100"], tmp_path)
+        lpf, want = least_prime_factor_table(100), []
+        for z in (10, 20, 30):
+            for y in (100, 1000):
+                w = fundamental_lemma_weights(z, y)
+                sp, sm = w.sums_over_range(100, "+"), w.sums_over_range(100, "-")
+                rough = [m for m in range(1, 101) if lpf[m] > z]
+                v1 = all(sp[m] == sm[m] == 1 for m in rough)
+                v2 = all(sp[m] >= 0 >= sm[m] for m in range(1, 101) if m not in rough)
+                want.append(f"{z},{y},100,{v1},{v2},{'pass' if v1 and v2 else 'FAIL'}")
+        assert strip_comments(text).splitlines()[1:] == want
+        assert code == any(row.endswith("FAIL") for row in want)
 
     def test_moduli_set_window(self, tmp_path):
         code, text = run_cli(

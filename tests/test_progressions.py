@@ -14,7 +14,7 @@ from apmod.constants import (
 import apmod.primes
 import apmod.progressions
 from apmod.identities import ReductionSequences
-from apmod.primes import SEGMENT, pi, prime_bitmap, primes_in, rough_count
+from apmod.primes import SEGMENT, lpf_bound, pi, prime_bitmap, primes_in, rough_count
 from apmod.progressions import (
     _CHUNK,
     _ROW,
@@ -138,11 +138,9 @@ def _brute_s(x, d, z, inclusive, q, a):
     return in_class, coprime
 
 
-def _is_wide(x, d, q):
+def _is_wide(x, d):
     """Whether s_values reads the window (x/d, 2x/d] on its strided path."""
-    progs = apmod.progressions
-    counts = 1 + 2 ** len(factorize(q).factors)
-    return min(2 * x // d - x // d, SEGMENT) >= progs._WIDE + progs._PER_CLASS * counts
+    return 2 * x // d - x // d >= apmod.progressions._WIDE
 
 
 class TestSValuesOracle:
@@ -183,20 +181,21 @@ class TestSValuesOracle:
 
     def test_huge_modulus(self):
         # nothing on either path is sized by q = 2^6 5^6 101 9901: the d = 1
-        # windows are read by 1 + 2^4 strided counts, the d = 3 one gathered,
-        # by n % q and gcd(n, q); the prime 1009 is in the d = 1 windows
-        terms = [(1, 3, False), (3, 2, True), (1, 1e9, False)]
-        assert [_is_wide(1000, d, 10**6 * (10**6 + 1)) for d, _, _ in terms] == [True, False, True]
+        # windows are read by strided slices, the d = 5 one gathered, by n % q
+        # and n % p for the four primes p of q; the prime 1009 is in the d = 1
+        # windows
+        terms = [(1, 3, False), (5, 2, True), (1, 1e9, False)]
+        assert [_is_wide(1000, d) for d, _, _ in terms] == [True, False, True]
         for a in (7, 1009):
             self.check(1000, terms, 10**6, 10**6 + 1, a)
 
     @pytest.mark.parametrize("q1, q2", [(30, 1), (7, 12), (9, 10)])
     def test_three_prime_factors(self, q1, q2):
-        # 8 squarefree divisors in the coprime count; d = 1, 2 read wide
-        # windows, the rest narrow ones, and d sharing a prime with q adds 0
+        # three primes struck from the coprime count; d = 1, 2, 7, 11 read
+        # wide windows, the rest narrow ones, and d sharing a prime with q adds 0
         x, q = 3000, q1 * q2
         ds = (1, 2, 7, 11, 13, 40, 300)
-        assert [_is_wide(x, d, q) for d in ds] == [True, True] + [False] * 5
+        assert [_is_wide(x, d) for d in ds] == [True] * 4 + [False] * 3
         for a in (1, 11, q - 1):
             self.check(x, [(d, z, inc) for d in ds for z, inc in ((2, False), (5, True))],
                        q1, q2, a)
@@ -205,7 +204,7 @@ class TestSValuesOracle:
         # d*n = a mod q and (d*n, q) = 1 both need (d, q) = 1
         x, q1, q2 = 20_000, 6, 5
         terms = [(d, z, inc) for d in (2, 3, 5, 6, 10) for z, inc in ((1, False), (7, True))]
-        assert all(_is_wide(x, d, q1 * q2) for d, _, _ in terms)
+        assert all(_is_wide(x, d) for d, _, _ in terms)
         in_class, coprime, total = s_values(x, terms, q1, q2, 7)
         assert not in_class.any() and not coprime.any()
         assert total.triple() == (0, 0, 8)
@@ -215,19 +214,78 @@ class TestSValuesOracle:
     def test_tiny_moduli_on_the_wide_path(self, q1, q2, a):
         x = 2000
         terms = [(d, z, inc) for d in (1, 2, 3, 5) for z, inc in ((1, False), (3, True), (11, False))]
-        assert all(_is_wide(x, d, q1 * q2) for d, _, _ in terms)
+        assert all(_is_wide(x, d) for d, _, _ in terms)
         self.check(x, terms, q1, q2, a)
 
     @pytest.mark.parametrize("width_offset", [-1, 0, 1])
     @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (3, 1, 2), (12, 8, 35), (30, 7, 11)])
-    def test_wide_cutoff_seam(self, width_offset, q1, q2, a):
-        # the window (x, 2x] holds x integers, on the strided path from
-        # _WIDE + _PER_CLASS * (1 + 2^omega(q)) on
-        progs = apmod.progressions
-        x = progs._WIDE + progs._PER_CLASS * (1 + 2 ** len(factorize(q1 * q2).factors))
-        x += width_offset
-        assert _is_wide(x, 1, q1 * q2) == (width_offset >= 0)
-        self.check(x, [(1, 3, False), (1, 5, True), (2, 7, False)], q1, q2, a)
+    def test_wide_cutoff_seam(self, width_offset, q1, q2, a, monkeypatch):
+        # the window (x, 2x] holds x integers, on the strided path from _WIDE
+        # on, whatever omega(q); the narrow windows are the ones gathered
+        x = apmod.progressions._WIDE + width_offset
+        assert _is_wide(x, 1) == (width_offset >= 0)
+        gathered, batches = [], apmod.progressions._window_batches
+        monkeypatch.setattr(apmod.progressions, "_window_batches",
+                            lambda lo, hi: gathered.extend(hi - lo + 1) or batches(lo, hi))
+        self.check(x, [(1, 3, False), (1, 5, True), (11, 7, False)], q1, q2, a)
+        assert gathered == [x, x, 2 * x // 11 - x // 11][2 * _is_wide(x, 1):]
+
+    @pytest.mark.parametrize("width_offset", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "q1, q2, a", [(1, 1, 0), (8, 1, 3), (9, 1, 2), (49, 1, 5), (2, 5, 3), (7, 12, 5), (97, 6, 5)]
+    )
+    def test_largest_prime_of_q_seam(self, q1, q2, a, width_offset):
+        # b = P^+(q) strikes the multiples of the primes of q from the
+        # survivors, b = P^+(q) + 1 counts every survivor as coprime; strict
+        # and inclusive, at the prime P^+(q), on a window of _WIDE - 1, _WIDE
+        # or _WIDE + 1 integers (d = 1) and on narrow ones, some with (d, q) > 1
+        big = max((p for p, _ in factorize(q1 * q2).factors), default=1)
+        seam = [(big - 1, False), (big, True), (big, False), (big + 1, True)]
+        assert [lpf_bound(z, inc) for z, inc in seam] == [big, big, big + 1, big + 1]
+        x = apmod.progressions._WIDE + width_offset
+        ds = (1, 2, 3, 5, 7, 11, 97)
+        assert [_is_wide(x, d) for d in ds] == [width_offset >= 0] + [False] * 6
+        self.check(x, [(d, z, inc) for d in ds for z, inc in seam], q1, q2, a)
+
+    @pytest.mark.parametrize("q1, q2, a", [(1, 1, 0), (30, 1, 7), (7, 12, 5), (97, 6, 5)])
+    def test_struck_primes_across_segment_edges(self, q1, q2, a, monkeypatch):
+        # with SEGMENT = 300 the wide windows (5000, 1667 and 714 integers)
+        # run over several chunks, each striking the multiples of the primes
+        # of q from its own offset, and batch edges cut the narrow ones
+        monkeypatch.setattr(apmod.progressions, "SEGMENT", 300)
+        x, ds = 5000, (1, 3, 7, 19, 23, 29, 40)
+        assert [_is_wide(x, d) for d in ds] == [True] * 4 + [False] * 3
+        seams = ((2, True), (3, False), (5, True), (97, False), (97, True), (1e9, True))
+        self.check(x, [(d, z, inc) for d in ds for z, inc in seams], q1, q2, a)
+
+    def test_python_ints_past_int64(self):
+        # a huge x or d is kept exact: d past int64, x past it with empty
+        # windows and with the windows (10, 20] and (4096, 8192], and
+        # windows past the LPF table's limit, read only when (d, q) = 1
+        self.check(10**6, [(10**30, 5, False), (101, 5, True)], 3, 1, 1)
+        self.check(-10**30, [(1, 2, False), (10**31, 3, True)], 3, 1, 1)
+        self.check(10**30, [(10**29, 1, False), (10**29, 3, True), (3 * 10**28, 5, False),
+                            (10**31, 2, False)], 7, 1, 3)
+        self.check(2**62 + 5, [(2**50, 3, False), (2**50 + 1, 2, True), (2**64, 1, False)],
+                   5, 1, 2)
+        assert s_values(2**62, [(5, 2, False), (2**64, 1, False)], 5, 1, 2)[2].triple() == (0, 0, 4)
+        with pytest.raises(ValueError, match="limit must be in"):
+            s_values(2**62, [(3, 2, False)], 5, 1, 2)
+
+    def test_pinned_answers(self):
+        # pinned answers: d past int64, x past it with only empty windows, a
+        # modulus near 10^18, and z = +-inf and nan on windows of 300, 43 and
+        # 1 integers
+        assert s_values(10**6, [(10**30, 5, False)], 3, 1, 1)[2].triple() == (0, 0, 2)
+        assert s_values(10**30, [(10**31, 5, False)], 1, 1, 0)[2].triple() == (0, 0, 1)
+        assert s_values(10**5, [(1, 5, False)], 10**9 + 7, 10**9 + 9, 1)[2].triple() == (
+            0, 26668, 1000000014000000048)
+        terms = [(d, z, inc) for d in (1, 7, 301) for z in (math.inf, -math.inf, math.nan)
+                 for inc in (False, True)]
+        in_class, coprime, total = s_values(300, terms, 5, 1, 2)
+        assert in_class.tolist() == [0, 0, 60, 60, 0, 0, 0, 0, 8, 8, 0, 0] + [0] * 6
+        assert coprime.tolist() == [0, 0, 240, 240, 0, 0, 0, 0, 34, 34, 0, 0, 0, 1, 1, 1, 0, 0]
+        assert total.triple() == (136, 551, 4)
 
     def test_batches_cross_segment(self):
         # 600 windows of width 2000 overrun one SEGMENT batch, and one window
@@ -240,10 +298,9 @@ class TestSValuesOracle:
     def test_small_segment_batches(self, monkeypatch):
         # with a tiny SEGMENT, wide windows are read in many chunks and
         # narrow ones in many batches, most of them cutting a window; a
-        # window is wide when a 97-integer chunk holds 20 + 2q of them
+        # window is wide from 20 integers on
         monkeypatch.setattr(apmod.progressions, "SEGMENT", 97)
         monkeypatch.setattr(apmod.progressions, "_WIDE", 20)
-        monkeypatch.setattr(apmod.progressions, "_PER_CLASS", 2)
         rng = SplitMix64(17)
         for _ in range(20):
             x = rng.in_range(1, 5000)
