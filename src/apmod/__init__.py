@@ -25,6 +25,7 @@ from .completion import (  # noqa: F401,E402
     completed_ap_sum,
     completed_inverse_sum,
     coprime_smooth_sum,
+    kl3_correlation,
     partition_of_unity,
     psi0_eval,
     psi0_hat,
@@ -35,7 +36,6 @@ from .expsums import (  # noqa: F401,E402
     f_property_check,
     f_sum,
     kl3,
-    kl3_correlation,
     kloosterman,
     ramanujan,
     weil_check,

@@ -43,7 +43,7 @@ from .arith import (
     random_coprime_pairs,
 )
 from .buchstab import U_MAX, buchstab_omega
-from .completion import completed_ap_sum, completed_inverse_sum, coprime_smooth_sum
+from .completion import completed_ap_sum, completed_inverse_sum, coprime_smooth_sum, kl3_correlation
 from .dispersion import dispersion_expand, fixed_seed_instances
 from .expsums import (
     DELIGNE_P_MAX,
@@ -53,7 +53,6 @@ from .expsums import (
     f_property_check,
     f_sum,
     kl3,
-    kl3_correlation,
     kloosterman,
     ramanujan,
     weil_check,
@@ -257,7 +256,8 @@ COMMANDS = [
         # 2.4 s with --s 9973 (2 vCPUs, Intel Xeon)
         ("--H", float, REQUIRED, "length of the smoothed h-sum", (1, 10**5)),
         *((f"--{n}", int, REQUIRED, "residue") for n in ("a1", "a2")),
-        *((f"--{n}", int, REQUIRED, "squarefree modulus") for n in ("r1", "r2", "s")),
+        # s * [r1, r2] <= 1e4 is checked in kl3_correlation, which bounds each
+        *((f"--{n}", int, REQUIRED, "squarefree modulus", (1, 10**4)) for n in ("r1", "r2", "s")),
     )),
     (("verify", "buchstab"), "exact Buchstab identity", "cmd_verify_buchstab", (
         # configurations draw x from [50, --x] and read the LPF table to 2x
@@ -302,7 +302,8 @@ COMMANDS = [
         ("--q1", int, 2, "first modulus factor"),
         ("--q2", int, 1, "second modulus factor"),
         ("--a", int, 1, "residue class"),
-        ("--epsilon", float, 0.0, "exponent slack of the x^(1+2 epsilon) cuts"),
+        # keeps the float x^(1+2 epsilon) finite at the --x cap: 1e7^43 = 1e301
+        ("--epsilon", float, 0.0, "exponent slack of the x^(1+2 epsilon) cuts", (-INF, 21)),
     )),
     (("dispersion-demo",), "dispersion expansion identity on tiny instances",
      "cmd_dispersion_demo", (

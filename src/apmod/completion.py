@@ -8,7 +8,8 @@ Gauss-Kronrod quadrature on the two ramps plus a closed form on the plateau,
 memoized per frequency.  The three completion evaluators compare an exactly
 enumerated sum of psi0 against its truncated dual form and report the
 measured error; the asymptotic tail bounds are replaced by these explicit
-measurements at desk scale.
+measurements at desk scale.  kl3_correlation sums psi0 against two Kl3
+tables the same way.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .arith import euler_phi, mod_inv
-from .expsums import kloosterman, ramanujan
+from .arith import euler_phi, mobius, mod_inv
+from .expsums import kl3_squarefree, kloosterman, ramanujan
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +77,18 @@ def smoothstep(u: float) -> float:
     return g / (g + h)
 
 
+# psi0's shape: (start, end, slope, offset) of each open ramp, on which
+# psi0(t) = smoothstep(slope * t + offset); psi0 is 1 between them, 0 outside
+_RAMPS = ((0.5, 1.0, 2.0, -1.0), (2.0, 2.5, -2.0, 5.0))
+_PLATEAU = (_RAMPS[0][1], _RAMPS[1][0])
+
+
 def psi0_eval(t: float) -> float:
     """The bump: exactly 0 off [1/2, 5/2], exactly 1 on [1, 2], smooth ramps."""
-    if t <= 0.5 or t >= 2.5:
-        return 0.0
-    if 1.0 <= t <= 2.0:
-        return 1.0
-    if t < 1.0:
-        return smoothstep(2.0 * t - 1.0)
-    return smoothstep(5.0 - 2.0 * t)
+    for start, end, slope, offset in _RAMPS:
+        if start < t < end:
+            return smoothstep(slope * t + offset)
+    return 1.0 if _PLATEAU[0] <= t <= _PLATEAU[1] else 0.0
 
 
 def psi0_deriv_vec(ts, order: int) -> np.ndarray:
@@ -95,12 +99,9 @@ def psi0_deriv_vec(ts, order: int) -> np.ndarray:
     arr = np.asarray(ts, dtype=float)
     out = np.zeros_like(arr)
     if order == 0:
-        out[(arr >= 1.0) & (arr <= 2.0)] = 1.0
-    # smoothstep argument u = 2t - 1 on the up-ramp and 5 - 2t on the down-ramp
-    for ramp, slope, offset in (
-        ((arr > 0.5) & (arr < 1.0), 2.0, -1.0),
-        ((arr > 2.0) & (arr < 2.5), -2.0, 5.0),
-    ):
+        out[(arr >= _PLATEAU[0]) & (arr <= _PLATEAU[1])] = 1.0
+    for start, end, slope, offset in _RAMPS:
+        ramp = (arr > start) & (arr < end)
         if ramp.any():
             u = slope * arr[ramp] + offset
             jet = [u]
@@ -180,14 +181,13 @@ def quad_oscillatory(f, a: float, b: float, freq: float) -> complex:
 
 
 XI_BYPARTS = 400.0  # consider the certified tail cutoff only above this
-_RAMPS = ((0.5, 1.0), (2.0, 2.5))  # psi0 rises, then falls; 1 on [1, 2] between
 
 
 @functools.lru_cache(maxsize=1)
 def _high_deriv_norm() -> float:
     """L1 norm of psi0^(8), one 128-panel G7K15 pass per ramp."""
     total = 0.0
-    for a, b in _RAMPS:
+    for a, b, *_ in _RAMPS:
         v, _ = _composite_gk(lambda t: np.abs(psi0_deriv_vec(t, 8)), a, b, 128)
         total += v.real
     return total
@@ -209,16 +209,17 @@ def psi0_hat(xi: float) -> complex:
         return psi0_hat(-xi).conjugate()
     if xi > XI_BYPARTS and _high_deriv_norm() / (2.0 * math.pi * xi) ** 8 < 1e-22:
         return 0j
+    lo, hi = _PLATEAU
     if xi == 0.0:
-        plateau_val = complex(1.0)
+        plateau_val = complex(hi - lo)
     else:
         c = -2j * math.pi * xi
-        plateau_val = (np.exp(c * 2.0) - np.exp(c * 1.0)) / c
+        plateau_val = (np.exp(c * hi) - np.exp(c * lo)) / c
 
     def integrand(t):
         return psi0_deriv_vec(t, 0) * np.exp(-2j * np.pi * xi * t)
 
-    return plateau_val + sum(quad_oscillatory(integrand, a, b, xi) for a, b in _RAMPS)
+    return plateau_val + sum(quad_oscillatory(integrand, a, b, xi) for a, b, *_ in _RAMPS)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +283,17 @@ class CompletionReport:
     exact: complex
     main_term: complex
     truncated: complex
-    error: float
     H_used: int
 
+    @property
+    def error(self) -> float:
+        return abs(self.exact - self.truncated)
 
-def _support_range(scale: float) -> range:
-    """The integers m with psi0(m/scale) possibly nonzero (support [1/2, 5/2])."""
-    start = max(1, math.floor(0.5 * scale))
-    stop = math.ceil(2.5 * scale) + 1
+
+def psi0_support(scale: float) -> range:
+    """The integers m >= 1 with psi0(m/scale) possibly nonzero."""
+    start = max(1, math.floor(_RAMPS[0][0] * scale))
+    stop = math.ceil(_RAMPS[-1][1] * scale) + 1
     return range(start, stop)
 
 
@@ -308,7 +312,7 @@ def completed_ap_sum(M: float, q: int, a: int, H: int) -> CompletionReport:
         raise ValueError("modulus must be >= 1")
     if M > 10**6 or q > 10**6:
         raise ValueError("M, q above 1e6 are out of contract for direct enumeration")
-    ms = np.array(_support_range(M), dtype=np.int64)
+    ms = np.array(psi0_support(M), dtype=np.int64)
     ms = ms[ms % q == a % q]
     exact = math.fsum(psi0_deriv_vec(ms / M, 0).tolist())
     main = (M / q) * psi0_hat(0.0)
@@ -321,7 +325,6 @@ def completed_ap_sum(M: float, q: int, a: int, H: int) -> CompletionReport:
         exact=exact,
         main_term=complex(main),
         truncated=complex(truncated),
-        error=abs(exact - truncated),
         H_used=H,
     )
 
@@ -344,7 +347,7 @@ def completed_inverse_sum(
         raise ValueError("N*d*q above 1e7 is out of contract for direct enumeration")
     re_parts: list[float] = []
     im_parts: list[float] = []
-    for n in _support_range(N):
+    for n in psi0_support(N):
         if n % d == n0 % d and math.gcd(n, q) == 1:
             nbar = mod_inv(n, q)
             term = float(psi0_deriv_vec(n / N, 0)) * np.exp(2j * np.pi * ((b * nbar) % q) / q)
@@ -365,7 +368,6 @@ def completed_inverse_sum(
         exact=complex(exact),
         main_term=complex(main),
         truncated=complex(truncated),
-        error=abs(exact - truncated),
         H_used=H,
     )
 
@@ -380,7 +382,7 @@ def coprime_smooth_sum(M: float, q: int) -> CompletionReport:
         raise ValueError("modulus must be >= 1")
     if M * q > 10**7:
         raise ValueError("M*q above 1e7 is out of contract for direct enumeration")
-    ms = np.array(_support_range(M), dtype=np.int64)
+    ms = np.array(psi0_support(M), dtype=np.int64)
     ms = ms[np.gcd(ms, q) == 1]
     exact = math.fsum(psi0_deriv_vec(ms / M, 0).tolist())
     main = (euler_phi(q) / q) * M * psi0_hat(0.0)
@@ -388,6 +390,43 @@ def coprime_smooth_sum(M: float, q: int) -> CompletionReport:
         exact=exact,
         main_term=complex(main),
         truncated=complex(main),
-        error=abs(exact - main),
         H_used=0,
     )
+
+
+def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dict:
+    """Smoothed correlation of Kl3 twists against the reference bound.
+
+    lhs = sum over (h, s r1 r2) = 1 of psi0(h/H) Kl3(a1 h; r1 s)
+    conj(Kl3(a2 h; r2 s)), evaluated directly from one kl3_squarefree table
+    per modulus.  rhs_bound is the comparison quantity (H/([r1,r2] s) + 1)
+    sqrt(s [r1,r2] (a2-a1, r1, r2) (a2 r1^3 - a1 r2^3, s)) with implied
+    constant 1 and no epsilon power; the ratio is DIAGNOSTIC ONLY since the
+    true implied constant is unknown.
+    """
+    for name, v in (("r1", r1), ("r2", r2), ("s", s)):
+        if mobius(v) == 0:
+            raise ValueError(f"{name} = {v} must be squarefree")
+    if math.gcd(s, r1) != 1 or math.gcd(s, r2) != 1:
+        raise ValueError("s must be coprime to r1 and r2")
+    if math.gcd(a1, r1 * s) != 1 or math.gcd(a2, r2 * s) != 1:
+        raise ValueError("a_i must be units modulo r_i * s")
+    lcm = r1 * r2 // math.gcd(r1, r2)
+    if s * lcm > 10**4:
+        raise ValueError("moduli too large for direct evaluation (s*[r1,r2] > 1e4)")
+    m1, m2 = r1 * s, r2 * s
+    kl1, kl2 = kl3_squarefree(m1), kl3_squarefree(m2)
+    lhs = 0j
+    for h in psi0_support(H):
+        w = psi0_eval(h / H)
+        if w == 0.0 or math.gcd(h, s * r1 * r2) != 1:
+            continue
+        lhs += w * kl1[(a1 * h) % m1] * np.conj(kl2[(a2 * h) % m2])
+    g_r = math.gcd(math.gcd(a2 - a1, r1), r2)
+    g_s = math.gcd(a2 * r1**3 - a1 * r2**3, s)
+    rhs_bound = (H / (lcm * s) + 1.0) * math.sqrt(s * lcm * g_r * g_s)
+    return {
+        "lhs": complex(lhs),
+        "rhs_bound": float(rhs_bound),
+        "ratio": float(abs(lhs) / rhs_bound),
+    }

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, mobius
-from .completion import _support_range, psi0_eval
+from .completion import psi0_eval, psi0_support
+from .rng import SplitMix64
 
 
 @dataclass
@@ -43,7 +44,7 @@ class DispersionInstance:
 
     def ranges(self):
         dy = lambda T: range(T + 1, 2 * T + 1)  # noqa: E731
-        sm = _support_range
+        sm = psi0_support
         return dy(self.E), sm(self.Q), dy(self.D), dy(self.R), dy(self.N), sm(self.M)
 
 
@@ -176,8 +177,6 @@ def dispersion_expand(inst: DispersionInstance) -> DispersionResult:
 
 def fixed_seed_instances(count: int = 10, seed: int = 0) -> list[DispersionInstance]:
     """Deterministic family of tiny instances for the identity check."""
-    from .rng import SplitMix64
-
     rng = SplitMix64(seed * 271828 + 17)
     out = []
     while len(out) < count:

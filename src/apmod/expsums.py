@@ -32,6 +32,7 @@ import numpy as np
 
 from .arith import (
     FactoredInt,
+    _as_factored,
     divisors,
     euler_phi,
     factorize,
@@ -39,14 +40,14 @@ from .arith import (
     mobius,
     tau_k,
 )
-from .primes import primes_in
 from .rng import SplitMix64
 
 
 @lru_cache(maxsize=4096)
 def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(roots, units, inverses) mod q: e(r/q) for 0 <= r < q, the units in
-    ascending order, and each unit's inverse.  For q = 1 the only unit is 0."""
+    ascending order, and each unit's inverse.  For q = 1 the only unit is 0.
+    The arrays are cached, so they are read-only."""
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     r = np.arange(q, dtype=np.int64)
     units = r[np.gcd(r, q) == 1]
@@ -58,7 +59,10 @@ def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             inverses = inverses * base % q
         base = base * base % q
         e >>= 1
-    return roots, units, inverses % q
+    out = roots, units, inverses % q
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 # Unit-pair phases are generated and summed in leaves of at most this many
@@ -209,8 +213,6 @@ def kl3(a: int, q: int) -> complex:
 
 def kl3_full_loop(a: int, q: int) -> complex:
     """O(q^3) definition-level oracle; intended only for q <= ~100."""
-    if q == 1:
-        return 1 + 0j
     roots = _unit_table(q)[0]
     total = 0j
     for b1 in range(q):
@@ -226,10 +228,9 @@ def kl3_prime_table(p: int) -> np.ndarray:
     """Kl3(a; p) for all residues a mod p at once (inverse DFT of pair sums).
 
     The pair sums are accumulated _LEAF pairs at a time in grid order: time
-    phi(p)^2 phases, memory O(_LEAF + p); the O(p) result is cached.
+    phi(p)^2 phases, memory O(_LEAF + p); the O(p) result is cached, so it
+    is read-only.
     """
-    if p == 1:
-        return np.ones(1, dtype=complex)
     roots, u, _ = _unit_table(p)
     # rows: inv(b1*b2) and b1 + b2
     phases = _pair_phases(p, [(0, 0, 1), (1, 1, 0)])
@@ -239,28 +240,32 @@ def kl3_prime_table(p: int) -> np.ndarray:
         inv_pair, pair_sum = phases(lo, min(n, lo + _LEAF))
         # t[inv(b1*b2)] += e((b1 + b2)/p), in the order of the pair grid
         np.add.at(t, inv_pair, roots[pair_sum])
-    # Kl3(a; p) = (1/p) * sum_c t[c] e(a c / p) = ifft(t)[a]
-    return np.fft.ifft(t)
+    # Kl3(a; p) = (1/p) * sum_c t[c] e(a c / p) = ifft(t)[a]; t = [1] at p = 1
+    t = np.fft.ifft(t)
+    t.flags.writeable = False
+    return t
 
 
-def _kl3_squarefree_units(f: FactoredInt) -> np.ndarray:
-    """Kl3(a; q) for every unit a of squarefree q, ascending in a.
+def kl3_squarefree(q: int | FactoredInt) -> np.ndarray:
+    """Kl3(a; q) at every residue a mod squarefree q, indexed by a.
 
-    Uses Kl3(a; q1*q2) = Kl3(a*inv(q1)^3; q2) * Kl3(a*inv(q2)^3; q1), so a
-    squarefree modulus costs one prime-table gather per prime factor.  The
-    factors are multiplied in ascending order, starting from 1 + 0j, with the
-    complex product written out in real parts.
+    For a prime (or q = 1) this is the cached, read-only kl3_prime_table(q).
+    Otherwise it is the product over p | q, ascending, of the prime tables
+    at a * inv(q/p)^3 mod p (twisted multiplicativity, which holds at every
+    a, unit or not), written out in real parts: O(q) time and memory per p.
     """
+    f = _as_factored(q)
+    if not f.is_squarefree():
+        raise ValueError(f"q = {f.n} must be squarefree")
     q = f.n
-    a = _unit_table(q)[1]
-    re, im = 1.0, 0.0
-    for p, _ in f.factors:
-        m = q // p
-        ap = a % p if m == 1 else a * pow(mod_inv(m, p), 3, p) % p
-        t = kl3_prime_table(p)[ap]
-        re, im = re * t.real - im * t.imag, re * t.imag + im * t.real
-    out = np.empty(len(a), dtype=complex)
-    out.real, out.imag = re, im
+    if len(f.factors) <= 1:
+        return kl3_prime_table(q)
+    a = np.arange(q)
+    out, *rest = (kl3_prime_table(p)[a * pow(mod_inv(q // p, p), 3, p) % p]
+                  for p, _ in f.factors)
+    for t in rest:
+        re, im = out.real, out.imag
+        out.real, out.imag = re * t.real - im * t.imag, re * t.imag + im * t.real
     return out
 
 
@@ -540,76 +545,27 @@ def weil_check(c_max: int, trials_per_c: int = 50, seed: int = 0) -> SweepReport
 
 
 def deligne_check(p_max: int) -> SweepReport:
-    """Deligne bound: |Kl3(a; p)| <= 3 at primes, <= tau_3(q) for squarefree q.
+    """Deligne bound: |Kl3(a; q)| <= tau_3(q) for every unit a of squarefree q.
 
-    Prime moduli up to p_max are checked for every unit a via the DFT table;
-    squarefree composites up to 2 * p_max for every unit a through the
-    multiplicativity identity.  A slack of 1e-9 absorbs float rounding only.
+    One sweep of the kl3_squarefree tables of the squarefree q <= 2 * p_max,
+    primes only up to p_max.  A composite's ratio is a product of its
+    primes' ratios, so the maximum ratio and its witness are a prime's.  A
+    slack of 1e-9 absorbs float rounding only.
     """
     if p_max > DELIGNE_P_MAX:
         raise ValueError(f"p_max above {DELIGNE_P_MAX} is out of contract")
     report = SweepReport(tested=0)
     slack = 1e-9
-    for p in primes_in(0, p_max):
-        vals = np.abs(kl3_prime_table(p)[_unit_table(p)[1]])
-        worst = float(vals.max())
-        report.tested += len(vals)
-        if worst / 3.0 > report.max_ratio:
-            report.max_ratio = worst / 3.0
-            report.witness = {"q": p, "abs": worst, "bound": 3.0}
-        if worst > 3.0 + slack:
-            report.failures.append({"q": p, "abs": worst, "bound": 3.0})
-
     for f in map(factorize, range(2, 2 * p_max + 1)):
-        if not f.is_squarefree() or len(f.factors) < 2:
+        if not f.is_squarefree() or (len(f.factors) == 1 and f.n > p_max):
             continue
-        worst = float(np.abs(_kl3_squarefree_units(f)).max())
-        report.tested += euler_phi(f)
+        vals = np.abs(kl3_squarefree(f)[_unit_table(f.n)[1]])
+        worst = float(vals.max())
         bound = float(tau_k(f, 3))
+        report.tested += len(vals)
+        if worst / bound > report.max_ratio:
+            report.max_ratio = worst / bound
+            report.witness = {"q": f.n, "abs": worst, "bound": bound}
         if worst > bound + slack:
             report.failures.append({"q": f.n, "abs": worst, "bound": bound})
     return report
-
-
-def kl3_correlation(H: float, a1: int, a2: int, r1: int, r2: int, s: int) -> dict:
-    """Smoothed correlation of Kl3 twists against the reference bound.
-
-    lhs = sum over (h, s r1 r2) = 1 of psi0(h/H) Kl3(a1 h; r1 s)
-    conj(Kl3(a2 h; r2 s)), evaluated directly.  rhs_bound is the comparison
-    quantity (H/([r1,r2] s) + 1) sqrt(s [r1,r2] (a2-a1, r1, r2)
-    (a2 r1^3 - a1 r2^3, s)) with implied constant 1 and no epsilon power;
-    the ratio is DIAGNOSTIC ONLY since the true implied constant is unknown.
-    """
-    from .completion import _support_range, psi0_eval
-
-    for name, v in (("r1", r1), ("r2", r2), ("s", s)):
-        if mobius(v) == 0:
-            raise ValueError(f"{name} = {v} must be squarefree")
-    if math.gcd(s, r1) != 1 or math.gcd(s, r2) != 1:
-        raise ValueError("s must be coprime to r1 and r2")
-    if math.gcd(a1, r1 * s) != 1 or math.gcd(a2, r2 * s) != 1:
-        raise ValueError("a_i must be units modulo r_i * s")
-    lcm = r1 * r2 // math.gcd(r1, r2)
-    if s * lcm > 10**4:
-        raise ValueError("moduli too large for direct evaluation (s*[r1,r2] > 1e4)")
-    m1, m2 = r1 * s, r2 * s
-    # Kl3(b; m) at every residue b (0 at the non-units), one table per modulus
-    kl = {}
-    for m in {m1, m2}:
-        kl[m] = np.zeros(m, dtype=complex)
-        kl[m][_unit_table(m)[1]] = _kl3_squarefree_units(factorize(m))
-    kl1, kl2 = kl[m1], kl[m2]
-    lhs = 0j
-    for h in _support_range(H):
-        w = psi0_eval(h / H)
-        if w == 0.0 or math.gcd(h, s * r1 * r2) != 1:
-            continue
-        lhs += w * kl1[(a1 * h) % m1] * np.conj(kl2[(a2 * h) % m2])
-    g_r = math.gcd(math.gcd(a2 - a1, r1), r2)
-    g_s = math.gcd(a2 * r1**3 - a1 * r2**3, s)
-    rhs_bound = (H / (lcm * s) + 1.0) * math.sqrt(s * lcm * g_r * g_s)
-    return {
-        "lhs": complex(lhs),
-        "rhs_bound": float(rhs_bound),
-        "ratio": float(abs(lhs) / rhs_bound),
-    }

@@ -303,6 +303,9 @@ class ReductionSequences:
 def reduction_sequences(z1: float, z2: float, y: float) -> ReductionSequences:
     if z2 > z1:
         raise ValueError("needs z2 <= z1")
+    if z1 == math.inf and z2 < math.inf:
+        # at n = 1 the alpha_1 term counts P^-(1) = +inf > z2, but not +inf > z1
+        raise ValueError(f"z1 = +inf needs z2 = +inf too, got z2 = {z2}")
     if y < 1:
         raise ValueError("needs y >= 1")
     # the identity only reads alpha at d <= y, so the support is capped there:

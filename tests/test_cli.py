@@ -243,6 +243,14 @@ class TestExitCodes:
             (["completion-demo", "--q", "1", "--d", "0"], "d must be >= 1, got 0"),
             # a subnormal M overflows m/M to inf
             (["completion-demo", "--M", "5e-324"], "--M must be >= 1, got 5e-324"),
+            # flags that reached a float power or factorize unchecked
+            (["decomp", "--x", "100", "--epsilon", "1e300"], "--epsilon must be <= 21, got 1e+300"),
+            (["decomp", "--x", "10000000", "--epsilon", "21.6"], "--epsilon must be <= 21, got 21.6"),
+            *((["expsum", "correlation", "--H", "40", "--a1", "1", "--a2", "2", "--r1", "3",
+                "--r2", "5", "--s", "7", flag, value], f"{flag} must be >= 1, got {value}")
+              for flag, value in (("--r1", "0"), ("--r2", "0"), ("--s", "-7"))),
+            (["expsum", "correlation", "--H", "40", "--a1", "1", "--a2", "2", "--r1", "3",
+              "--r2", "5", "--s", str(10**30)], "--s must be <= 10000, got"),
         ],
     )
     def test_vacuous_or_unbounded_input_is_2(self, args, msg, tmp_path, capsys):

@@ -13,10 +13,10 @@ from apmod.constants import (
     KL3_CORRELATION_INSTANCE,
     KL3_CORRELATION_LHS,
 )
+from apmod.completion import kl3_correlation
 from apmod.expsums import (
     _CHUNK,
     _LEAF,
-    _kl3_squarefree_units,
     _pair_phases,
     _pair_sums,
     _tree_sum,
@@ -25,9 +25,9 @@ from apmod.expsums import (
     f_property_check,
     f_sum,
     kl3,
-    kl3_correlation,
     kl3_full_loop,
     kl3_prime_table,
+    kl3_squarefree,
     kloosterman,
     ramanujan,
     ramanujan_exact,
@@ -139,9 +139,33 @@ class TestKl3:
 
     def test_squarefree_multiplicative_matches_direct(self):
         for a, q in ((1, 15), (2, 21), (4, 35), (1, 30), (7, 33), (11, 105)):
-            table = _kl3_squarefree_units(factorize(q))
-            got = table[np.searchsorted(_unit_table(q)[1], a)]
-            assert abs(got - kl3(a, q)) <= 1e-9 * q
+            assert abs(kl3_squarefree(q)[a] - kl3(a, q)) <= 1e-9 * q
+
+    def test_squarefree_table_at_every_residue(self):
+        # the twist holds at non-units too: every residue against the pair
+        # route, and against the definition at the smallest composites
+        for q in (1, 6, 10, 15, 30, 42):
+            table = kl3_squarefree(factorize(q))
+            assert len(table) == q
+            for a in range(q):
+                assert abs(table[a] - kl3(a, q)) <= 1e-9 * q, (q, a)
+                if q <= 15:
+                    assert abs(table[a] - kl3_full_loop(a, q)) <= 1e-9 * q, (q, a)
+
+    def test_squarefree_prime_is_the_cached_table(self):
+        for p in (2, 3, 97):
+            assert kl3_squarefree(p) is kl3_prime_table(p)
+            assert kl3_squarefree(factorize(p)) is kl3_prime_table(p)
+
+    def test_squarefree_refuses_square_factor(self):
+        for q in (4, 12, 49):
+            with pytest.raises(ValueError, match="squarefree"):
+                kl3_squarefree(q)
+
+    def test_cached_tables_are_read_only(self):
+        for arr in (*_unit_table(30), kl3_prime_table(7), kl3_prime_table(1)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 def _pair_grid(q):
@@ -416,9 +440,10 @@ class TestDeligne:
             if not f.is_squarefree():
                 continue
             units = _unit_table(q)[1]
-            table = _kl3_squarefree_units(f)
+            table = kl3_squarefree(f)
             for i in (0, len(units) - 1, rng.below(len(units))):
-                assert abs(table[i] - kl3(int(units[i]), q)) <= 1e-9 * q, (q, units[i])
+                a = int(units[i])
+                assert abs(table[a] - kl3(a, q)) <= 1e-9 * q, (q, a)
 
 
 class TestCorrelation:

@@ -248,8 +248,25 @@ class TestReductionSequences:
 
     def test_huge_z1_lists_no_prime_above_y(self):
         assert reduction_sequences(math.inf, math.inf, 10).alpha == {1: 1}
-        assert reduction_sequences(math.inf, 5, 10).alpha == {1: 1, 7: -1}
+        assert reduction_sequences(1e300, 5, 10).alpha == {1: 1, 7: -1}
         assert reduction_sequences(2e7, 2e7, 10).alpha == {1: 1}
+        # at z1 = +inf only z2 = +inf keeps the identity at n = 1
+        with pytest.raises(ValueError, match=r"z1 = \+inf needs z2 = \+inf"):
+            reduction_sequences(math.inf, 5, 10)
+
+    @pytest.mark.parametrize("z1", [1e9, 1e300, math.inf])
+    @pytest.mark.parametrize("z2", [3, math.inf])
+    def test_identity_at_huge_thresholds(self, z1, z2):
+        # z2 > z1, or z1 = +inf with a finite z2, is refused; every accepted
+        # triple keeps the identity at every n
+        if z2 > z1 or (z1 == math.inf and z2 < math.inf):
+            with pytest.raises(ValueError):
+                reduction_sequences(z1, z2, 50)
+            return
+        rs = reduction_sequences(z1, z2, 50)
+        lhs, rhs = rs.identity_sides(3000)
+        assert np.array_equal(lhs[1:], rhs[1:])
+        assert rhs.tolist()[1:] == [rs.rhs_at(n) for n in range(1, 3001)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
